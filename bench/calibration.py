@@ -1,20 +1,21 @@
 """Machine-speed calibration for end-to-end timings on a shared host.
 
 On a small shared VM the same code runs up to ~1.8x slower in some spells
-(lasting from a tenth of a second to a few seconds) than in others. ``calibrate()`` times a fixed mix of small numpy calls and
-interpreted Python that runs no tailfence code, so its time follows only the
-machine's speed. The benchmark times it around every timing it reports and
-scales that timing by ``CAL_REF_S / calibration``: end-to-end times read as
-seconds at a fixed machine speed.
+(lasting from a tenth of a second to a few seconds) than in others.
+``calibrate()`` times a fixed mix of small numpy calls and interpreted Python
+that runs no tailfence code, so its time follows only the machine's speed.
+The benchmark times it around every timing it reports and scales that timing
+by ``CAL_REF_S / calibration``: end-to-end times read as seconds at a fixed
+machine speed.
 
-A study pass keeps one process per pool worker busy, so ``Calibrator`` runs
-``calibrate()`` on that many processes at once and averages their times.
+The calibration always runs in one process, whatever the code under test
+does. A pass that keeps several processes busy therefore still shows what
+their contention for the cores costs, and the scale means the same for every
+version of the program.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import statistics
 import time
 
 import numpy as np
@@ -45,46 +46,3 @@ def scales(cal: list[float]) -> list[float]:
     """
     return [2.0 * CAL_REF_S / (cal[i] + cal[i + 1]) for i in range(len(cal) - 1)]
 
-
-def _serve(conn) -> None:
-    while conn.recv():
-        conn.send(calibrate())
-    conn.close()
-
-
-class Calibrator:
-    """Runs calibrate() on ``processes`` processes at once (this one included)."""
-
-    def __init__(self, processes: int = 1):
-        self._conns = []
-        self._helpers = []
-        context = multiprocessing.get_context("spawn")
-        for _ in range(max(1, processes) - 1):
-            parent, child = context.Pipe()
-            helper = context.Process(target=_serve, args=(child,), daemon=True)
-            helper.start()
-            child.close()
-            self._conns.append(parent)
-            self._helpers.append(helper)
-
-    def measure(self) -> float:
-        for conn in self._conns:
-            conn.send(True)
-        times = [calibrate()] + [conn.recv() for conn in self._conns]
-        return statistics.mean(times)
-
-    def close(self) -> None:
-        for conn in self._conns:
-            conn.send(False)
-            conn.close()
-        for helper in self._helpers:
-            helper.join(timeout=10)
-            if helper.is_alive():
-                helper.terminate()
-                helper.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -8,14 +8,15 @@ Run from the repository root:
 
 ``--trace 0`` prints the end-to-end metrics: set-up time (fresh-interpreter
 ``import tailfence``), median pass wall time (p75 alongside), throughput,
-CPU seconds of the process and its pool children, and peak RSS. ``--trace 1``
-prints the per-layer metrics from three closed loops of a third of
-``--seconds`` each: untraced passes at the default worker count, untraced
-serial passes and traced serial passes. Both modes check every pass against
-the recorded reference output; the last stdout line is the JSON result.
-Times are scaled to a fixed machine speed (see ``calibration.py``). Spans,
-per-pass timings and the machine record go to ``bench/out/``. See
-``bench/README.md``.
+CPU seconds of the passing process and its pool children, and their peak
+RSS. ``--trace 1`` prints the per-layer metrics from three closed loops of a
+third of ``--seconds`` each: untraced passes at the default worker count,
+untraced serial passes and traced serial passes. Both modes check every pass
+against the recorded reference output; the last stdout line is the JSON
+result. Every workload's passes run in a fresh interpreter of their own, so
+its peak RSS is its own. Times are scaled to a fixed machine speed (see
+``calibration.py``). Spans, per-pass timings and the machine record go to
+``bench/out/``. See ``bench/README.md``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from contextlib import contextmanager, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
-from calibration import CAL_REF_S, Calibrator, calibrate, scales
+from calibration import CAL_REF_S, calibrate, scales
 from oracle import check_pass
 from tracing import ROOT_SPAN, Tracer, layer_of
 from workloads import WORKLOADS, PassPlan
@@ -45,10 +46,14 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_DIR = BENCH_DIR / "out"
 
-SETUP_RUNS = 9  # fresh-interpreter imports per run; setup_s is their median
+# Fresh-interpreter imports per run, half before and half after the passes;
+# setup_s is their median. The host's slow spells last up to a few seconds,
+# so imports taken at two times half a minute apart vary less than one block.
+SETUP_RUNS = 12
 MIN_PASSES = 40  # so that the p75 pass time has at least ten passes beyond it
 MIN_PHASE_PASSES = 5  # per phase of a traced run
-HARD_LIMIT_S = 140.0  # no pass starts later than this after the run began
+HARD_LIMIT_S = 140.0  # no pass starts later than this after the passes began
+CHILD_TIMEOUT_S = 165.0  # the process running the passes is killed after this
 
 METHODS = ("par_n", "par_q", "fr_n", "fr_q", "hh_n", "hh_q", "hill", "thill", "pickands", "moment")
 
@@ -70,7 +75,11 @@ def _cpu_seconds() -> float:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident set of this process or its largest reaped child (Linux: KiB)."""
+    """Peak resident set of this process or its largest reaped child (Linux: KiB).
+
+    Called in the process that runs one workload's passes, whose only
+    children are the pool workers of run_study.
+    """
     kib = max(resource.getrusage(who).ru_maxrss
               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return kib / 1024.0
@@ -92,22 +101,19 @@ def _swapped(module, attr: str, value):
         setattr(module, attr, original)
 
 
-def measure_setup() -> tuple[float, list[float]]:
-    """Median scaled wall time of ``import tailfence`` in a fresh interpreter.
-
-    Also returns the unscaled import times.
-    """
+def measure_setup(runs: int) -> tuple[list[float], list[float]]:
+    """Scaled and unscaled wall times of ``import tailfence`` in fresh interpreters."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-c", "import tailfence"]
     subprocess.run(cmd, env=env, cwd=ROOT, check=True)  # writes the bytecode caches
     times, cal = [], [calibrate()]
-    for _ in range(SETUP_RUNS):
+    for _ in range(runs):
         t0 = time.perf_counter()
         subprocess.run(cmd, env=env, cwd=ROOT, check=True)
         times.append(time.perf_counter() - t0)
         cal.append(calibrate())
-    return statistics.median(t * f for t, f in zip(times, scales(cal))), times
+    return [t * f for t, f in zip(times, scales(cal))], times
 
 
 class Runner:
@@ -167,18 +173,17 @@ class Runner:
         return results
 
 
-def timed_loop(runner: Runner, seconds: float, min_passes: int, processes: int,
+def timed_loop(runner: Runner, seconds: float, min_passes: int,
                tracer: Tracer | None = None, on_pass=None) -> tuple[list[PassResult], list[float]]:
     """Runner.loop with a calibration around every pass; also returns each pass's scale."""
-    with Calibrator(processes) as calibrator:
-        cal = [calibrator.measure()]
+    cal = [calibrate()]
 
-        def after(result: PassResult, first: int) -> None:
-            if on_pass is not None:
-                on_pass(result, first)
-            cal.append(calibrator.measure())
+    def after(result: PassResult, first: int) -> None:
+        if on_pass is not None:
+            on_pass(result, first)
+        cal.append(calibrate())
 
-        results = runner.loop(seconds, min_passes, tracer=tracer, on_pass=after)
+    results = runner.loop(seconds, min_passes, tracer=tracer, on_pass=after)
     return results, scales(cal)
 
 
@@ -257,7 +262,6 @@ LAYER_METRICS: dict[str, tuple[str, tuple[str, ...]]] = {
     "cli.write_s": ("s", ("cli.write_study_outputs", "cli._open_out")),
     "cli.bytes_written": ("bytes", ("cli.write_study_outputs", "cli._open_out")),
     "trace.overhead_ratio": ("ratio", ()),
-    "trace.total_s": ("s", ()),
 }
 
 
@@ -293,7 +297,6 @@ def pass_layer_values(totals: dict, valid: int, bytes_written: int) -> dict[str,
         "tail_chars.characteristics_s": get("tail_chars.characteristics", "incl_s"),
         "cli.write_s": get("cli.write", "incl_s"),
         "cli.bytes_written": bytes_written,
-        "trace.total_s": get(ROOT_SPAN, "incl_s"),
     }
     for method in METHODS:
         values[f"estimators.us_per_call.{method}"] = us_per_call([f"estimators.evaluate.{method}"])
@@ -319,16 +322,14 @@ def layer_split(totals: dict) -> dict[str, float]:
 # --- the two kinds of run ---------------------------------------------------
 
 def end_to_end(runner: Runner, seconds: float, montecarlo) -> tuple[dict, dict]:
-    setup_s, setup_raw = measure_setup()
     workers = observe_workers(runner, montecarlo)
-    results, scale = timed_loop(runner, seconds, MIN_PASSES, workers or 1)
+    results, scale = timed_loop(runner, seconds, MIN_PASSES)
     kept = _kept(results)
     walls = [results[i].wall_s * scale[i] for i in kept]
     cpus = [results[i].cpu_s * scale[i] for i in kept]
     items = runner.plan.workload.items_per_pass
     wall_s = statistics.median(walls)
     metrics = {
-        "setup_s": (setup_s, "s"),
         "wall_s": (wall_s, "s"),
         "items_per_s": (items / wall_s, "1/s"),
         "cpu_s": (statistics.median(cpus), "s"),
@@ -343,7 +344,6 @@ def end_to_end(runner: Runner, seconds: float, montecarlo) -> tuple[dict, dict]:
         "wall_p75_s": p75,
         "passes_beyond_p75": sum(1 for w in walls if w > p75),
         "items_per_pass": items,
-        "raw_setup_s": setup_raw,
         "raw_wall_s": statistics.median(results[i].wall_s for i in kept),
         "raw_cpu_s": statistics.median(results[i].cpu_s for i in kept),
         "pass_wall_s": [r.wall_s for r in results],
@@ -357,14 +357,14 @@ def per_layer(runner: Runner, seconds: float, cli, montecarlo, spans_path: Path)
     workload = runner.plan.workload
     workers = observe_workers(runner, montecarlo)
     phase = seconds / 3.0
-    default, default_scale = timed_loop(runner, phase, MIN_PHASE_PASSES, workers or 1)
+    default, default_scale = timed_loop(runner, phase, MIN_PHASE_PASSES)
 
     def serial_run_study(config):
         return montecarlo.run_study(config, workers=1)
 
     if workload.is_study:
         with _swapped(cli, "run_study", serial_run_study):
-            serial, serial_scale = timed_loop(runner, phase, MIN_PHASE_PASSES, 1)
+            serial, serial_scale = timed_loop(runner, phase, MIN_PHASE_PASSES)
     else:  # chars_grid never reaches run_study: its default pass is the serial one
         serial, serial_scale = default, default_scale
 
@@ -382,7 +382,7 @@ def per_layer(runner: Runner, seconds: float, cli, montecarlo, spans_path: Path)
         counters["valid"], counters["bytes"] = valid, tracer.bytes_written
 
     with tracer.installed({("cli", "run_study"): serial_run_study}):
-        traced, traced_scale = timed_loop(runner, phase, MIN_PHASE_PASSES, 1,
+        traced, traced_scale = timed_loop(runner, phase, MIN_PHASE_PASSES,
                                           tracer=tracer, on_pass=on_pass)
     tracer.write_spans(spans_path)
 
@@ -422,6 +422,7 @@ def per_layer(runner: Runner, seconds: float, cli, montecarlo, spans_path: Path)
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
+    """The passes of one workload, in this process; returns the run record."""
     import tailfence.cli as cli
     import tailfence.montecarlo as montecarlo
 
@@ -444,13 +445,34 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "failed": failed,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }
-    record = {"workload": name, "seed": seed, "seconds": seconds, "trace": int(trace),
-              "failed_fraction": failed / runner.attempted, "failures": runner.failures[:20],
-              **detail, "result": result}
+    return {"workload": name, "seed": seed, "seconds": seconds, "trace": int(trace),
+            "failed_fraction": failed / runner.attempted, "failures": runner.failures[:20],
+            **detail, "result": result}
+
+
+def run_in_child(name: str, seed: int, seconds: float, trace: bool) -> dict:
+    """run_workload in a fresh interpreter, so that its peak RSS and CPU are its own."""
+    cmd = [sys.executable, str(BENCH_DIR / "run.py"), "--workload", name, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", str(int(trace)), "--child"]
+    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True,
+                          timeout=CHILD_TIMEOUT_S)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
+    """Set-up time here, the passes in a child; writes the results file and the summary."""
+    if not trace:
+        setup_scaled, setup_raw = measure_setup(SETUP_RUNS // 2)
+    record = run_in_child(name, seed, seconds, trace)
+    if not trace:
+        scaled, raw = measure_setup(SETUP_RUNS - SETUP_RUNS // 2)
+        setup_s = statistics.median(setup_scaled + scaled)
+        record["result"]["metrics"]["setup_s"] = {"value": setup_s, "unit": "s"}
+        record["raw_setup_s"] = setup_raw + raw
     (OUT_DIR / f"{name}-seed{seed}-trace{int(trace)}.json").write_text(
         json.dumps(record, indent=1, sort_keys=True) + "\n")
     _print_summary(record)
-    return result
+    return record["result"]
 
 
 def _print_summary(record: dict) -> None:
@@ -483,14 +505,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    # run one workload's passes in this process and print the run record
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if not (SRC / "tailfence" / "__init__.py").is_file():
         print(f"bench: no tailfence sources at {SRC}; run from a full checkout", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    if args.child:
+        if args.workload == "all":
+            parser.error("--child runs a single workload")
+        print(json.dumps(run_workload(args.workload, args.seed, args.seconds, bool(args.trace))))
+        return 0
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
-        result = run_workload(name, args.seed, args.seconds, bool(args.trace))
+        result = measure(name, args.seed, args.seconds, bool(args.trace))
         print(json.dumps(result, sort_keys=True))
     return 0
 

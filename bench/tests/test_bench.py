@@ -38,10 +38,16 @@ def test_workloads_match_benchmark_json():
     assert set(load_reference("chars_grid")["rows"]) == set(CHARS_SPECS)
 
 
+def _in_process(name, seed, seconds, trace):
+    """run_in_child without the child, so that the patched pass minimums apply."""
+    return json.loads(json.dumps(run.run_workload(name, seed, seconds, trace)))
+
+
 def _run_bench(monkeypatch, argv):
-    monkeypatch.setattr(run, "SETUP_RUNS", 1)
+    monkeypatch.setattr(run, "SETUP_RUNS", 2)
     monkeypatch.setattr(run, "MIN_PASSES", 1)
     monkeypatch.setattr(run, "MIN_PHASE_PASSES", 1)
+    monkeypatch.setattr(run, "run_in_child", _in_process)
     out = io.StringIO()
     with redirect_stdout(out):
         assert run.main(argv) == 0
