@@ -19,7 +19,7 @@ from pathlib import Path
 from .distributions import DistributionSpec, parse_spec
 from .empirical import load_sample
 from .estimators import ALL_METHODS, CLASSICAL_METHODS, evaluate
-from .montecarlo import StudyConfig, run_study, write_study_outputs
+from .montecarlo import StudyConfig, _fmt, run_study, write_study_outputs
 from .tail_chars import (
     characteristics,
     closed_form_p_eR,
@@ -40,10 +40,6 @@ _CHARS_HEADER = (
     "family", "params", "q1", "q3", "iqr", "outer_low", "outer_high",
     "p_eL", "p_eR", "p_e2", "p_mL", "p_mR", "p_m2",
 )
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 @contextmanager
@@ -110,7 +106,7 @@ def cmd_estimate(args) -> int:
         writer.writerow([
             record.method,
             "" if record.k is None else record.k,
-            "" if record.alpha_hat is None else _fmt(record.alpha_hat),
+            _fmt(record.alpha_hat),
             "true" if record.valid else "false",
             record.reason,
         ])

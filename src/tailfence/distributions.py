@@ -1,10 +1,13 @@
 """Catalog of ten distribution families: CDF, quantile, inverse-transform sampling.
 
 Every family is driven by a :class:`DistributionSpec` value. Closed-form
-families evaluate their textbook formulas; Gamma and Student-t go through
-the regularized incomplete gamma/beta functions with quantiles recovered by
-bracketed bisection plus Newton polish; the Hill-horror law is defined by
-its quantile function, so its CDF is obtained by bisecting the quantile.
+families evaluate their textbook formulas. The numeric families each use
+one scipy.special pair: gamma the regularized incomplete gamma function
+(``gammainc``/``gammaincinv``), normal ``ndtr``/``ndtri``, and Student-t
+the regularized incomplete beta function (``betainc``/``betaincinv``) in a
+central and a tail form. The Hill-horror law is defined by its quantile
+function; its CDF is the closed form ``1 - exp(-alpha * W(x / alpha))``
+with W the Lambert W function.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import numpy as np
 from scipy import special
 
 from .empirical import Sample
-
-_SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "uniform": ("a", "b"),
@@ -145,161 +145,37 @@ class RngState:
         _require(self.stream >= 0, f"stream must be non-negative, got {self.stream}")
 
 
-# --- standard normal helpers -------------------------------------------------
-
-def _norm_cdf(z):
-    return 0.5 * special.erfc(-np.asarray(z, float) / _SQRT2)
-
-
-def _norm_pdf(z):
-    z = np.asarray(z, float)
-    return np.exp(-0.5 * z * z - _LOG_SQRT_2PI)
-
-
-# Acklam's rational approximation to the standard normal quantile
-# (|relative error| < 1.15e-9 over (0,1)).
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def _norm_ppf(p):
-    p = np.asarray(p, float)
-    x = np.empty_like(p)
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    lo = p < 0.02425
-    hi = p > 1.0 - 0.02425
-    mid = ~(lo | hi)
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        x[lo] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        x[hi] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        x[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-                 (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    # One Newton step on the CDF takes |F(x) - p| below 1e-12.
-    x = x - (_norm_cdf(x) - p) / _norm_pdf(x)
-    return x
-
-
-# --- generic bracketed inversion ---------------------------------------------
-
-def _invert_cdf(cdf, pdf, p, lo, hi, iterations=100, xtol=1e-10):
-    """Invert an increasing CDF on a per-element bracket [lo, hi].
-
-    Bisection to xtol, then Newton polish with the density (kept inside
-    the final bracket) to near machine accuracy.
-    """
-    p = np.asarray(p, float)
-    lo = np.broadcast_to(np.asarray(lo, float), p.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, float), p.shape).copy()
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        below = cdf(mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= xtol * np.maximum(1.0, np.abs(mid))):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        dens = pdf(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dens > 0, (cdf(x) - p) / np.where(dens > 0, dens, 1.0), 0.0)
-        x = np.clip(x - step, lo, hi)
-    return x
-
-
-def _gamma_cdf(shape, rate, x):
-    x = np.asarray(x, float)
-    return np.where(x > 0, special.gammainc(shape, rate * np.maximum(x, 0.0)), 0.0)
-
-
-def _gamma_pdf(shape, rate, x):
-    x = np.asarray(x, float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = shape * math.log(rate) + (shape - 1.0) * np.log(x) - rate * x - math.lgamma(shape)
-    return np.where(x > 0, np.exp(logpdf), 0.0)
-
-
-def _gamma_ppf(shape, rate, p):
-    p = np.asarray(p, float)
-    hi = np.full(p.shape, max(1.0, 2.0 * shape / rate))
-    for _ in range(200):
-        need = _gamma_cdf(shape, rate, hi) < p
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    return _invert_cdf(
-        lambda x: _gamma_cdf(shape, rate, x),
-        lambda x: _gamma_pdf(shape, rate, x),
-        p, 0.0, hi,
-    )
-
+# --- numeric families ---------------------------------------------------------
 
 def _t_cdf(df, x):
-    # Two incomplete-beta forms: the tail argument df/(df+x^2) is accurate
-    # far from 0 but saturates to 1.0 for |x| < ~1e-8, so the central region
-    # uses the complementary argument x^2/(df+x^2) instead.
+    # Two incomplete-beta forms, split at the quartiles: 0.5 -/+ the central
+    # mass P(0 < T < |x|) while that is at most 1/4, else the tail mass
+    # P(T > |x|), so a small tail probability never comes from 0.5 - central.
     x = np.asarray(x, float)
     xx = x * x
     central = 0.5 * special.betainc(0.5, 0.5 * df, xx / (df + xx))
     tail = 0.5 * special.betainc(0.5 * df, 0.5, df / (df + xx))
-    inner = xx <= df
+    inner = central <= 0.25
     upper = np.where(inner, 0.5 + central, 1.0 - tail)
     lower = np.where(inner, 0.5 - central, tail)
     return np.where(x >= 0, upper, lower)
 
 
-def _t_pdf(df, x):
-    x = np.asarray(x, float)
-    lognorm = math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
-    return np.exp(lognorm - 0.5 * (df + 1.0) * np.log1p(x * x / df))
-
-
 def _t_ppf(df, p):
+    # Inverts the two _t_cdf forms with the same split at the quartiles.
     p = np.asarray(p, float)
-    hi = np.ones(p.shape)
-    for _ in range(200):
-        need = (_t_cdf(df, hi) < p) | (_t_cdf(df, -hi) > p)
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    return _invert_cdf(lambda x: _t_cdf(df, x), lambda x: _t_pdf(df, x), p, -hi, hi)
+    mass = np.abs(2.0 * p - 1.0)  # P(|T| < |x|)
+    # The clamp only keeps the unused central branch finite in the tails.
+    y = special.betaincinv(0.5, 0.5 * df, np.minimum(mass, 0.5))
+    z = special.betaincinv(0.5 * df, 0.5, 2.0 * np.minimum(p, 1.0 - p))
+    x = np.where(mass <= 0.5, np.sqrt(df * y / (1.0 - y)), np.sqrt(df * (1.0 - z) / z))
+    return np.where(p < 0.5, -x, x)
 
 
 def _hh_quantile(alpha, p):
     p = np.asarray(p, float)
     with np.errstate(over="ignore"):
         return np.power(1.0 - p, -1.0 / alpha) * (-np.log1p(-p))
-
-
-def _hh_cdf(alpha, x):
-    # The quantile is explicit and strictly increasing on (0,1): bisect p.
-    x = np.asarray(x, float)
-    pos = x > 0
-    out = np.zeros(x.shape)
-    if np.any(pos):
-        target = x[pos]
-        lo = np.zeros(target.shape)
-        hi = np.ones(target.shape)
-        for _ in range(60):  # resolves p to ~4e-19 < 1e-12
-            mid = 0.5 * (lo + hi)
-            below = _hh_quantile(alpha, mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[pos] = 0.5 * (lo + hi)
-    return out
 
 
 # --- vectorized CDF / quantile dispatch --------------------------------------
@@ -314,9 +190,9 @@ def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
         if family == "exponential":
             return np.where(x > 0, -np.expm1(-p["lambda"] * np.maximum(x, 0.0)), 0.0)
         if family == "gamma":
-            return _gamma_cdf(p["alpha"], p["beta"], x)
+            return special.gammainc(p["alpha"], p["beta"] * np.maximum(x, 0.0))
         if family == "normal":
-            return _norm_cdf((x - p["mu"]) / math.sqrt(p["sigma2"]))
+            return special.ndtr((x - p["mu"]) / math.sqrt(p["sigma2"]))
         if family == "studentt":
             return _t_cdf(p["n"], x)
         if family == "pareto":
@@ -331,7 +207,9 @@ def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
         if family == "gumbel":
             return np.exp(-np.exp(-(x - p["mu"]) / p["gamma"]))
         if family == "hillhorror":
-            return _hh_cdf(p["alpha"], x)
+            # Q(p) = u * exp(u / alpha) with u = -log(1 - p), so u = alpha * W(x / alpha).
+            w = special.lambertw(np.maximum(x, 0.0) / p["alpha"]).real
+            return -np.expm1(-p["alpha"] * w)
     raise AssertionError(f"unhandled family {family}")
 
 
@@ -345,9 +223,9 @@ def _quantile_array(spec: DistributionSpec, prob) -> np.ndarray:
         if family == "exponential":
             return -np.log1p(-prob) / p["lambda"]
         if family == "gamma":
-            return _gamma_ppf(p["alpha"], p["beta"], prob)
+            return special.gammaincinv(p["alpha"], prob) / p["beta"]
         if family == "normal":
-            return p["mu"] + math.sqrt(p["sigma2"]) * _norm_ppf(prob)
+            return p["mu"] + math.sqrt(p["sigma2"]) * special.ndtri(prob)
         if family == "studentt":
             return _t_ppf(p["n"], prob)
         if family == "pareto":
@@ -383,8 +261,12 @@ def _generator(rng: RngState) -> np.random.Generator:
 
 
 def _uniform_open(gen: np.random.Generator, count: int) -> np.ndarray:
-    # (k + 0.5) / 2^53 lies strictly inside (0, 1), keeping the quantile total.
-    return (gen.integers(0, 1 << 53, size=count, dtype=np.int64) + 0.5) * 2.0**-53
+    # (k + 0.5) / 2^53 keeps u off 0, but k + 0.5 rounds to 2^53 for the top k
+    # (1 - 2^-54 is not representable), so clamp: u lies in [2^-54, 1 - 2^-53]
+    # and every quantile stays finite.
+    u = (gen.integers(0, 1 << 53, size=count, dtype=np.int64) + 0.5) * 2.0**-53
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    return u
 
 
 def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:

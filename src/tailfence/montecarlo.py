@@ -193,6 +193,7 @@ class StudyResult:
 
 
 def _fmt(value: float | None) -> str:
+    """CSV number format shared with the CLI; None is an empty field."""
     return "" if value is None else f"{value:.12g}"
 
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 import tailfence as tf
-from tailfence.distributions import _cdf_array
+from tailfence import distributions
+from tailfence.distributions import _cdf_array, _uniform_open
 
 LOG3 = math.log(3.0)
 LOG4 = math.log(4.0)
@@ -130,9 +133,8 @@ def test_cdf_rejects_non_finite_x():
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_round_trip_probe_grid(text):
     spec = tf.parse_spec(text)
-    tol = 1e-7 if spec.family in ("gamma", "studentt") else 1e-9
     for p in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-        assert abs(tf.cdf(spec, tf.quantile(spec, p)) - p) <= tol
+        assert abs(tf.cdf(spec, tf.quantile(spec, p)) - p) <= 1e-12
 
 
 def test_quantile_monotone_on_grid():
@@ -181,12 +183,94 @@ def test_support_edges():
     ],
 )
 def test_numeric_families_against_scipy_stats(text, dist):
-    # independent oracle for the incomplete-gamma/beta + inversion paths
+    # cross-check against scipy.stats, which shares the scipy.special
+    # primitives; test_quantile_closed_forms is the independent oracle
     spec = tf.parse_spec(text)
     for p in (0.01, 0.25, 0.5, 0.75, 0.99):
         assert tf.quantile(spec, p) == pytest.approx(dist.ppf(p), rel=1e-9, abs=1e-12)
     for x in (0.05, 0.5, 1.0, 2.5, 7.0):
         assert tf.cdf(spec, x) == pytest.approx(dist.cdf(x), rel=1e-11, abs=1e-13)
+
+
+# The sampler's whole uniform range at its ends and around the median.
+TAIL_GRID = sorted(
+    {2.0**-54}
+    | {u for k in range(2, 54) for u in (2.0**-k, 1.0 - 2.0**-k, 0.5 + 2.0**-k, 0.5 - 2.0**-k)}
+)
+
+
+def _t1_quantile(u):
+    if 0.25 <= u <= 0.75:
+        return math.tan(math.pi * (u - 0.5))
+    return -1.0 / math.tan(math.pi * u) if u < 0.5 else 1.0 / math.tan(math.pi * (1.0 - u))
+
+
+@pytest.mark.parametrize(
+    "text,oracle",
+    [
+        ("t(n=1)", _t1_quantile),
+        ("t(n=2)", lambda u: (2.0 * u - 1.0) / math.sqrt(2.0 * u * (1.0 - u))),
+        (
+            "gamma(alpha=0.5,beta=1)",
+            lambda u: float(special.erfinv(u) if u <= 0.5 else special.erfcinv(1.0 - u)) ** 2,
+        ),
+        ("normal(mu=0,sigma2=1)", lambda u: -math.sqrt(2.0) * float(special.erfcinv(2.0 * u))),
+        ("gamma(alpha=1,beta=2)", lambda u: tf.quantile(tf.parse_spec("exp(lambda=2)"), u)),
+    ],
+)
+def test_quantile_closed_forms(text, oracle):
+    spec = tf.parse_spec(text)
+    for u in TAIL_GRID:
+        assert tf.quantile(spec, u) == pytest.approx(oracle(u), rel=1e-13, abs=0.0), u
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.8, 5.0])
+def test_hillhorror_cdf_inverts_quantile(alpha):
+    spec = tf.DistributionSpec("hillhorror", {"alpha": alpha})
+    for u in TAIL_GRID:
+        if u <= 0.5:
+            assert tf.cdf(spec, tf.quantile(spec, u)) == pytest.approx(u, rel=1e-13, abs=0.0), u
+
+
+def test_small_shape_gamma_stays_inside_support():
+    spec = tf.parse_spec("gamma(alpha=0.05,beta=1)")
+    q1 = tf.characteristics(spec).fences.q1
+    assert q1 > 0
+    assert q1 == pytest.approx(5.3157e-13, rel=1e-4)
+    assert np.all(tf.sample(spec, tf.RngState(314, 1), 100_000).values > 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    spec=st.one_of(
+        st.floats(0.1, 10.0).map(lambda a: tf.DistributionSpec("gamma", {"alpha": a, "beta": 1.0})),
+        st.floats(0.05, 10.0).map(lambda a: tf.DistributionSpec("hillhorror", {"alpha": a})),
+        st.integers(1, 200).map(lambda n: tf.DistributionSpec("studentt", {"n": n})),
+    ),
+    log2_u=st.floats(-54.0, -1.0),
+)
+def test_lower_tail_round_trip_property(spec, log2_u):
+    u = 2.0**log2_u
+    x = tf.quantile(spec, u)
+    assert math.isfinite(x)
+    if spec.family != "studentt":
+        assert x > 0
+    assert abs(tf.cdf(spec, x) - u) <= 1e-10 * u
+
+
+class _TopDrawGenerator:
+    """Stands in for a generator whose integer draw is the largest, 2^53 - 1."""
+
+    def integers(self, low, high, size, dtype):
+        return np.array([2**53 - 1], dtype=dtype)
+
+
+def test_top_integer_draw_stays_below_one(monkeypatch):
+    assert _uniform_open(_TopDrawGenerator(), 1)[0] == 1.0 - 2.0**-53
+    monkeypatch.setattr(distributions, "_generator", lambda rng: _TopDrawGenerator())
+    for text in ("pareto(alpha=1,delta=1)", "exp(lambda=1)", "hillhorror(alpha=0.5)",
+                 "frechet(alpha=2,mu=0,sigma=1)"):
+        assert np.isfinite(tf.sample(tf.parse_spec(text), tf.RngState(1, 0), 1).values).all()
 
 
 def test_sampling_deterministic_in_seed_and_stream():
