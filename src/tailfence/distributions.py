@@ -12,6 +12,7 @@ with W the Lambert W function.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -255,28 +256,124 @@ def quantile(spec: DistributionSpec, p: float) -> float:
     return float(_quantile_array(spec, p))
 
 
-def _generator(rng: RngState) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream,))
-    return np.random.Generator(np.random.PCG64(seq))
+# --- replicate streams ----------------------------------------------------------
+#
+# Stream (seed, stream) is PCG64 seeded by SeedSequence(seed, spawn_key=(stream,)).
+# Building numpy's SeedSequence costs ~20 us, mostly Python-level overhead and
+# as much as the rest of a replicate's draw, so its hash (numpy's
+# bit_generator.pyx) is computed here with Python ints: the pool mixed from the
+# seed once per seed, then per stream its words and the four 64-bit words that
+# seed PCG64. test_distributions pins the draws to numpy's SeedSequence.
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uniform_open(gen: np.random.Generator, count: int) -> np.ndarray:
-    # (k + 0.5) / 2^53 keeps u off 0, but k + 0.5 rounds to 2^53 for the top k
-    # (1 - 2^-54 is not representable), so clamp: u lies in [2^-54, 1 - 2^-53]
-    # and every quantile stays finite.
-    u = (gen.integers(0, 1 << 53, size=count, dtype=np.int64) + 0.5) * 2.0**-53
-    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+def _words32(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    value ^= hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return mixed ^ (mixed >> 16)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's 4-word pool after the seed's words, and its hash constant."""
+    words = _words32(seed)  # at most two: RngState keeps seed < 2^64
+    words += [0] * (4 - len(words))  # padded to the pool size, as with a spawn key
+    pool = []
+    hash_const = _INIT_A
+    for word in words:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), hash_const
+
+
+class _StreamSeed(np.random.bit_generator.ISeedSequence):
+    """SeedSequence(seed, spawn_key=(stream,)) reduced to the PCG64 seed words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, rng: RngState):
+        pool, hash_const = _seed_pool(rng.seed)
+        pool = list(pool)
+        for word in _words32(rng.stream):
+            for dst in range(4):
+                value, hash_const = _hashmix(word, hash_const)
+                pool[dst] = _mix(pool[dst], value)
+        # generate_state(4, uint64): eight 32-bit words, read as four
+        # little-endian 64-bit words
+        out = []
+        hash_const = _INIT_B
+        for i in range(8):
+            value = pool[i & 3] ^ hash_const
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value = (value * hash_const) & _MASK32
+            out.append(value ^ (value >> 16))
+        self.words = np.array([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the four 64-bit words that seed PCG64 are available")
+        return self.words
+
+
+def _generator(rng: RngState) -> np.random.PCG64:
+    return np.random.PCG64(_StreamSeed(rng))
+
+
+_SHIFT = np.uint64(11)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _uniform_open(bitgen: np.random.PCG64, count: int) -> np.ndarray:
+    # The top 53 bits k of each raw 64-bit word are the integers that
+    # Generator.integers(0, 2**53) draws (Lemire's method never rejects for a
+    # power-of-two range), without building a Generator. (k + 0.5) / 2^53
+    # keeps u off 0, but k + 0.5 rounds to 2^53 for the top k (1 - 2^-54 is
+    # not representable), so clamp: u lies in [2^-54, 1 - 2^-53] and every
+    # quantile stays finite.
+    words = bitgen.random_raw(count)
+    words >>= _SHIFT
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.minimum(u, _BELOW_ONE, out=u)
     return u
 
 
 def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
     """Draw ``count`` i.i.d. observations by inverse transform.
 
-    Identical (seed, stream) pairs produce identical samples regardless of
-    execution order, so replicate streams can be evaluated in parallel.
+    Stream ``rng`` is a SeedSequence(seed, spawn_key=(stream,)) feeding
+    PCG64, so identical (seed, stream) pairs produce identical samples
+    regardless of execution order, and replicate streams can be drawn in any
+    order or process. The uniforms are the raw PCG64 words mapped to
+    [2^-54, 1 - 2^-53]; no ``Generator`` is built.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    gen = _generator(rng)
-    u = _uniform_open(gen, count)
+    u = _uniform_open(_generator(rng), count)
     return Sample(_quantile_array(spec, u))

@@ -15,6 +15,9 @@ import numpy as np
 from .fences import DEFAULT_INNER, DEFAULT_OUTER, Fences, fences_from_quartiles
 
 
+_KNOT_FUZZ = 8.0 * float(np.finfo(float).eps)
+
+
 class Sample:
     """Immutable collection of finite observations with cached order statistics."""
 
@@ -26,10 +29,13 @@ class Sample:
             raise ValueError("sample must be one-dimensional")
         if arr.size < 1:
             raise ValueError("sample must contain at least one observation")
-        if not np.all(np.isfinite(arr)):
+        ordered = arr.copy()
+        ordered.sort()
+        # NaN sorts last and -inf/+inf to the ends, so the extremes decide.
+        if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
             raise ValueError("sample contains NaN or infinite values")
         self.values = arr.copy()
-        self.sorted = np.sort(arr)
+        self.sorted = ordered
         self.values.flags.writeable = False
         self.sorted.flags.writeable = False
 
@@ -55,7 +61,7 @@ def empirical_quantile_flagged(sample: Sample, p: float) -> tuple[float, bool]:
     h = p * (n + 1)
     # Snap to the plotting-position knots: p = k/(n+1) must return X_(k:n)
     # bit-exactly even though h = p*(n+1) carries rounding error.
-    fuzz = 8.0 * np.finfo(float).eps * max(1.0, abs(h))
+    fuzz = _KNOT_FUZZ * max(1.0, abs(h))
     if h < 1.0 - fuzz:
         return float(x[0]), True
     if h > n + fuzz:

@@ -100,14 +100,22 @@ def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     if fen.q1 == fen.q3:
         return _invalid(method, "equal quartiles")
     spread = math.log(fen.q3) - math.log(fen.q1)
+    if family == "hillhorror":
+        # The denominator is never 0: that needs spread + loglog(4/3) to equal
+        # loglog(4), so spread ~ 1.57 and the sum is an exact multiple of
+        # 2^-52, which loglog(4) is not.
+        return _checked(method, _LOG3 / (spread + _LOGLOG43 - _LOGLOG4))
+    if spread == 0.0:
+        # q1 < q3 so close (e.g. adjacent floats near 1e300) that their logs agree
+        return _invalid(method, "non-finite estimate")
     if family == "pareto":
         return _checked(method, _LOG3 / spread)
-    if family == "frechet":
-        return _checked(method, (_LOGLOG4 - _LOGLOG43) / spread)
-    denom = spread + _LOGLOG43 - _LOGLOG4
-    if denom == 0.0:
-        return _invalid(method, "zero denominator")
-    return _checked(method, _LOG3 / denom)
+    return _checked(method, (_LOGLOG4 - _LOGLOG43) / spread)
+
+
+def _mean(values: np.ndarray) -> float:
+    # np.mean's sum and division without its per-call dispatch: same bits
+    return float(np.add.reduce(values)) / values.size
 
 
 def _top_order_stats(sample: Sample, k: int):
@@ -123,7 +131,7 @@ def hill(sample: Sample, k: int) -> EstimateRecord:
     tail, base = _top_order_stats(sample, k)
     if base <= 0.0:
         return _invalid("hill", "requires positive order statistics", k)
-    gamma = float(np.mean(np.log(tail / base)))
+    gamma = _mean(np.log(tail / base))
     if gamma == 0.0:
         return _invalid("hill", "degenerate tail", k)
     return EstimateRecord("hill", 1.0 / gamma, True, "", k)
@@ -139,7 +147,7 @@ def t_hill(sample: Sample, k: int) -> EstimateRecord:
     tail, base = _top_order_stats(sample, k)
     if base <= 0.0:
         return _invalid("thill", "requires positive order statistics", k)
-    t = float(np.mean(base / tail))
+    t = _mean(base / tail)
     if t >= 1.0:
         return _invalid("thill", "degenerate tail", k)
     return _checked("thill", t / (1.0 - t), k)
@@ -170,8 +178,8 @@ def moment_dedh(sample: Sample, k: int) -> EstimateRecord:
     if base <= 0.0:
         return _invalid("moment", "requires positive order statistics", k)
     logs = np.log(tail / base)
-    m1 = float(np.mean(logs))
-    m2 = float(np.mean(logs * logs))
+    m1 = _mean(logs)
+    m2 = _mean(logs * logs)
     if m2 == 0.0:
         return _invalid("moment", "degenerate tail", k)
     ratio = m1 * m1 / m2
@@ -186,22 +194,19 @@ def moment_dedh(sample: Sample, k: int) -> EstimateRecord:
     return EstimateRecord("moment", alpha, True, "", k)
 
 
+_CLASSICAL = {"hill": hill, "thill": t_hill, "pickands": pickands, "moment": moment_dedh}
+
+
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:
     """Dispatch by CLI method name; classical methods require k."""
-    if method in ("par_n", "fr_n", "hh_n"):
+    if method in FENCE_METHODS:
         family = FENCE_FAMILIES[FENCE_METHODS.index(method)]
         return estimate_fence_prob(sample, family)
-    if method in ("par_q", "fr_q", "hh_q"):
+    if method in QUARTILE_METHODS:
         family = FENCE_FAMILIES[QUARTILE_METHODS.index(method)]
         return estimate_quartile_ratio(sample, family)
-    if method in CLASSICAL_METHODS:
+    if method in _CLASSICAL:
         if k is None:
             raise ValueError(f"method {method!r} requires k")
-        if method == "hill":
-            return hill(sample, k)
-        if method == "thill":
-            return t_hill(sample, k)
-        if method == "pickands":
-            return pickands(sample, k)
-        return moment_dedh(sample, k)
+        return _CLASSICAL[method](sample, k)
     raise ValueError(f"unknown method {method!r}")

@@ -7,15 +7,16 @@ replicates per grid point and reporting the mean estimate with empirical
 
 Replicate r at grid point g always uses ``RngState(seed, stream=g*m + r)``,
 so results are bit-identical for identical configs no matter how many
-workers evaluate the grid.
+workers evaluate the grid. Each replicate is drawn by ``distributions.sample``
+and scored by ``evaluate`` once per method.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,11 +132,11 @@ def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[Stud
     if not point.methods:
         return []
     per_method: dict[str, list] = {m: [] for m in point.methods}
-    base = g * config.m
+    spec, seed, base, n, k = config.spec, config.seed, g * config.m, point.n, point.k
     for r in range(config.m):
-        smp = dist.sample(config.spec, RngState(config.seed, base + r), point.n)
-        for method in point.methods:
-            per_method[method].append(evaluate(method, smp, k=point.k))
+        smp = dist.sample(spec, RngState(seed, base + r), n)
+        for method, records in per_method.items():
+            records.append(evaluate(method, smp, k))
     rows = []
     for method in point.methods:
         values = [rec.alpha_hat for rec in per_method[method] if rec.valid]
@@ -166,6 +167,10 @@ class StudyResult:
     config: StudyConfig
     rows: tuple[StudyRow, ...]
 
+    @cached_property
+    def _index(self) -> dict[tuple[str, int, str], StudyRow]:
+        return {(row.axis, row.value, row.method): row for row in self.rows}
+
     def axes(self) -> tuple[str, ...]:
         seen = []
         for row in self.rows:
@@ -177,10 +182,10 @@ class StudyResult:
         return tuple(row for row in self.rows if row.axis == axis)
 
     def row(self, axis: str, value: int, method: str) -> StudyRow:
-        for row in self.rows:
-            if (row.axis, row.value, row.method) == (axis, value, method):
-                return row
-        raise KeyError(f"no row for axis={axis!r} value={value} method={method!r}")
+        try:
+            return self._index[(axis, value, method)]
+        except KeyError:
+            raise KeyError(f"no row for axis={axis!r} value={value} method={method!r}") from None
 
     def csv_for_axis(self, axis: str) -> str:
         lines = ["axis,method,mean,ci_low,ci_high,valid_fraction,m,seed"]
@@ -200,13 +205,17 @@ def _fmt(value: float | None) -> str:
 def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     """Run the full study; deterministic CSV bytes for a given config.
 
-    workers=None picks a process count automatically; results are gathered
-    by grid-point index, never by completion order.
+    Grid points run in this process by default (workers=None or 1). An
+    explicit workers > 1 spreads them over a process pool, which pays only on
+    large studies: on a 2-core host, serial vs 2 workers took 0.26 s vs
+    0.24 s for the 98-point k-sweep at m=40, 0.025 s vs 0.058 s for the
+    19-point t(4) n-sweep at m=8, and 8.2 s vs 5.4 s for a default
+    `simulate` (117 points, m=1000). A one-point study always runs in one
+    process. Results are gathered by grid-point index, never by completion
+    order, so the bytes do not depend on ``workers``.
     """
     points = _grid_points(config)
-    if workers is None:
-        workers = max(1, min(len(points), os.cpu_count() or 1, 8))
-    if workers > 1 and len(points) > 1:
+    if workers is not None and workers > 1 and len(points) > 1:
         tasks = [(config, g, point) for g, point in enumerate(points)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_evaluate_point_args, tasks))

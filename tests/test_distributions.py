@@ -259,10 +259,13 @@ def test_lower_tail_round_trip_property(spec, log2_u):
 
 
 class _TopDrawGenerator:
-    """Stands in for a generator whose integer draw is the largest, 2^53 - 1."""
+    """Stands in for a bit generator whose raw word is the largest, 2^64 - 1.
 
-    def integers(self, low, high, size, dtype):
-        return np.array([2**53 - 1], dtype=dtype)
+    Its top 53 bits give the largest integer draw, 2^53 - 1.
+    """
+
+    def random_raw(self, size):
+        return np.full(size, 2**64 - 1, dtype=np.uint64)
 
 
 def test_top_integer_draw_stays_below_one(monkeypatch):
@@ -271,6 +274,33 @@ def test_top_integer_draw_stays_below_one(monkeypatch):
     for text in ("pareto(alpha=1,delta=1)", "exp(lambda=1)", "hillhorror(alpha=0.5)",
                  "frechet(alpha=2,mu=0,sigma=1)"):
         assert np.isfinite(tf.sample(tf.parse_spec(text), tf.RngState(1, 0), 1).values).all()
+
+
+def test_uniform_draw_matches_generator_integers():
+    # The raw-word draw must give the u that Generator.integers(0, 2**53)
+    # gives on the same SeedSequence(seed, spawn_key=(stream,)) stream.
+    for stream in range(1000):
+        rng = tf.RngState(2024, stream)
+        seq = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream,))
+        k = np.random.Generator(np.random.PCG64(seq)).integers(0, 2**53, size=64, dtype=np.int64)
+        expected = np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
+        assert np.array_equal(_uniform_open(distributions._generator(rng), 64), expected)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
+def test_stream_seed_matches_numpy_seed_sequence(seed):
+    # Seeds of one and two 32-bit words, streams of one to four words.
+    for stream in [*range(40), 2**32 - 1, 2**32, 2**40 + 3, 2**96 + 5, 10**30]:
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+        expected = np.random.PCG64(seq).random_raw(4)
+        assert np.array_equal(distributions._generator(tf.RngState(seed, stream)).random_raw(4), expected)
+
+
+def test_sample_rejects_non_finite_draws(monkeypatch):
+    monkeypatch.setattr(distributions, "_generator", lambda rng: _TopDrawGenerator())
+    spec = tf.parse_spec("hillhorror(alpha=0.01)")  # Q(1 - 2^-53) overflows
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        tf.sample(spec, tf.RngState(1, 0), 3)
 
 
 def test_sampling_deterministic_in_seed_and_stream():

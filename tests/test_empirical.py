@@ -13,6 +13,10 @@ def test_sample_validation():
         tf.Sample([1.0, math.nan])
     with pytest.raises(ValueError, match="NaN or infinite"):
         tf.Sample([1.0, math.inf])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        tf.Sample([2.0, -math.inf, 1.0])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        tf.Sample([math.inf, math.nan, -math.inf])
     with pytest.raises(ValueError, match="one-dimensional"):
         tf.Sample([[1.0, 2.0], [3.0, 4.0]])
 

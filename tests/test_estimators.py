@@ -1,9 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailfence as tf
+from tailfence import estimators
 
 LOG3 = math.log(3.0)
 LOG4 = math.log(4.0)
@@ -252,3 +257,216 @@ def test_evaluate_dispatch():
         tf.evaluate("hill", smp)
     with pytest.raises(ValueError, match="unknown method"):
         tf.evaluate("bogus", smp)
+
+
+# --- reference oracle ------------------------------------------------------------
+#
+# The per-sample estimator code as it stood before the estimators were tuned
+# for per-replicate cost (less hh_q's zero-denominator check, which no float
+# input reaches), kept as the oracle: every estimator must reproduce its
+# estimate and its first failing check bit for bit.
+
+def reference_evaluate(method, smp, k=None):
+    def invalid(reason):
+        return tf.EstimateRecord(method, None, False, reason, k)
+
+    def checked(alpha):
+        if not math.isfinite(alpha):
+            return invalid("non-finite estimate")
+        if alpha <= 0.0:
+            return tf.EstimateRecord(method, alpha, False, "family mismatch", k)
+        return tf.EstimateRecord(method, alpha, True, "", k)
+
+    x, n = smp.sorted, smp.n
+    if method in ("par_n", "fr_n", "hh_n"):
+        fen = tf.empirical_fences(smp)
+        p = (n - int(np.searchsorted(x, fen.outer_high, side="right"))) / n
+        if p == 0.0:
+            return invalid("no extreme outliers observed")
+        if fen.outer_high <= 0.0:
+            return invalid("outer fence not positive")
+        if method == "hh_n":
+            denom = math.log(-math.log(p) / fen.outer_high)
+            if denom == 0.0:
+                return invalid("outer fence equals -log(p_eR)")
+            return checked(math.log(p) / denom)
+        denom = math.log(fen.outer_high)
+        if denom == 0.0:
+            return invalid("outer fence equals 1")
+        if method == "par_n":
+            return checked(-math.log(p) / denom)
+        return checked(-math.log(-math.log1p(-p)) / denom)
+    if method in ("par_q", "fr_q", "hh_q"):
+        fen = tf.empirical_fences(smp)
+        if fen.q1 <= 0.0:
+            return invalid("needs positive quartiles")
+        if fen.q1 == fen.q3:
+            return invalid("equal quartiles")
+        spread = math.log(fen.q3) - math.log(fen.q1)
+        if method == "par_q":
+            return checked(LOG3 / spread)
+        if method == "fr_q":
+            return checked((LOGLOG4 - LOGLOG43) / spread)
+        return checked(LOG3 / (spread + LOGLOG43 - LOGLOG4))
+    if method == "pickands":
+        a, b, c = x[n - k], x[n - 2 * k], x[n - 4 * k]
+        upper, lower = a - b, b - c
+        if upper == 0.0 or lower == 0.0:
+            return invalid("tied order statistics")
+        gamma = math.log(upper / lower) / math.log(2.0)
+        if gamma == 0.0:
+            return invalid("zero tail-index estimate")
+        return tf.EstimateRecord(method, 1.0 / gamma, gamma > 0.0,
+                                 "" if gamma > 0.0 else "non-heavy tail estimate", k)
+    tail, base = x[n - k:], x[n - k - 1]
+    if base <= 0.0:
+        return invalid("requires positive order statistics")
+    if method == "hill":
+        gamma = float(np.mean(np.log(tail / base)))
+        if gamma == 0.0:
+            return invalid("degenerate tail")
+        return tf.EstimateRecord(method, 1.0 / gamma, True, "", k)
+    if method == "thill":
+        t = float(np.mean(base / tail))
+        if t >= 1.0:
+            return invalid("degenerate tail")
+        return checked(t / (1.0 - t))
+    logs = np.log(tail / base)
+    m1, m2 = float(np.mean(logs)), float(np.mean(logs * logs))
+    if m2 == 0.0:
+        return invalid("degenerate tail")
+    ratio = m1 * m1 / m2
+    if ratio == 1.0:
+        return invalid("degenerate moment ratio")
+    gamma = m1 + 1.0 - 0.5 / (1.0 - ratio)
+    if gamma == 0.0:
+        return invalid("non-heavy tail estimate")
+    return tf.EstimateRecord(method, 1.0 / gamma, gamma > 0.0,
+                             "" if gamma > 0.0 else "non-heavy tail estimate", k)
+
+
+TOP = np.nextafter(1e300, np.inf)
+
+# (method, sample, k, reason): together they reach every reason an estimator gives
+CRAFTED = [
+    ("par_q", [2.0, 4.0, 6.0], None, ""),
+    ("hh_q", [2.0, 4.0, 6.0], None, "family mismatch"),
+    ("pickands", [0.0, 5.0, 6.0, 7.0], 1, "non-heavy tail estimate"),
+    ("moment", [1.0, math.e, math.exp(1.1)], 2, "non-heavy tail estimate"),
+    # gamma = m1 + 1 - 0.5/(1 - m1^2/m2) lands on exactly 0: no estimate to report
+    ("moment", [1.0, 1.1213533912612874, 2.1057534235321143], 2, "non-heavy tail estimate"),
+    ("fr_q", [1e300, 1e300, TOP], None, "non-finite estimate"),  # log q3 == log q1
+    ("par_n", [1.0, 2.0, 3.0, 4.0], None, "no extreme outliers observed"),
+    ("hh_n", [-3.0] * 4, None, "no extreme outliers observed"),  # checked before the fence sign
+    ("fr_n", [-10.0] * 6 + [-1.0], None, "outer fence not positive"),
+    ("hh_n", [-math.log(1.0 / 108.0)] * 107 + [-math.log(1.0 / 108.0) + 5.0], None,
+     "outer fence equals -log(p_eR)"),
+    ("par_n", [1.0] * 7 + [5.0], None, "outer fence equals 1"),
+    ("par_q", [-1.0, 0.5, 5.0], None, "needs positive quartiles"),
+    ("fr_q", [3.0, 3.0, 3.0], None, "equal quartiles"),
+    ("hill", [-1.0, 1.0, 2.0, 3.0], 3, "requires positive order statistics"),
+    ("thill", [3.0, 3.0, 3.0, 3.0], 2, "degenerate tail"),
+    ("pickands", [0.0, 1.0, 2.0, 2.0], 1, "tied order statistics"),
+    ("pickands", [0.0, 1.0, 1.0, 2.0], 1, "zero tail-index estimate"),
+    ("moment", [1.0, math.e, math.e], 2, "degenerate moment ratio"),
+]
+
+
+def emitted_reasons():
+    """Every reason string the estimators module can put into a record."""
+    tree = ast.parse(Path(estimators.__file__).read_text())
+    reasons = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_invalid", "EstimateRecord"):
+            reasons.update(arg.value for arg in node.args
+                           if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                           and arg.value not in tf.ALL_METHODS)
+    return reasons
+
+
+def test_crafted_samples_reach_every_reason():
+    assert {reason for _, _, _, reason in CRAFTED} == emitted_reasons()
+
+
+@pytest.mark.parametrize(("method", "values", "k", "reason"), CRAFTED)
+def test_crafted_reasons_match_reference(method, values, k, reason):
+    smp = tf.Sample(values)
+    record = tf.evaluate(method, smp, k)
+    assert record.reason == reason
+    if reason == "non-finite estimate":
+        # the per-sample code divided by a zero log spread and raised
+        with pytest.raises(ZeroDivisionError):
+            reference_evaluate(method, smp, k)
+    else:
+        assert record == reference_evaluate(method, smp, k)
+
+
+def test_estimators_match_reference_on_many_samples():
+    # enough distinct logarithms and sums that a last-bit difference shows
+    spec = tf.parse_spec("pareto(alpha=1,delta=1)")
+    samples = [tf.sample(spec, tf.RngState(3, r), 40) for r in range(2000)]
+    for method in tf.ALL_METHODS:
+        k = 8 if method in tf.CLASSICAL_METHODS else None
+        assert [tf.evaluate(method, smp, k) for smp in samples] == [
+            reference_evaluate(method, smp, k) for smp in samples
+        ]
+
+
+ENGINE_SPECS = [
+    "pareto(alpha=0.5,delta=1)",
+    "frechet(alpha=1.5,mu=0,sigma=2)",
+    "hillhorror(alpha=0.5)",
+    "t(n=4)",
+    "gamma(alpha=0.02,beta=1)",  # underflows to ties at 0
+    "uniform(a=-2,b=5)",
+    "exp(lambda=1)",
+    "negweibull(alpha=1.5,mu=2,sigma=1)",
+]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    text=st.sampled_from(ENGINE_SPECS),
+    n=st.integers(5, 60),
+    m=st.integers(2, 8),
+    g=st.integers(0, 50),
+    seed=st.integers(0, 2**64 - 1),
+    k_share=st.floats(0.0, 1.0),
+)
+def test_replicate_estimates_match_reference(text, n, m, g, seed, k_share):
+    # the replicates of grid point g, drawn as the study engine draws them
+    spec = tf.parse_spec(text)
+    k = 1 + int(k_share * (n - 2))
+    samples = [tf.sample(spec, tf.RngState(seed, g * m + r), n) for r in range(m)]
+    for method in tf.ALL_METHODS:
+        if method == "pickands" and 4 * k > n:
+            continue
+        kk = k if method in tf.CLASSICAL_METHODS else None
+        assert [tf.evaluate(method, smp, kk) for smp in samples] == [
+            reference_evaluate(method, smp, kk) for smp in samples
+        ]
+
+
+SCALE_METHODS = ("par_q", "fr_q", "hh_q", "hill", "pickands", "moment")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    text=st.sampled_from(["pareto(alpha=0.8,delta=1)", "frechet(alpha=1,mu=0,sigma=1)",
+                          "hillhorror(alpha=0.5)"]),
+    n=st.integers(8, 80),
+    seed=st.integers(0, 2**32),
+    c=st.floats(1e-3, 1e3),
+    k_share=st.floats(0.0, 1.0),
+)
+def test_scale_invariance_property(text, n, seed, c, k_share):
+    k = 1 + int(k_share * (n // 4 - 1))  # 4k <= n for pickands
+    for r in range(4):
+        smp = tf.sample(tf.parse_spec(text), tf.RngState(seed, r), n)
+        scaled = tf.Sample(c * smp.values)
+        for method in SCALE_METHODS:
+            kk = k if method in tf.CLASSICAL_METHODS else None
+            a, b = tf.evaluate(method, smp, kk), tf.evaluate(method, scaled, kk)
+            assert (a.valid, a.reason) == (b.valid, b.reason)
+            if a.alpha_hat is not None:
+                assert b.alpha_hat == pytest.approx(a.alpha_hat, rel=1e-9)

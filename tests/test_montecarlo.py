@@ -132,6 +132,14 @@ def test_ci_brackets_mean_and_covers_truth():
     assert row.ci_low <= 1.0 <= row.ci_high  # true tail index inside the band
 
 
+def test_row_lookup_covers_every_row():
+    result = tf.run_study(make_config(), workers=1)
+    for row in result.rows:
+        assert result.row(row.axis, row.value, row.method) is row
+    with pytest.raises(KeyError, match="no row for axis='k' value=4 method='par_q'"):
+        result.row("k", 4, "par_q")
+
+
 def test_csv_shape_and_formatting():
     result = tf.run_study(make_config(), workers=1)
     lines = result.csv_for_axis("k").splitlines()
