@@ -3,7 +3,7 @@
 Subcommands: chars, table1, estimate, simulate, selftest. Distribution
 specs use the compact form ``family(name=value,...)``, e.g.
 ``pareto(alpha=0.5,delta=1)`` or ``t(n=3)``. Errors are reported as a
-single JSON line on stderr with a nonzero exit code.
+single JSON line on stderr with exit code 1, usage errors included.
 """
 
 from __future__ import annotations
@@ -68,20 +68,23 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 
 
 def cmd_chars(args) -> int:
-    specs = [parse_spec(text) for text in args.dist]
+    # Every row is computed before the output is opened, so bad input leaves
+    # no partial CSV behind.
+    rows = []
+    for spec in [parse_spec(text) for text in args.dist]:
+        chars = characteristics(spec, inner=args.inner_fence, outer=args.outer_fence)
+        fen = chars.fences
+        params = ",".join(f"{k}={v:.12g}" for k, v in spec.params.items())
+        rows.append(
+            [spec.family, params]
+            + [_fmt(v) for v in (fen.q1, fen.q3, fen.iqr, fen.outer_low, fen.outer_high)]
+            + [_fmt(v) for v in (chars.p_eL, chars.p_eR, chars.p_e2,
+                                 chars.p_mL, chars.p_mR, chars.p_m2)]
+        )
     with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_CHARS_HEADER)
-        for spec in specs:
-            chars = characteristics(spec, inner=args.inner_fence, outer=args.outer_fence)
-            fen = chars.fences
-            params = ",".join(f"{k}={v:.12g}" for k, v in spec.params.items())
-            writer.writerow(
-                [spec.family, params]
-                + [_fmt(v) for v in (fen.q1, fen.q3, fen.iqr, fen.outer_low, fen.outer_high)]
-                + [_fmt(v) for v in (chars.p_eL, chars.p_eR, chars.p_e2,
-                                     chars.p_mL, chars.p_mR, chars.p_m2)]
-            )
+        writer.writerows(rows)
     return 0
 
 
@@ -178,16 +181,30 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
-    failures = 0
-    for name, passed, detail in _selftest_checks():
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        failures += 0 if passed else 1
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
+    checks = list(_selftest_checks())
+    failures = sum(1 for _, passed, _ in checks if not passed)
+    for name, passed, detail in checks:
+        if args.json:
+            print(json.dumps({"name": name, "passed": passed, "detail": detail}))
+        else:
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    if args.json:
+        print(json.dumps({"passed": failures == 0, "checks": len(checks), "failures": failures}))
+    else:
+        print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so that main reports them
+    as one JSON error line with exit code 1 like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tailfence",
         description="Outlier-fence tail characteristics and tail-index estimation",
     )
@@ -224,14 +241,16 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     selftest = sub.add_parser("selftest", help="run the built-in acceptance checks")
+    selftest.add_argument("--json", action="store_true",
+                          help="one JSON object per check, then a summary object")
     selftest.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -159,11 +159,16 @@ def pickands(sample: Sample, k: int) -> EstimateRecord:
     if k < 1 or 4 * k > n:
         raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
     x = sample.sorted
-    a, b, c = x[n - k], x[n - 2 * k], x[n - 4 * k]
+    # Python floats: an overflowing spacing ratio becomes inf without a numpy warning
+    a, b, c = x.item(n - k), x.item(n - 2 * k), x.item(n - 4 * k)
     upper, lower = a - b, b - c
     if upper == 0.0 or lower == 0.0:
         return _invalid("pickands", "tied order statistics", k)
-    gamma = math.log(upper / lower) / _LOG2
+    ratio = upper / lower
+    if not 0.0 < ratio < math.inf:
+        # the spacings are so far apart in scale that their ratio under- or overflows
+        return _invalid("pickands", "non-finite estimate", k)
+    gamma = math.log(ratio) / _LOG2
     if gamma == 0.0:
         return _invalid("pickands", "zero tail-index estimate", k)
     alpha = 1.0 / gamma

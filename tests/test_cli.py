@@ -156,3 +156,64 @@ def test_module_entry_point():
         check=True,
     )
     assert proc.stdout.startswith("family,params,")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["simulate", "--dist", "exp(lambda=1)", "--m", "abc", "--out", "x"],
+         "argument --m: invalid int value: 'abc'"),
+        (["simulate", "--dist", "exp(lambda=1)"], "the following arguments are required: --out"),
+        (["estimate", "--in", "x", "--method", "bogus"], "argument --method: invalid choice"),
+        (["frobnicate"], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_one_json_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert message in json.loads(err)["error"]
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tailfence simulate")
+
+
+def test_bad_fence_multiplier_writes_no_partial_csv(tmp_path, capsys):
+    argv = ["chars", "--dist", "exp(lambda=1)", "--outer-fence", "-1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert "fence multipliers" in json.loads(err)["error"]
+    out_path = tmp_path / "chars.csv"
+    code, _, _ = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 1 and not out_path.exists()
+
+
+def test_estimate_pickands_on_extreme_spacings(tmp_path, capsys):
+    # the spacing ratio underflows to 0: an invalid row, not an error line
+    data = tmp_path / "data.txt"
+    data.write_text("-1e300\n0\n5e-324\n1e-323\n")
+    code, out, err = run_cli(["estimate", "--in", str(data), "--method", "pickands", "--k", "1"],
+                             capsys)
+    assert code == 0 and err == ""
+    row = read_rows(out)[0]
+    assert row["valid"] == "false" and row["reason"] == "non-finite estimate"
+
+
+def test_selftest_json(capsys):
+    code = main(["selftest", "--json"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    *checks, summary = lines
+    assert all(set(check) == {"name", "passed", "detail"} for check in checks)
+    assert all(check["passed"] is True for check in checks)
+    assert checks[0]["name"] == "t-table n=1" and "erratum" in checks[0]["detail"]
+    assert summary == {"passed": True, "checks": len(checks), "failures": 0}
+    # the same checks as the text report
+    main(["selftest"])
+    text = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in text[:-1]] == [f"PASS {c['name']}" for c in checks]

@@ -346,6 +346,16 @@ def reference_evaluate(method, smp, k=None):
 
 
 TOP = np.nextafter(1e300, np.inf)
+PICKANDS_UNDERFLOW = [-1e300, 0.0, 5e-324, 1e-323]  # spacing ratio 5e-324 / 1e300 -> 0
+PICKANDS_OVERFLOW = [0.0, 0.0, 1e-300, 1e300]  # spacing ratio 1e300 / 1e-300 -> inf
+
+# What the per-sample code did on the samples it had no check for: the
+# exception it raised, or the record it returned.
+REFERENCE_NON_FINITE = {
+    (1e300, 1e300, TOP): ZeroDivisionError,  # divided by the zero log spread
+    tuple(PICKANDS_UNDERFLOW): ValueError,  # log(0): math domain error
+    tuple(PICKANDS_OVERFLOW): tf.EstimateRecord("pickands", 0.0, True, "", 1),  # 1 / log(inf)
+}
 
 # (method, sample, k, reason): together they reach every reason an estimator gives
 CRAFTED = [
@@ -369,6 +379,8 @@ CRAFTED = [
     ("pickands", [0.0, 1.0, 2.0, 2.0], 1, "tied order statistics"),
     ("pickands", [0.0, 1.0, 1.0, 2.0], 1, "zero tail-index estimate"),
     ("moment", [1.0, math.e, math.e], 2, "degenerate moment ratio"),
+    ("pickands", PICKANDS_UNDERFLOW, 1, "non-finite estimate"),
+    ("pickands", PICKANDS_OVERFLOW, 1, "non-finite estimate"),
 ]
 
 
@@ -394,9 +406,13 @@ def test_crafted_reasons_match_reference(method, values, k, reason):
     record = tf.evaluate(method, smp, k)
     assert record.reason == reason
     if reason == "non-finite estimate":
-        # the per-sample code divided by a zero log spread and raised
-        with pytest.raises(ZeroDivisionError):
-            reference_evaluate(method, smp, k)
+        expected = REFERENCE_NON_FINITE[tuple(values)]
+        if isinstance(expected, tf.EstimateRecord):
+            with np.errstate(over="ignore"):
+                assert reference_evaluate(method, smp, k) == expected
+        else:
+            with pytest.raises(expected):
+                reference_evaluate(method, smp, k)
     else:
         assert record == reference_evaluate(method, smp, k)
 
