@@ -19,6 +19,7 @@ from pathlib import Path
 from .distributions import DistributionSpec, parse_spec
 from .empirical import load_sample
 from .estimators import ALL_METHODS, CLASSICAL_METHODS, evaluate
+from .fences import DEFAULT_INNER, DEFAULT_OUTER
 from .montecarlo import StudyConfig, _fmt, run_study, write_study_outputs
 from .tail_chars import (
     characteristics,
@@ -213,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chars = sub.add_parser("chars", help="tail characteristics for distribution specs")
     chars.add_argument("--dist", action="append", required=True,
                        help="distribution spec family(name=value,...); repeatable")
-    chars.add_argument("--inner-fence", type=float, default=1.5)
-    chars.add_argument("--outer-fence", type=float, default=3.0)
+    chars.add_argument("--inner-fence", type=float, default=DEFAULT_INNER)
+    chars.add_argument("--outer-fence", type=float, default=DEFAULT_OUTER)
     chars.add_argument("--out", default=None, help="output CSV path (default stdout)")
     chars.set_defaults(func=cmd_chars)
 

@@ -3,6 +3,11 @@
 The quantile convention interpolates linearly between order statistics at
 plotting positions k/(n+1) (R's ``quantile(..., type = 6)``), so the k-th
 order statistic is returned exactly at p = k/(n+1).
+
+A sample's fences are always the paper's standard Tukey fences (1.5*IQR and
+3*IQR beyond the quartiles); only the theoretical characteristics in
+``tail_chars`` take other multipliers. The four outlier rates are read off
+the band counts of ``outlier_band_counts``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fences import DEFAULT_INNER, DEFAULT_OUTER, Fences, fences_from_quartiles
+from .fences import Fences, fences_from_quartiles
 
 
 _KNOT_FUZZ = 8.0 * float(np.finfo(float).eps)
@@ -80,17 +85,13 @@ def empirical_quantile(sample: Sample, p: float) -> float:
     return value
 
 
-def empirical_fences(
-    sample: Sample,
-    inner: float = DEFAULT_INNER,
-    outer: float = DEFAULT_OUTER,
-) -> Fences:
-    """Fences from the type-6 empirical quartiles; requires n >= 3."""
+def empirical_fences(sample: Sample) -> Fences:
+    """Standard Tukey fences from the type-6 empirical quartiles; requires n >= 3."""
     if sample.n < 3:
         raise ValueError("sample too small for quartile fences")
     q1 = empirical_quantile(sample, 0.25)
     q3 = empirical_quantile(sample, 0.75)
-    return fences_from_quartiles(q1, q3, inner, outer)
+    return fences_from_quartiles(q1, q3)
 
 
 def fraction_above(sample: Sample, threshold: float) -> float:
@@ -99,60 +100,13 @@ def fraction_above(sample: Sample, threshold: float) -> float:
     return count / sample.n
 
 
-def fraction_below(sample: Sample, threshold: float) -> float:
-    """Fraction of observations strictly below a threshold."""
-    return int(np.searchsorted(sample.sorted, threshold, side="left")) / sample.n
-
-
-def empirical_p_eR(
-    sample: Sample,
-    inner: float = DEFAULT_INNER,
-    outer: float = DEFAULT_OUTER,
-) -> float:
-    """Fraction of extreme right outliers: observations above the outer fence."""
-    return fraction_above(sample, empirical_fences(sample, inner, outer).outer_high)
-
-
-def empirical_p_eL(
-    sample: Sample,
-    inner: float = DEFAULT_INNER,
-    outer: float = DEFAULT_OUTER,
-) -> float:
-    """Fraction of extreme left outliers: observations below the outer fence."""
-    return fraction_below(sample, empirical_fences(sample, inner, outer).outer_low)
-
-
-def empirical_p_mR(
-    sample: Sample,
-    inner: float = DEFAULT_INNER,
-    outer: float = DEFAULT_OUTER,
-) -> float:
-    """Fraction of mild right outliers: between the inner and outer fences."""
-    fen = empirical_fences(sample, inner, outer)
-    return fraction_above(sample, fen.inner_high) - fraction_above(sample, fen.outer_high)
-
-
-def empirical_p_mL(
-    sample: Sample,
-    inner: float = DEFAULT_INNER,
-    outer: float = DEFAULT_OUTER,
-) -> float:
-    """Fraction of mild left outliers: between the inner and outer fences."""
-    fen = empirical_fences(sample, inner, outer)
-    return fraction_below(sample, fen.inner_low) - fraction_below(sample, fen.outer_low)
-
-
-def outlier_band_counts(
-    sample: Sample,
-    inner: float = DEFAULT_INNER,
-    outer: float = DEFAULT_OUTER,
-) -> tuple[int, int, int, int, int]:
+def outlier_band_counts(sample: Sample) -> tuple[int, int, int, int, int]:
     """Counts in the five bands (extreme-left, mild-left, in-fence, mild-right, extreme-right).
 
     The bands partition the sample exactly: fence-equal points count as in-fence
     (strict inequalities on both sides, mirroring the theoretical definitions).
     """
-    fen = empirical_fences(sample, inner, outer)
+    fen = empirical_fences(sample)
     x = sample.sorted
     n = sample.n
     below_outer = int(np.searchsorted(x, fen.outer_low, side="left"))
@@ -167,6 +121,29 @@ def outlier_band_counts(
         above_inner - above_outer,
         above_outer,
     )
+
+
+def empirical_p_eR(sample: Sample) -> float:
+    """Fraction of extreme right outliers: observations above the outer fence."""
+    return outlier_band_counts(sample)[4] / sample.n
+
+
+def empirical_p_eL(sample: Sample) -> float:
+    """Fraction of extreme left outliers: observations below the outer fence."""
+    return outlier_band_counts(sample)[0] / sample.n
+
+
+def empirical_p_mR(sample: Sample) -> float:
+    """Fraction of mild right outliers: between the inner and outer fences."""
+    *_, mild, extreme = outlier_band_counts(sample)
+    # P(X > inner fence) - P(X > outer fence), each estimated by its own fraction
+    return (mild + extreme) / sample.n - extreme / sample.n
+
+
+def empirical_p_mL(sample: Sample) -> float:
+    """Fraction of mild left outliers: between the inner and outer fences."""
+    extreme, mild, *_ = outlier_band_counts(sample)
+    return (extreme + mild) / sample.n - extreme / sample.n
 
 
 def load_sample(path) -> Sample:

@@ -123,7 +123,7 @@ def _top_order_stats(sample: Sample, k: int):
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     x = sample.sorted
-    return x[n - k :], x[n - k - 1]  # top k values and the (n-k)-th order statistic
+    return x[n - k :], x.item(n - k - 1)  # top k values and the (n-k)-th order statistic
 
 
 def hill(sample: Sample, k: int) -> EstimateRecord:
@@ -131,6 +131,8 @@ def hill(sample: Sample, k: int) -> EstimateRecord:
     tail, base = _top_order_stats(sample, k)
     if base <= 0.0:
         return _invalid("hill", "requires positive order statistics", k)
+    if tail.item(-1) / base == math.inf:  # the largest excess ratio overflows (no numpy warning)
+        return _invalid("hill", "non-finite estimate", k)
     gamma = _mean(np.log(tail / base))
     if gamma == 0.0:
         return _invalid("hill", "degenerate tail", k)
@@ -182,6 +184,8 @@ def moment_dedh(sample: Sample, k: int) -> EstimateRecord:
     tail, base = _top_order_stats(sample, k)
     if base <= 0.0:
         return _invalid("moment", "requires positive order statistics", k)
+    if tail.item(-1) / base == math.inf:  # as in hill: the largest excess ratio overflows
+        return _invalid("moment", "non-finite estimate", k)
     logs = np.log(tail / base)
     m1 = _mean(logs)
     m2 = _mean(logs * logs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 DEFAULT_INNER = 1.5
@@ -29,11 +30,13 @@ def fences_from_quartiles(
 ) -> Fences:
     """Build fences at ``q1/q3 -/+ multiplier*iqr``.
 
-    The multipliers must satisfy 0 < inner <= outer so that
+    The multipliers must be finite and satisfy 0 < inner <= outer so that
     outer_low <= inner_low <= q1 <= q3 <= inner_high <= outer_high.
     """
-    if not (0.0 < inner <= outer):
-        raise ValueError(f"fence multipliers must satisfy 0 < inner <= outer, got {inner}, {outer}")
+    if not (0.0 < inner <= outer < math.inf):
+        raise ValueError(
+            f"fence multipliers must be finite with 0 < inner <= outer, got {inner}, {outer}"
+        )
     if q3 < q1:
         raise ValueError(f"q3 must not be below q1, got q1={q1}, q3={q3}")
     iqr = q3 - q1

@@ -1,9 +1,9 @@
 """Seeded replication engine for estimator-comparison studies.
 
 A study sweeps sample size n for the fence/quartile estimators and the
-order-statistic count k (at fixed n) for the classical ones, drawing m
-replicates per grid point and reporting the mean estimate with empirical
-95% bands over the valid replicates.
+order-statistic count k for the classical ones, at the largest n of the n
+grid, drawing m replicates per grid point and reporting the mean estimate
+with empirical 95% bands over the valid replicates.
 
 Replicate r at grid point g always uses ``RngState(seed, stream=g*m + r)``,
 so results are bit-identical for identical configs no matter how many
@@ -38,9 +38,8 @@ class StudyConfig:
     seed: int
     m: int = 1000
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
-    k_grid: tuple[int, ...] | None = None  # default 2..n_for_k-1
+    k_grid: tuple[int, ...] | None = None  # default 2..fixed_n-1, fixed_n = max(n_grid)
     methods: tuple[str, ...] = ALL_METHODS
-    n_for_k: int | None = None  # sample size for the k sweep; default max(n_grid)
 
     def __post_init__(self):
         RngState(self.seed)  # validates the seed range
@@ -70,7 +69,7 @@ class StudyConfig:
 
     @property
     def fixed_n(self) -> int:
-        return self.n_for_k if self.n_for_k is not None else max(self.n_grid)
+        return self.n_grid[-1]
 
     @property
     def effective_k_grid(self) -> tuple[int, ...]:
@@ -158,10 +157,6 @@ def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[Stud
     return rows
 
 
-def _evaluate_point_args(args) -> list[StudyRow]:
-    return _evaluate_point(*args)
-
-
 @dataclass(frozen=True)
 class StudyResult:
     config: StudyConfig
@@ -216,9 +211,9 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     """
     points = _grid_points(config)
     if workers is not None and workers > 1 and len(points) > 1:
-        tasks = [(config, g, point) for g, point in enumerate(points)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_evaluate_point_args, tasks))
+            chunks = list(pool.map(_evaluate_point, [config] * len(points),
+                                   range(len(points)), points))
     else:
         chunks = [_evaluate_point(config, g, point) for g, point in enumerate(points)]
     rows: list[StudyRow] = []

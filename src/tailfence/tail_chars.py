@@ -40,10 +40,33 @@ def fences(
     inner: float = DEFAULT_INNER,
     outer: float = DEFAULT_OUTER,
 ) -> Fences:
-    """Theoretical fences from the 0.25/0.75 quantiles."""
+    """Theoretical fences from the 0.25/0.75 quantiles.
+
+    Raises ValueError when a quartile or an outer fence is not a finite
+    float64, so no characteristic is ever computed from an infinite fence.
+    """
     q1 = dist.quantile(spec, 0.25)
     q3 = dist.quantile(spec, 0.75)
-    return fences_from_quartiles(q1, q3, inner, outer)
+    if not (math.isfinite(q1) and math.isfinite(q3)):
+        raise ValueError(f"{spec}: quartiles not finite in float64 (q1={q1}, q3={q3})")
+    fen = fences_from_quartiles(q1, q3, inner, outer)
+    if not (math.isfinite(fen.outer_low) and math.isfinite(fen.outer_high)):
+        raise ValueError(
+            f"{spec}: outer fences not finite in float64 at multiplier {outer} "
+            f"({fen.outer_low}, {fen.outer_high})"
+        )
+    return fen
+
+
+def _or_inf(fn, *args) -> float:
+    """``fn(*args)`` for ``pow`` or ``math.exp``, with inf where it overflows.
+
+    Python floats raise OverflowError there; an underflow already gives 0.0.
+    """
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
 
 
 def frechet_left_tail_threshold(outer: float = DEFAULT_OUTER) -> float:
@@ -60,7 +83,10 @@ def closed_form_p_eR(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> fl
 
     Derived from the quartile algebra of each family for a general outer
     multiplier; the default multiplier 3 reproduces the textbook constants
-    (e.g. 1/108 for the exponential family).
+    (e.g. 1/108 for the exponential family). A probability whose exact value
+    underflows is 0.0. Where float64 cannot carry the algebra (the fence in
+    standard units overflows, or a huge shape cancels it to the quartile) the
+    result is None, so that the numeric route applies.
     """
     p = spec.params
     f = float(outer)
@@ -74,15 +100,16 @@ def closed_form_p_eR(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> fl
         return 0.25 * 3.0 ** (-f)
     if family == "pareto":
         a = p["alpha"]
-        edge = (1.0 + f) * 4.0 ** (1.0 / a) - f * (4.0 / 3.0) ** (1.0 / a)
-        return edge ** (-a)
+        edge = (1.0 + f) * _or_inf(pow, 4.0, 1.0 / a) - f * _or_inf(pow, 4.0 / 3.0, 1.0 / a)
+        return edge ** (-a) if 1.0 < edge < math.inf else None
     if family == "frechet":
         a = p["alpha"]
-        lo, hi = _LOG4 ** (-1.0 / a), _LOG43 ** (-1.0 / a)
-        return -math.expm1(-((1.0 + f) * hi - f * lo) ** (-a))
+        lo, hi = _LOG4 ** (-1.0 / a), _or_inf(pow, _LOG43, -1.0 / a)
+        edge = (1.0 + f) * hi - f * lo
+        return -math.expm1(-(edge ** (-a))) if 1.0 < edge < math.inf else None
     if family == "negweibull":
         a = p["alpha"]
-        u, v = _LOG4 ** (1.0 / a), _LOG43 ** (1.0 / a)
+        u, v = _or_inf(pow, _LOG4, 1.0 / a), _LOG43 ** (1.0 / a)
         reach = (1.0 + f) * v - f * u  # mu minus the high fence, in sigma units
         if reach <= 0.0:
             return 0.0
@@ -93,7 +120,7 @@ def closed_form_p_eR(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> fl
 
 
 def closed_form_p_eL(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> float | None:
-    """Closed-form extreme-left probability, or None when only the numeric route exists."""
+    """Closed-form extreme-left probability, or None as for :func:`closed_form_p_eR`."""
     p = spec.params
     f = float(outer)
     if f <= 0:
@@ -102,29 +129,34 @@ def closed_form_p_eL(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> fl
     if family == "uniform":
         return max(0.0, 0.25 - 0.5 * f)
     if family == "exponential":
-        return max(0.0, -math.expm1(-(_LOG43 - f * math.log(3.0))))
+        reach = _LOG43 - f * math.log(3.0)  # low fence times lambda
+        return -math.expm1(-reach) if reach > 0.0 else 0.0
     if family == "pareto":
         a = p["alpha"]
-        edge = (1.0 + f) * (4.0 / 3.0) ** (1.0 / a) - f * 4.0 ** (1.0 / a)
-        if edge <= 1.0:  # low fence at or below the support edge delta
+        edge = (1.0 + f) * _or_inf(pow, 4.0 / 3.0, 1.0 / a) - f * _or_inf(pow, 4.0, 1.0 / a)
+        if not edge > 1.0:  # low fence at or below the support edge delta; NaN is inf - inf
             return 0.0
         return -math.expm1(-a * math.log(edge))
     if family == "frechet":
         a = p["alpha"]
-        lo, hi = _LOG4 ** (-1.0 / a), _LOG43 ** (-1.0 / a)
+        lo, hi = _LOG4 ** (-1.0 / a), _or_inf(pow, _LOG43, -1.0 / a)
         reach = (1.0 + f) * lo - f * hi  # low fence minus mu, in sigma units
         if reach <= 0.0:  # shape at or below frechet_left_tail_threshold(outer)
             return 0.0
-        return math.exp(-(reach ** (-a)))
+        return math.exp(-_or_inf(pow, reach, -a))
     if family == "negweibull":
         a = p["alpha"]
-        u, v = _LOG4 ** (1.0 / a), _LOG43 ** (1.0 / a)
-        return math.exp(-(((1.0 + f) * u - f * v) ** a))
+        u, v = _or_inf(pow, _LOG4, 1.0 / a), _LOG43 ** (1.0 / a)
+        reach = (1.0 + f) * u - f * v  # mu minus the low fence, in sigma units
+        return math.exp(-_or_inf(pow, reach, a)) if 0.0 < reach < math.inf else None
     if family == "gumbel":
-        return math.exp(-math.exp((1.0 + f) * _LOGLOG4 - f * _LOGLOG43))
+        return math.exp(-_or_inf(math.exp, (1.0 + f) * _LOGLOG4 - f * _LOGLOG43))
     if family == "hillhorror":
         a = p["alpha"]
-        low_fence = (1.0 + f) * (4.0 / 3.0) ** (1.0 / a) * _LOG43 - f * 4.0 ** (1.0 / a) * _LOG4
+        low_fence = (
+            (1.0 + f) * _or_inf(pow, 4.0 / 3.0, 1.0 / a) * _LOG43
+            - f * _or_inf(pow, 4.0, 1.0 / a) * _LOG4
+        )
         if low_fence <= 0.0:  # below the support; always true at the default multiplier
             return 0.0
         return None

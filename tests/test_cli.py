@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tailfence.cli import main
@@ -204,6 +210,21 @@ def test_estimate_pickands_on_extreme_spacings(tmp_path, capsys):
     assert row["valid"] == "false" and row["reason"] == "non-finite estimate"
 
 
+@pytest.mark.parametrize("method", ["hill", "moment"])
+def test_estimate_excess_overflow_is_invalid(method, tmp_path, capsys):
+    # 1e300 / 1e-300 overflows: an invalid row and no numpy warning
+    data = tmp_path / "data.txt"
+    data.write_text("1e-300\n1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["estimate", "--in", str(data), "--method", method, "--k", "1"],
+                                 capsys)
+    assert code == 0 and err == ""
+    row = read_rows(out)[0]
+    assert row["valid"] == "false" and row["reason"] == "non-finite estimate"
+    assert row["alpha_hat"] == ""
+
+
 def test_selftest_json(capsys):
     code = main(["selftest", "--json"])
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -217,3 +238,44 @@ def test_selftest_json(capsys):
     main(["selftest"])
     text = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in text[:-1]] == [f"PASS {c['name']}" for c in checks]
+
+
+# One spec form per family; {s} and {t} are positive parameters, {n} the t degrees.
+CHARS_FORMS = [
+    "uniform(a=0,b={s})", "exp(lambda={s})", "gamma(alpha={s},beta={t})",
+    "normal(mu=0,sigma2={s})", "t(n={n})", "pareto(alpha={s},delta={t})",
+    "frechet(alpha={s},mu=0,sigma={t})", "negweibull(alpha={s},mu=0,sigma={t})",
+    "gumbel(mu=0,gamma={s})", "hh(alpha={s})",
+]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    form=st.sampled_from(CHARS_FORMS),
+    log_s=st.floats(-3.0, 3.0),
+    log_t=st.floats(-3.0, 3.0),
+    log_outer=st.one_of(st.none(), st.floats(-3.0, 308.0)),
+    inner_share=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+)
+def test_chars_gives_finite_row_or_one_error_line(form, log_s, log_t, log_outer, inner_share):
+    # parameters log-uniform in [1e-3, 1e3], outer multiplier up to 1e308
+    s, t = 10.0**log_s, 10.0**log_t
+    argv = ["chars", "--dist", form.format(s=repr(s), t=repr(t), n=max(1, round(s)))]
+    if log_outer is not None:
+        outer = 10.0**log_outer
+        inner = min(1.5, outer) if inner_share is None else inner_share * outer
+        argv += ["--inner-fence", repr(inner), "--outer-fence", repr(outer)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 0:
+        (row,) = read_rows(out.getvalue())
+        numbers = [float(row[name]) for name in list(row)[2:]]
+        assert all(math.isfinite(x) for x in numbers), (argv, row)
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and out.getvalue() == "", argv
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error"}

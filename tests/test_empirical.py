@@ -1,7 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailfence as tf
 
@@ -146,6 +149,60 @@ def test_band_counts_partition_sample():
         assert tf.empirical_p_mL(smp) == pytest.approx(mL / n, abs=1e-15)
         assert tf.empirical_p_mR(smp) == pytest.approx(mR / n, abs=1e-15)
         assert tf.empirical_p_eR(smp) == eR / n
+
+
+ENGINE_SPECS = [
+    "pareto(alpha=0.5,delta=1)",
+    "frechet(alpha=1.5,mu=0,sigma=2)",
+    "hillhorror(alpha=0.5)",
+    "t(n=2)",
+    "uniform(a=-2,b=5)",
+    "exp(lambda=1)",
+    "negweibull(alpha=1.5,mu=2,sigma=1)",
+    "gumbel(mu=0,gamma=1)",
+]
+
+
+@st.composite
+def engine_samples(draw, specs=tuple(ENGINE_SPECS)):
+    """Replicate r of grid point g in an m-replicate study, drawn as the engine draws it,
+    and in half the cases rounded to integers: ties, some of them on a fence."""
+    spec = tf.parse_spec(draw(st.sampled_from(specs)))
+    m = draw(st.integers(2, 1000))
+    stream = draw(st.integers(0, 200)) * m + draw(st.integers(0, m - 1))
+    seed = draw(st.integers(0, 2**64 - 1))
+    smp = tf.sample(spec, tf.RngState(seed, stream), draw(st.integers(3, 150)))
+    return tf.Sample(np.round(smp.values)) if draw(st.booleans()) else smp
+
+
+def bracket_ulp(smp, q):
+    """ulp of the larger of the two order statistics around q."""
+    x = smp.sorted
+    j = int(np.searchsorted(x, q, side="right"))
+    return math.ulp(max(abs(x[max(j - 1, 0)]), abs(x[min(j, x.size - 1)])))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(smp=engine_samples(ENGINE_SPECS + ["gamma(alpha=0.02,beta=1)"]))  # ties at 0
+def test_negation_mirrors_band_counts_property(smp):
+    neg = tf.Sample(-smp.values)
+    assert tf.outlier_band_counts(neg) == tf.outlier_band_counts(smp)[::-1]
+    # Type-6 interpolates with weight g from one side and 1 - g from the
+    # other, so a mirrored quartile may differ in its last bits.
+    fen, mirrored = tf.empirical_fences(smp), tf.empirical_fences(neg)
+    for q, q_neg in ((fen.q1, mirrored.q3), (fen.q3, mirrored.q1)):
+        assert abs(q + q_neg) <= 4 * bracket_ulp(smp, q)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(smp=engine_samples(), k=st.integers(-20, 20))
+def test_power_of_two_scaling_is_exact_property(smp, k):
+    # every value stays a normal float here, so scaling by 2^k rounds nothing
+    c = 2.0**k
+    scaled = tf.Sample(c * smp.values)
+    fen = tf.empirical_fences(smp)
+    assert astuple(tf.empirical_fences(scaled)) == tuple(c * v for v in astuple(fen))
+    assert tf.outlier_band_counts(scaled) == tf.outlier_band_counts(smp)
 
 
 def test_empirical_rate_consistent_for_exponential():

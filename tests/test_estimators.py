@@ -1,5 +1,7 @@
 import ast
 import math
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +37,14 @@ def quartile_sample():
     return tf.Sample([2.0, 4.0, 6.0])
 
 
-def pareto_grid_sample(alpha, n, delta=1.0):
-    spec = tf.DistributionSpec("pareto", {"alpha": alpha, "delta": delta})
+def own_quantile_grid(text, n=99):
+    """The n quantiles of a spec at i/(n+1); at n=99 its type-6 quartiles are the spec's own."""
+    spec = tf.parse_spec(text)
     return tf.Sample([tf.quantile(spec, i / (n + 1)) for i in range(1, n + 1)])
+
+
+def pareto_grid_sample(alpha, n, delta=1.0):
+    return own_quantile_grid(f"pareto(alpha={alpha!r},delta={delta!r})", n)
 
 
 def test_fence_prob_worked_example():
@@ -126,10 +133,16 @@ def test_quartile_ratio_domain_errors():
 
 
 def test_quartile_ratio_exact_on_matched_quartiles():
-    for alpha in (0.5, 1.0, 2.0):
-        smp = pareto_grid_sample(alpha, 99, delta=3.0)
-        rec = tf.estimate_quartile_ratio(smp, "pareto")
-        assert rec.alpha_hat == pytest.approx(alpha, abs=1e-12)
+    # the population limit: each family's quartile ratio inverts to its own alpha
+    for family, form, alphas in [
+        ("pareto", "pareto(alpha={},delta=3)", (0.5, 1.0, 2.0)),
+        ("frechet", "frechet(alpha={},mu=0,sigma=2)", (0.3, 0.5, 1.0, 2.5)),
+        ("hillhorror", "hillhorror(alpha={})", (0.3, 0.5, 1.0, 2.5)),
+    ]:
+        for alpha in alphas:
+            rec = tf.estimate_quartile_ratio(own_quantile_grid(form.format(alpha)), family)
+            assert rec.valid
+            assert rec.alpha_hat == pytest.approx(alpha, abs=1e-12), (family, alpha)
 
 
 def test_hill_simple_cases():
@@ -348,13 +361,18 @@ def reference_evaluate(method, smp, k=None):
 TOP = np.nextafter(1e300, np.inf)
 PICKANDS_UNDERFLOW = [-1e300, 0.0, 5e-324, 1e-323]  # spacing ratio 5e-324 / 1e300 -> 0
 PICKANDS_OVERFLOW = [0.0, 0.0, 1e-300, 1e300]  # spacing ratio 1e300 / 1e-300 -> inf
+EXCESS_OVERFLOW = [1e-300, 1e300]  # excess ratio 1e300 / 1e-300 -> inf
 
-# What the per-sample code did on the samples it had no check for: the
-# exception it raised, or the record it returned.
+# What the per-sample code did on the samples it had no check for, by method
+# and sample: the exception it raised, or the record it returned.
 REFERENCE_NON_FINITE = {
-    (1e300, 1e300, TOP): ZeroDivisionError,  # divided by the zero log spread
-    tuple(PICKANDS_UNDERFLOW): ValueError,  # log(0): math domain error
-    tuple(PICKANDS_OVERFLOW): tf.EstimateRecord("pickands", 0.0, True, "", 1),  # 1 / log(inf)
+    ("fr_q", (1e300, 1e300, TOP)): ZeroDivisionError,  # divided by the zero log spread
+    ("pickands", tuple(PICKANDS_UNDERFLOW)): ValueError,  # log(0): math domain error
+    ("pickands", tuple(PICKANDS_OVERFLOW)): tf.EstimateRecord("pickands", 0.0, True, "", 1),  # 1 / log(inf)
+    ("hill", tuple(EXCESS_OVERFLOW)): tf.EstimateRecord("hill", 0.0, True, "", 1),  # 1 / mean(log(inf))
+    # inf / inf: gamma is NaN, so its `gamma > 0.0` test calls the tail non-heavy
+    ("moment", tuple(EXCESS_OVERFLOW)): tf.EstimateRecord("moment", math.nan, False,
+                                                          "non-heavy tail estimate", 1),
 }
 
 # (method, sample, k, reason): together they reach every reason an estimator gives
@@ -381,6 +399,8 @@ CRAFTED = [
     ("moment", [1.0, math.e, math.e], 2, "degenerate moment ratio"),
     ("pickands", PICKANDS_UNDERFLOW, 1, "non-finite estimate"),
     ("pickands", PICKANDS_OVERFLOW, 1, "non-finite estimate"),
+    ("hill", EXCESS_OVERFLOW, 1, "non-finite estimate"),
+    ("moment", EXCESS_OVERFLOW, 1, "non-finite estimate"),
 ]
 
 
@@ -403,13 +423,20 @@ def test_crafted_samples_reach_every_reason():
 @pytest.mark.parametrize(("method", "values", "k", "reason"), CRAFTED)
 def test_crafted_reasons_match_reference(method, values, k, reason):
     smp = tf.Sample(values)
-    record = tf.evaluate(method, smp, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = tf.evaluate(method, smp, k)
     assert record.reason == reason
     if reason == "non-finite estimate":
-        expected = REFERENCE_NON_FINITE[tuple(values)]
+        expected = REFERENCE_NON_FINITE[(method, tuple(values))]
         if isinstance(expected, tf.EstimateRecord):
-            with np.errstate(over="ignore"):
-                assert reference_evaluate(method, smp, k) == expected
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = reference_evaluate(method, smp, k)
+            if math.isnan(expected.alpha_hat):  # NaN never equals NaN: compare the rest
+                assert math.isnan(got.alpha_hat)
+                assert replace(got, alpha_hat=None) == replace(expected, alpha_hat=None)
+            else:
+                assert got == expected
         else:
             with pytest.raises(expected):
                 reference_evaluate(method, smp, k)

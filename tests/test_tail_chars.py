@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import tailfence as tf
@@ -191,6 +193,35 @@ def test_shift_and_scale_leave_characteristics_unchanged():
     for attr in ("p_eL", "p_eR", "p_e2", "p_mL", "p_mR", "p_m2"):
         assert abs(getattr(base, attr) - getattr(shifted, attr)) <= 1e-12
         assert abs(getattr(base, attr) - getattr(scaled, attr)) <= 1e-12
+
+
+# The eight families with a location or scale parameter, as spec text for
+# shape a, location b and scale c; b = 0, c = 1 is the standard member.
+LOCATION_SCALE_FORMS = [
+    lambda a, b, c: f"uniform(a={b!r},b={b + c!r})",
+    lambda a, b, c: f"exp(lambda={1.0 / c!r})",
+    lambda a, b, c: f"gamma(alpha={a!r},beta={1.0 / c!r})",
+    lambda a, b, c: f"normal(mu={b!r},sigma2={c * c!r})",
+    lambda a, b, c: f"pareto(alpha={a!r},delta={c!r})",
+    lambda a, b, c: f"frechet(alpha={a!r},mu={b!r},sigma={c!r})",
+    lambda a, b, c: f"negweibull(alpha={a!r},mu={b!r},sigma={c!r})",
+    lambda a, b, c: f"gumbel(mu={b!r},gamma={c!r})",
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    form=st.sampled_from(LOCATION_SCALE_FORMS),
+    log_a=st.floats(-0.7, 1.3),
+    shift=st.floats(-100.0, 100.0),
+    log_c=st.floats(-3.0, 3.0),
+)
+def test_location_and_scale_leave_characteristics_unchanged(form, log_a, shift, log_c):
+    a, c = 10.0**log_a, 10.0**log_c
+    base = chars(form(a, 0.0, 1.0))
+    moved = chars(form(a, shift * c, c))
+    for attr in ("p_eL", "p_eR", "p_e2", "p_mL", "p_mR", "p_m2"):
+        assert getattr(moved, attr) == pytest.approx(getattr(base, attr), rel=1e-9, abs=1e-12), attr
 
 
 def test_p_eR_decreasing_in_tail_index():
