@@ -5,9 +5,10 @@ families evaluate their textbook formulas. The numeric families each use
 one scipy.special pair: gamma the regularized incomplete gamma function
 (``gammainc``/``gammaincinv``), normal ``ndtr``/``ndtri``, and Student-t
 the regularized incomplete beta function (``betainc``/``betaincinv``) in a
-central and a tail form. The Hill-horror law is defined by its quantile
-function; its CDF is the closed form ``1 - exp(-alpha * W(x / alpha))``
-with W the Lambert W function.
+central and a tail form, split at the quartiles; each Student-t draw is
+inverted once, through the one form its branch uses. The Hill-horror law
+is defined by its quantile function; its CDF is the closed form
+``1 - exp(-alpha * W(x / alpha))`` with W the Lambert W function.
 
 scipy.special is imported on the first call that needs one of these
 functions, not with this module: it is most of the package's import time and
@@ -179,14 +180,26 @@ def _t_cdf(df, x):
 
 
 def _t_ppf(df, p):
-    # Inverts the two _t_cdf forms with the same split at the quartiles.
+    # Inverts the two _t_cdf forms with the same split at the quartiles. Each
+    # element goes through only the form its branch uses: one betaincinv call
+    # on per-element (a, b, y), the central form where |2p - 1| <= 1/2.
     p = np.asarray(p, float)
-    mass = np.abs(2.0 * p - 1.0)  # P(|T| < |x|)
-    # The clamp only keeps the unused central branch finite in the tails.
-    y = _special().betaincinv(0.5, 0.5 * df, np.minimum(mass, 0.5))
-    z = _special().betaincinv(0.5 * df, 0.5, 2.0 * np.minimum(p, 1.0 - p))
-    x = np.where(mass <= 0.5, np.sqrt(df * y / (1.0 - y)), np.sqrt(df * (1.0 - z) / z))
-    return np.where(p < 0.5, -x, x)
+    d = 2.0 * p - 1.0
+    mass = np.abs(d)  # P(|T| < |x|)
+    central = mass <= 0.5
+    half = 0.5 * df
+    # The central form inverts mass, the tail form 2 * min(p, 1 - p) (1 - mass
+    # in exact arithmetic); in float64 too, each branch's is the smaller one.
+    w = _special().betaincinv(
+        np.where(central, 0.5, half),
+        np.where(central, half, 0.5),
+        np.minimum(mass, 2.0 * np.minimum(p, 1.0 - p)),
+    )
+    # x^2 = df * w / (1 - w) in the central form, df * (1 - w) / w in the tail
+    # form; picking numerator and denominator first never divides by w = 0.
+    v = 1.0 - w
+    num, den = np.where(central, (w, v), (v, w))
+    return np.copysign(np.sqrt(df * num / den), d)  # d < 0 iff p < 1/2; +0.0 at 1/2
 
 
 def _hh_quantile(alpha, p):
@@ -196,6 +209,18 @@ def _hh_quantile(alpha, p):
 
 
 # --- vectorized CDF / quantile dispatch --------------------------------------
+
+def _power_in_sigma_units(dx, sigma, power):
+    # max(dx / sigma, 0) ** power. Where dx / sigma overflows (sigma < 1, dx
+    # finite), it is dx ** power * sigma ** -power, evaluated through logs.
+    z = np.maximum(dx / sigma, 0.0)
+    out = np.power(z, power)
+    if sigma < 1.0:  # else z overflows only where dx does, and out is already right
+        over = z == math.inf
+        if np.count_nonzero(over):  # cheaper than over.any() on a numpy scalar
+            out = np.where(over, np.exp(power * (np.log(dx) - math.log(sigma))), out)
+    return out
+
 
 def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
     x = np.asarray(x, float)
@@ -216,11 +241,11 @@ def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
             safe = np.maximum(x, p["delta"])
             return np.where(x < p["delta"], 0.0, -np.expm1(p["alpha"] * np.log(p["delta"] / safe)))
         if family == "frechet":
-            z = np.maximum((x - p["mu"]) / p["sigma"], 0.0)
-            return np.where(x > p["mu"], np.exp(-np.power(z, -p["alpha"])), 0.0)
+            zpow = _power_in_sigma_units(x - p["mu"], p["sigma"], -p["alpha"])
+            return np.where(x > p["mu"], np.exp(-zpow), 0.0)
         if family == "negweibull":
-            z = np.maximum(-(x - p["mu"]) / p["sigma"], 0.0)
-            return np.where(x < p["mu"], np.exp(-np.power(z, p["alpha"])), 1.0)
+            zpow = _power_in_sigma_units(-(x - p["mu"]), p["sigma"], p["alpha"])
+            return np.where(x < p["mu"], np.exp(-zpow), 1.0)
         if family == "gumbel":
             return np.exp(-np.exp(-(x - p["mu"]) / p["gamma"]))
         if family == "hillhorror":

@@ -24,9 +24,14 @@ _KNOT_FUZZ = 8.0 * float(np.finfo(float).eps)
 
 
 class Sample:
-    """Immutable collection of finite observations with cached order statistics."""
+    """Immutable collection of finite observations with cached order statistics.
 
-    __slots__ = ("values", "sorted")
+    The standard fences and the count above the upper outer fence are computed
+    on first use and cached too, so the six fence/quartile estimators of one
+    sample share one pair of quartiles and one count.
+    """
+
+    __slots__ = ("values", "sorted", "_fences", "_above_outer")
 
     def __init__(self, values):
         arr = np.atleast_1d(np.asarray(values, dtype=float))
@@ -43,6 +48,8 @@ class Sample:
         self.sorted = ordered
         self.values.flags.writeable = False
         self.sorted.flags.writeable = False
+        self._fences = None
+        self._above_outer = None
 
     @property
     def n(self) -> int:
@@ -89,15 +96,20 @@ def empirical_fences(sample: Sample) -> Fences:
     """Standard Tukey fences from the type-6 empirical quartiles; requires n >= 3."""
     if sample.n < 3:
         raise ValueError("sample too small for quartile fences")
-    q1 = empirical_quantile(sample, 0.25)
-    q3 = empirical_quantile(sample, 0.75)
-    return fences_from_quartiles(q1, q3)
+    if sample._fences is None:
+        q1 = empirical_quantile(sample, 0.25)
+        q3 = empirical_quantile(sample, 0.75)
+        sample._fences = fences_from_quartiles(q1, q3)
+    return sample._fences
 
 
-def fraction_above(sample: Sample, threshold: float) -> float:
-    """Fraction of observations strictly above a threshold."""
-    count = sample.n - int(np.searchsorted(sample.sorted, threshold, side="right"))
-    return count / sample.n
+def extreme_right_count(sample: Sample) -> int:
+    """Number of observations strictly above the upper outer fence; requires n >= 3."""
+    if sample._above_outer is None:
+        fen = empirical_fences(sample)
+        below = int(np.searchsorted(sample.sorted, fen.outer_high, side="right"))
+        sample._above_outer = sample.n - below
+    return sample._above_outer
 
 
 def outlier_band_counts(sample: Sample) -> tuple[int, int, int, int, int]:
@@ -112,7 +124,7 @@ def outlier_band_counts(sample: Sample) -> tuple[int, int, int, int, int]:
     below_outer = int(np.searchsorted(x, fen.outer_low, side="left"))
     below_inner = int(np.searchsorted(x, fen.inner_low, side="left"))
     above_inner = n - int(np.searchsorted(x, fen.inner_high, side="right"))
-    above_outer = n - int(np.searchsorted(x, fen.outer_high, side="right"))
+    above_outer = extreme_right_count(sample)
     inside = n - below_inner - above_inner
     return (
         below_outer,

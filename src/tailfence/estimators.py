@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, empirical_fences, fraction_above
+from .empirical import Sample, empirical_fences, extreme_right_count
 
 _LOG2 = math.log(2.0)
 _LOG3 = math.log(3.0)
@@ -71,7 +71,7 @@ def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:
         raise ValueError(f"family must be one of {FENCE_FAMILIES}, got {family!r}")
     method = _FENCE_METHOD_BY_FAMILY[family]
     fen = empirical_fences(sample)
-    p = fraction_above(sample, fen.outer_high)
+    p = extreme_right_count(sample) / sample.n
     if p == 0.0:
         return _invalid(method, "no extreme outliers observed")
     if fen.outer_high <= 0.0:
@@ -150,6 +150,8 @@ def t_hill(sample: Sample, k: int) -> EstimateRecord:
     if base <= 0.0:
         return _invalid("thill", "requires positive order statistics", k)
     t = _mean(base / tail)
+    if t == 0.0:  # every ratio base / tail underflows (no numpy warning): t > 0 in exact arithmetic
+        return _invalid("thill", "non-finite estimate", k)
     if t >= 1.0:
         return _invalid("thill", "degenerate tail", k)
     return _checked("thill", t / (1.0 - t), k)

@@ -43,12 +43,16 @@ def fences(
     """Theoretical fences from the 0.25/0.75 quantiles.
 
     Raises ValueError when a quartile or an outer fence is not a finite
-    float64, so no characteristic is ever computed from an infinite fence.
+    float64, so no characteristic is ever computed from an infinite fence,
+    and when the quartiles are equal in float64 (a huge shape rounds the
+    quartile algebra away), so none is computed from a zero IQR.
     """
     q1 = dist.quantile(spec, 0.25)
     q3 = dist.quantile(spec, 0.75)
     if not (math.isfinite(q1) and math.isfinite(q3)):
         raise ValueError(f"{spec}: quartiles not finite in float64 (q1={q1}, q3={q3})")
+    if q1 == q3:
+        raise ValueError(f"{spec}: quartiles equal in float64 (q1 = q3 = {q1})")
     fen = fences_from_quartiles(q1, q3, inner, outer)
     if not (math.isfinite(fen.outer_low) and math.isfinite(fen.outer_high)):
         raise ValueError(

@@ -210,9 +210,10 @@ def test_estimate_pickands_on_extreme_spacings(tmp_path, capsys):
     assert row["valid"] == "false" and row["reason"] == "non-finite estimate"
 
 
-@pytest.mark.parametrize("method", ["hill", "moment"])
+@pytest.mark.parametrize("method", ["hill", "thill", "moment"])
 def test_estimate_excess_overflow_is_invalid(method, tmp_path, capsys):
-    # 1e300 / 1e-300 overflows: an invalid row and no numpy warning
+    # 1e300 / 1e-300 overflows (1e-300 / 1e300 underflows for thill): an
+    # invalid row and no numpy warning
     data = tmp_path / "data.txt"
     data.write_text("1e-300\n1e300\n")
     with warnings.catch_warnings():
@@ -279,3 +280,15 @@ def test_chars_gives_finite_row_or_one_error_line(form, log_s, log_t, log_outer,
         assert code == 1 and out.getvalue() == "", argv
         (line,) = err.getvalue().splitlines()
         assert set(json.loads(line)) == {"error"}
+
+
+def test_chars_equal_quartiles_is_one_error_line(tmp_path, capsys):
+    # the exact p_eR is about 1/108, but q1 = q3 = 1 in float64
+    argv = ["chars", "--dist", "pareto(alpha=7e28,delta=1)"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert "quartiles equal in float64" in json.loads(line)["error"]
+    out_path = tmp_path / "chars.csv"
+    code, _, _ = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 1 and not out_path.exists()

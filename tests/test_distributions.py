@@ -224,6 +224,37 @@ def test_quantile_closed_forms(text, oracle):
         assert tf.quantile(spec, u) == pytest.approx(oracle(u), rel=1e-13, abs=0.0), u
 
 
+def reference_t_ppf(df, p):
+    # The Student-t quantile as it was before each draw was inverted once: both
+    # incomplete-beta forms for every element, then the one its branch uses.
+    # The single inversion must give the same bits.
+    p = np.asarray(p, float)
+    mass = np.abs(2.0 * p - 1.0)
+    y = special.betaincinv(0.5, 0.5 * df, np.minimum(mass, 0.5))
+    z = special.betaincinv(0.5 * df, 0.5, 2.0 * np.minimum(p, 1.0 - p))
+    x = np.where(mass <= 0.5, np.sqrt(df * y / (1.0 - y)), np.sqrt(df * (1.0 - z) / z))
+    return np.where(p < 0.5, -x, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 40])
+def test_t_quantile_matches_both_form_reference_bit_for_bit(df):
+    spec = tf.DistributionSpec("studentt", {"n": df})
+    # the tail grid is dyadic; decimal and random p also round in 1 - 2p
+    decimal = {0.1, 0.2, 0.3, 0.7, 0.9, 1e-3, 1e-7, 1.0 - 1e-7}
+    random = set(np.random.default_rng(0).random(200))
+    grid = np.array(sorted(set(TAIL_GRID) | {0.25, 0.5, 0.75, 1.0 - 2.0**-53} | decimal | random))
+    assert distributions._quantile_array(spec, grid).tobytes() == reference_t_ppf(df, grid).tobytes()
+    for u in grid:
+        assert tf.quantile(spec, u) == float(reference_t_ppf(df, u)), u
+    assert math.copysign(1.0, tf.quantile(spec, 0.5)) == 1.0  # +0.0, as the reference
+    for stream in range(1000):
+        rng = tf.RngState(2024, stream)
+        u = _uniform_open(distributions._generator(rng), 40)
+        expected = reference_t_ppf(df, u)
+        assert tf.sample(spec, rng, 40).values.tobytes() == expected.tobytes(), stream
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.8, 5.0])
 def test_hillhorror_cdf_inverts_quantile(alpha):
     spec = tf.DistributionSpec("hillhorror", {"alpha": alpha})

@@ -85,9 +85,34 @@ def test_fences_small_samples():
     assert hundred.q3 == pytest.approx(75.75, abs=0.0)
 
 
+def test_fences_are_computed_once_per_sample(monkeypatch):
+    calls = []
+    original = tf.empirical.empirical_quantile
+
+    def counting(sample, p):
+        calls.append(p)
+        return original(sample, p)
+
+    monkeypatch.setattr(tf.empirical, "empirical_quantile", counting)
+    smp = tf.Sample([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 60.0])
+    for method in tf.NEW_METHODS:
+        tf.evaluate(method, smp)
+    tf.outlier_band_counts(smp)
+    tf.empirical_p_mR(smp)
+    assert calls == [0.25, 0.75]
+    fen = tf.empirical_fences(smp)
+    assert fen == tf.fences_from_quartiles(original(smp, 0.25), original(smp, 0.75))
+    assert tf.empirical_fences(smp) is fen
+    assert tf.outlier_band_counts(smp)[4] == 1
+
+
 def test_fences_require_three_points():
-    with pytest.raises(ValueError, match="sample too small for quartile fences"):
-        tf.empirical_fences(tf.Sample([1.0, 2.0]))
+    smp = tf.Sample([1.0, 2.0])
+    for _ in range(2):  # on every call: no fences are cached for a small sample
+        with pytest.raises(ValueError, match="sample too small for quartile fences"):
+            tf.empirical_fences(smp)
+        with pytest.raises(ValueError, match="sample too small for quartile fences"):
+            tf.outlier_band_counts(smp)
 
 
 def test_p_eR_no_outliers():

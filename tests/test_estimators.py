@@ -361,7 +361,7 @@ def reference_evaluate(method, smp, k=None):
 TOP = np.nextafter(1e300, np.inf)
 PICKANDS_UNDERFLOW = [-1e300, 0.0, 5e-324, 1e-323]  # spacing ratio 5e-324 / 1e300 -> 0
 PICKANDS_OVERFLOW = [0.0, 0.0, 1e-300, 1e300]  # spacing ratio 1e300 / 1e-300 -> inf
-EXCESS_OVERFLOW = [1e-300, 1e300]  # excess ratio 1e300 / 1e-300 -> inf
+EXCESS_OVERFLOW = [1e-300, 1e300]  # excess ratio 1e300 / 1e-300 -> inf, its reciprocal -> 0
 
 # What the per-sample code did on the samples it had no check for, by method
 # and sample: the exception it raised, or the record it returned.
@@ -373,6 +373,8 @@ REFERENCE_NON_FINITE = {
     # inf / inf: gamma is NaN, so its `gamma > 0.0` test calls the tail non-heavy
     ("moment", tuple(EXCESS_OVERFLOW)): tf.EstimateRecord("moment", math.nan, False,
                                                           "non-heavy tail estimate", 1),
+    # 1e-300 / 1e300 underflows to 0, and 0 / (1 - 0) reads as a family mismatch
+    ("thill", tuple(EXCESS_OVERFLOW)): tf.EstimateRecord("thill", 0.0, False, "family mismatch", 1),
 }
 
 # (method, sample, k, reason): together they reach every reason an estimator gives
@@ -401,6 +403,7 @@ CRAFTED = [
     ("pickands", PICKANDS_OVERFLOW, 1, "non-finite estimate"),
     ("hill", EXCESS_OVERFLOW, 1, "non-finite estimate"),
     ("moment", EXCESS_OVERFLOW, 1, "non-finite estimate"),
+    ("thill", EXCESS_OVERFLOW, 1, "non-finite estimate"),
 ]
 
 

@@ -256,3 +256,20 @@ def test_gamma_tail_rate_against_scipy():
 def test_gamma_left_tail_zero():
     for shape in (0.2, 0.5, 0.9, 1.5, 3.0, 10.0):
         assert chars(f"gamma(alpha={shape},beta=1)").p_eL == 0.0
+
+
+# The fence is finite but overflows in sigma units (sigma < 1), so the CDF is
+# read through logs. Exact values: mpmath at 50 digits from the exact quartiles
+# and fence, p_eR = 1 - exp(-((q3 + f*iqr - mu)/sigma)^-alpha) for Frechet and
+# p_eL = exp(-((mu - (q1 - f*iqr))/sigma)^alpha) for the negative Weibull.
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize(
+    ("text", "outer", "side", "exact"),
+    [
+        ("frechet(alpha=0.002,mu=0,sigma=0.001)", 1e39, "p_eR", 0.213677297655676),
+        ("negweibull(alpha=0.002,mu=0,sigma=0.001)", 1e238, "p_eL", 0.0157934561461066),
+    ],
+)
+def test_fence_overflowing_in_sigma_units(text, outer, side, exact, closed):
+    got = chars(text, outer=outer, use_closed_forms=closed)
+    assert getattr(got, side) == pytest.approx(exact, rel=1e-9, abs=0.0)
