@@ -6,9 +6,10 @@ one scipy.special pair: gamma the regularized incomplete gamma function
 (``gammainc``/``gammaincinv``), normal ``ndtr``/``ndtri``, and Student-t
 the regularized incomplete beta function (``betainc``/``betaincinv``) in a
 central and a tail form, split at the quartiles; each Student-t draw is
-inverted once, through the one form its branch uses. The Hill-horror law
-is defined by its quantile function; its CDF is the closed form
-``1 - exp(-alpha * W(x / alpha))`` with W the Lambert W function.
+inverted once, and each CDF point evaluated once, through the one form its
+branch uses (the CDF evaluates both only within 2^-20 of the quartile). The
+Hill-horror law is defined by its quantile function; its CDF is the closed
+form ``1 - exp(-alpha * W(x / alpha))`` with W the Lambert W function.
 
 scipy.special is imported on the first call that needs one of these
 functions, not with this module: it is most of the package's import time and
@@ -165,17 +166,52 @@ def _special():
     return special
 
 
+@functools.lru_cache(maxsize=16)
+def _t_quartile_band(df: float) -> tuple[float, float]:
+    # |x| bounds 2^-20 (relative) either side of the upper quartile q. The
+    # density times q exceeds 0.15 there for every df, so outside the band the
+    # central mass is more than 1.4e-7 from 1/4, far beyond betainc's
+    # rounding: the computed mass and |x| fall on the same side of the split.
+    q = float(_t_ppf(df, 0.75))
+    return q * (1.0 - 2.0**-20), q * (1.0 + 2.0**-20)
+
+
 def _t_cdf(df, x):
     # Two incomplete-beta forms, split at the quartiles: 0.5 -/+ the central
     # mass P(0 < T < |x|) while that is at most 1/4, else the tail mass
     # P(T > |x|), so a small tail probability never comes from 0.5 - central.
+    # Each element evaluates only the form it uses, except in a thin band
+    # around the quartile, where the computed central mass decides the form.
+    betainc = _special().betainc
+    lo, hi = _t_quartile_band(df)
+    half = 0.5 * df
     x = np.asarray(x, float)
+    if x.ndim == 0:
+        # A scalar call (every public cdf) picks its form in Python: on a 0-d
+        # array the per-element selection below costs more than the betainc
+        # call it saves.
+        t = float(x)
+        tt = t * t
+        if abs(t) <= lo or (abs(t) < hi and 0.5 * betainc(0.5, half, tt / (df + tt)) <= 0.25):
+            v = 0.5 * betainc(0.5, half, tt / (df + tt))
+            return 0.5 + v if t >= 0 else 0.5 - v
+        v = 0.5 * betainc(half, 0.5, df / (df + tt))
+        return 1.0 - v if t >= 0 else v
     xx = x * x
-    central = 0.5 * _special().betainc(0.5, 0.5 * df, xx / (df + xx))
-    tail = 0.5 * _special().betainc(0.5 * df, 0.5, df / (df + xx))
-    inner = central <= 0.25
-    upper = np.where(inner, 0.5 + central, 1.0 - tail)
-    lower = np.where(inner, 0.5 - central, tail)
+    ax = np.abs(x)
+    inner = ax <= lo
+    band = (lo < ax) & (ax < hi)
+    if band.any():
+        xb = xx[band]
+        inner[band] = 0.5 * betainc(0.5, half, xb / (df + xb)) <= 0.25
+    # one betainc call on per-element (a, b, y)
+    v = 0.5 * betainc(
+        np.where(inner, 0.5, half),
+        np.where(inner, half, 0.5),
+        np.where(inner, xx, df) / (df + xx),
+    )
+    upper = np.where(inner, 0.5 + v, 1.0 - v)
+    lower = np.where(inner, 0.5 - v, v)
     return np.where(x >= 0, upper, lower)
 
 
@@ -222,64 +258,65 @@ def _power_in_sigma_units(dx, sigma, power):
     return out
 
 
+# np.errstate as a decorator costs about half of a `with` block per call
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
     x = np.asarray(x, float)
     p = spec.params
     family = spec.family
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if family == "uniform":
-            return np.clip((x - p["a"]) / (p["b"] - p["a"]), 0.0, 1.0)
-        if family == "exponential":
-            return np.where(x > 0, -np.expm1(-p["lambda"] * np.maximum(x, 0.0)), 0.0)
-        if family == "gamma":
-            return _special().gammainc(p["alpha"], p["beta"] * np.maximum(x, 0.0))
-        if family == "normal":
-            return _special().ndtr((x - p["mu"]) / math.sqrt(p["sigma2"]))
-        if family == "studentt":
-            return _t_cdf(p["n"], x)
-        if family == "pareto":
-            safe = np.maximum(x, p["delta"])
-            return np.where(x < p["delta"], 0.0, -np.expm1(p["alpha"] * np.log(p["delta"] / safe)))
-        if family == "frechet":
-            zpow = _power_in_sigma_units(x - p["mu"], p["sigma"], -p["alpha"])
-            return np.where(x > p["mu"], np.exp(-zpow), 0.0)
-        if family == "negweibull":
-            zpow = _power_in_sigma_units(-(x - p["mu"]), p["sigma"], p["alpha"])
-            return np.where(x < p["mu"], np.exp(-zpow), 1.0)
-        if family == "gumbel":
-            return np.exp(-np.exp(-(x - p["mu"]) / p["gamma"]))
-        if family == "hillhorror":
-            # Q(p) = u * exp(u / alpha) with u = -log(1 - p), so u = alpha * W(x / alpha).
-            w = _special().lambertw(np.maximum(x, 0.0) / p["alpha"]).real
-            return -np.expm1(-p["alpha"] * w)
+    if family == "uniform":
+        return np.clip((x - p["a"]) / (p["b"] - p["a"]), 0.0, 1.0)
+    if family == "exponential":
+        return np.where(x > 0, -np.expm1(-p["lambda"] * np.maximum(x, 0.0)), 0.0)
+    if family == "gamma":
+        return _special().gammainc(p["alpha"], p["beta"] * np.maximum(x, 0.0))
+    if family == "normal":
+        return _special().ndtr((x - p["mu"]) / math.sqrt(p["sigma2"]))
+    if family == "studentt":
+        return _t_cdf(p["n"], x)
+    if family == "pareto":
+        safe = np.maximum(x, p["delta"])
+        return np.where(x < p["delta"], 0.0, -np.expm1(p["alpha"] * np.log(p["delta"] / safe)))
+    if family == "frechet":
+        zpow = _power_in_sigma_units(x - p["mu"], p["sigma"], -p["alpha"])
+        return np.where(x > p["mu"], np.exp(-zpow), 0.0)
+    if family == "negweibull":
+        zpow = _power_in_sigma_units(-(x - p["mu"]), p["sigma"], p["alpha"])
+        return np.where(x < p["mu"], np.exp(-zpow), 1.0)
+    if family == "gumbel":
+        return np.exp(-np.exp(-(x - p["mu"]) / p["gamma"]))
+    if family == "hillhorror":
+        # Q(p) = u * exp(u / alpha) with u = -log(1 - p), so u = alpha * W(x / alpha).
+        w = _special().lambertw(np.maximum(x, 0.0) / p["alpha"]).real
+        return -np.expm1(-p["alpha"] * w)
     raise AssertionError(f"unhandled family {family}")
 
 
+@np.errstate(over="ignore")
 def _quantile_array(spec: DistributionSpec, prob) -> np.ndarray:
     prob = np.asarray(prob, float)
     p = spec.params
     family = spec.family
-    with np.errstate(over="ignore"):
-        if family == "uniform":
-            return p["a"] + prob * (p["b"] - p["a"])
-        if family == "exponential":
-            return -np.log1p(-prob) / p["lambda"]
-        if family == "gamma":
-            return _special().gammaincinv(p["alpha"], prob) / p["beta"]
-        if family == "normal":
-            return p["mu"] + math.sqrt(p["sigma2"]) * _special().ndtri(prob)
-        if family == "studentt":
-            return _t_ppf(p["n"], prob)
-        if family == "pareto":
-            return p["delta"] * np.exp(-np.log1p(-prob) / p["alpha"])
-        if family == "frechet":
-            return p["mu"] + p["sigma"] * np.power(-np.log(prob), -1.0 / p["alpha"])
-        if family == "negweibull":
-            return p["mu"] - p["sigma"] * np.power(-np.log(prob), 1.0 / p["alpha"])
-        if family == "gumbel":
-            return p["mu"] - p["gamma"] * np.log(-np.log(prob))
-        if family == "hillhorror":
-            return _hh_quantile(p["alpha"], prob)
+    if family == "uniform":
+        return p["a"] + prob * (p["b"] - p["a"])
+    if family == "exponential":
+        return -np.log1p(-prob) / p["lambda"]
+    if family == "gamma":
+        return _special().gammaincinv(p["alpha"], prob) / p["beta"]
+    if family == "normal":
+        return p["mu"] + math.sqrt(p["sigma2"]) * _special().ndtri(prob)
+    if family == "studentt":
+        return _t_ppf(p["n"], prob)
+    if family == "pareto":
+        return p["delta"] * np.exp(-np.log1p(-prob) / p["alpha"])
+    if family == "frechet":
+        return p["mu"] + p["sigma"] * np.power(-np.log(prob), -1.0 / p["alpha"])
+    if family == "negweibull":
+        return p["mu"] - p["sigma"] * np.power(-np.log(prob), 1.0 / p["alpha"])
+    if family == "gumbel":
+        return p["mu"] - p["gamma"] * np.log(-np.log(prob))
+    if family == "hillhorror":
+        return _hh_quantile(p["alpha"], prob)
     raise AssertionError(f"unhandled family {family}")
 
 
@@ -302,14 +339,23 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 # Stream (seed, stream) is PCG64 seeded by SeedSequence(seed, spawn_key=(stream,)).
 # Building numpy's SeedSequence costs ~20 us, mostly Python-level overhead and
 # as much as the rest of a replicate's draw, so its hash (numpy's
-# bit_generator.pyx) is computed here with Python ints: the pool mixed from the
-# seed once per seed, then per stream its words and the four 64-bit words that
-# seed PCG64. test_distributions pins the draws to numpy's SeedSequence.
+# bit_generator.pyx) is computed here, for an aligned block of 1024 streams
+# at a time. The pool is mixed from the seed once per seed, with Python ints.
+# Within a block only the stream's low 32-bit word varies (1024 divides
+# 2^32), so the stream's word count, and with it every hash constant, is the
+# same for the whole block: the low word is a uint64 array of 1024 values,
+# the higher words are Python ints, and one pass of 32-bit arithmetic on
+# uint64 arrays gives the four 64-bit words that seed PCG64 for all 1024
+# streams. Every operand is a uint64 array or a non-negative Python int
+# below 2^64, which promotes to uint64 under both the legacy and the NEP 50
+# rules; a numpy uint64 scalar never meets a Python int. test_distributions
+# pins the words to numpy's SeedSequence.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_BLOCK = 1024
 
 
 def _words32(value: int) -> list[int]:
@@ -322,14 +368,17 @@ def _words32(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    value ^= hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    # value is a 32-bit Python int or a uint64 array of 32-bit values; the
+    # product of two 32-bit values fits in 64 bits, so nothing wraps early.
+    value = value ^ hash_const  # not ^=, which would write into a caller's array
+    hash_const = (hash_const * mult) & _MASK32
     value = (value * hash_const) & _MASK32
     return value ^ (value >> 16), hash_const
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x, y):
+    # the subtraction may wrap modulo 2^64 on arrays; the mask keeps its low 32 bits
     mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return mixed ^ (mixed >> 16)
 
@@ -352,28 +401,38 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(pool), hash_const
 
 
+@functools.lru_cache(maxsize=4)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of streams block*1024 ... block*1024 + 1023: a read-only (1024, 4) array."""
+    pool, hash_const = _seed_pool(seed)
+    pool = list(pool)
+    first = block * _BLOCK
+    low = first & _MASK32
+    words = [np.arange(low, low + _BLOCK, dtype=np.uint64), *_words32(first)[1:]]
+    for word in words:
+        for dst in range(4):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state(4, uint64): eight 32-bit words, read as four
+    # little-endian 64-bit words
+    out = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value, hash_const = _hashmix(pool[i & 3], hash_const, _MULT_B)
+        out.append(value)
+    seeds = np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    seeds.flags.writeable = False
+    return seeds
+
+
 class _StreamSeed(np.random.bit_generator.ISeedSequence):
     """SeedSequence(seed, spawn_key=(stream,)) reduced to the PCG64 seed words."""
 
     __slots__ = ("words",)
 
     def __init__(self, rng: RngState):
-        pool, hash_const = _seed_pool(rng.seed)
-        pool = list(pool)
-        for word in _words32(rng.stream):
-            for dst in range(4):
-                value, hash_const = _hashmix(word, hash_const)
-                pool[dst] = _mix(pool[dst], value)
-        # generate_state(4, uint64): eight 32-bit words, read as four
-        # little-endian 64-bit words
-        out = []
-        hash_const = _INIT_B
-        for i in range(8):
-            value = pool[i & 3] ^ hash_const
-            hash_const = (hash_const * _MULT_B) & _MASK32
-            value = (value * hash_const) & _MASK32
-            out.append(value ^ (value >> 16))
-        self.words = np.array([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], np.uint64)
+        block, row = divmod(rng.stream, _BLOCK)
+        self.words = _seed_block(rng.seed, block)[row]
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:

@@ -28,10 +28,12 @@ class Sample:
 
     The standard fences and the count above the upper outer fence are computed
     on first use and cached too, so the six fence/quartile estimators of one
-    sample share one pair of quartiles and one count.
+    sample share one pair of quartiles and one count. So are the log-excesses
+    over the (n-k)-th order statistic, for the last k asked for, which Hill
+    and the moment estimator share.
     """
 
-    __slots__ = ("values", "sorted", "_fences", "_above_outer")
+    __slots__ = ("values", "sorted", "_fences", "_above_outer", "_log_excess")
 
     def __init__(self, values):
         arr = np.atleast_1d(np.asarray(values, dtype=float))
@@ -50,6 +52,7 @@ class Sample:
         self.sorted.flags.writeable = False
         self._fences = None
         self._above_outer = None
+        self._log_excess = None  # (k, log-excesses), filled by estimators.hill/moment_dedh
 
     @property
     def n(self) -> int:

@@ -126,6 +126,15 @@ def _top_order_stats(sample: Sample, k: int):
     return x[n - k :], x.item(n - k - 1)  # top k values and the (n-k)-th order statistic
 
 
+def _log_excesses(sample: Sample, k: int, tail: np.ndarray, base: float) -> np.ndarray:
+    # log(tail / base), which hill and moment share: cached on the sample for
+    # the last k. Callers do not write into it.
+    cached = sample._log_excess
+    if cached is None or cached[0] != k:
+        cached = sample._log_excess = (k, np.log(tail / base))
+    return cached[1]
+
+
 def hill(sample: Sample, k: int) -> EstimateRecord:
     """Hill estimator: reciprocal mean log-excess over the (n-k)-th order statistic."""
     tail, base = _top_order_stats(sample, k)
@@ -133,7 +142,7 @@ def hill(sample: Sample, k: int) -> EstimateRecord:
         return _invalid("hill", "requires positive order statistics", k)
     if tail.item(-1) / base == math.inf:  # the largest excess ratio overflows (no numpy warning)
         return _invalid("hill", "non-finite estimate", k)
-    gamma = _mean(np.log(tail / base))
+    gamma = _mean(_log_excesses(sample, k, tail, base))
     if gamma == 0.0:
         return _invalid("hill", "degenerate tail", k)
     return EstimateRecord("hill", 1.0 / gamma, True, "", k)
@@ -188,7 +197,7 @@ def moment_dedh(sample: Sample, k: int) -> EstimateRecord:
         return _invalid("moment", "requires positive order statistics", k)
     if tail.item(-1) / base == math.inf:  # as in hill: the largest excess ratio overflows
         return _invalid("moment", "non-finite estimate", k)
-    logs = np.log(tail / base)
+    logs = _log_excesses(sample, k, tail, base)
     m1 = _mean(logs)
     m2 = _mean(logs * logs)
     if m2 == 0.0:

@@ -255,6 +255,59 @@ def test_t_quantile_matches_both_form_reference_bit_for_bit(df):
         assert tf.sample(spec, rng, 40).values.tobytes() == expected.tobytes(), stream
 
 
+def reference_t_cdf(df, x):
+    # The Student-t CDF as it was before each element evaluated one form: both
+    # incomplete-beta forms for every element, then the one the computed
+    # central mass picks. The one-form CDF must give the same bits.
+    x = np.asarray(x, float)
+    xx = x * x
+    central = 0.5 * special.betainc(0.5, 0.5 * df, xx / (df + xx))
+    tail = 0.5 * special.betainc(0.5 * df, 0.5, df / (df + xx))
+    inner = central <= 0.25
+    upper = np.where(inner, 0.5 + central, 1.0 - tail)
+    lower = np.where(inner, 0.5 - central, tail)
+    return np.where(x >= 0, upper, lower)
+
+
+def ulp_steps(x, count):
+    """x and the ``count`` floats on either side of it."""
+    up, down = [x], [x]
+    for _ in range(count):
+        up.append(math.nextafter(up[-1], math.inf))
+        down.append(math.nextafter(down[-1], -math.inf))
+    return up + down[1:]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("df", [*range(1, 41), 10**6])
+def test_t_cdf_matches_both_form_reference_bit_for_bit(df):
+    spec = tf.DistributionSpec("studentt", {"n": df})
+    q = tf.quantile(spec, 0.75)
+    # The reference picks its form by the computed central mass, so the switch
+    # lies within a few ulps of the quartile, not exactly at it; the grid
+    # holds the switch and 40 ulps either side of the quartile.
+    near = np.array(sorted(ulp_steps(q, 40)))
+    xx = near * near
+    picks_central = 0.5 * special.betainc(0.5, 0.5 * df, xx / (df + xx)) <= 0.25
+    assert picks_central[0] and not picks_central[-1]
+    edges = set(near) | {x for v in (q, q * (1 - 2.0**-20), q * (1 + 2.0**-20)) for x in ulp_steps(v, 1)}
+    dense = np.concatenate([np.linspace(0.0, 50.0, 4001), np.linspace(0.0, 2.0, 4001)])
+    extremes = {5e-324, 1e-300, 1e150, 1e155, 1e300}
+
+    def both_signs(points):
+        return np.array(sorted(points | {-x for x in points}))
+
+    grid = both_signs(edges | extremes | set(dense))
+    # scalar calls (the public cdf) take their own path: the edges, the
+    # extremes and every 20th dense point
+    scalars = both_signs(edges | extremes | set(dense[::20]))
+    with np.errstate(invalid="ignore", over="ignore"):  # the reference's inf / inf at |x| > 1e154
+        expected, expected_scalars = reference_t_cdf(df, grid), reference_t_cdf(df, scalars)
+    assert _cdf_array(spec, grid).tobytes() == expected.tobytes()
+    for x, want in zip(scalars, expected_scalars):
+        assert tf.cdf(spec, x) == want, x
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.8, 5.0])
 def test_hillhorror_cdf_inverts_quantile(alpha):
     spec = tf.DistributionSpec("hillhorror", {"alpha": alpha})
@@ -320,11 +373,17 @@ def test_uniform_draw_matches_generator_integers():
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
 def test_stream_seed_matches_numpy_seed_sequence(seed):
-    # Seeds of one and two 32-bit words, streams of one to four words.
-    for stream in [*range(40), 2**32 - 1, 2**32, 2**40 + 3, 2**96 + 5, 10**30]:
+    # Seeds of one and two 32-bit words, streams of one to four words, and the
+    # first and last streams of hash blocks (1024 streams each).
+    block_edges = [1023, 1024, 2047, 2**32 - 1024, 2**64 - 1, 2**64]
+    for stream in [*range(40), *block_edges, 2**32 - 1, 2**32, 2**40 + 3, 2**96 + 5, 10**30]:
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
         expected = np.random.PCG64(seq).random_raw(4)
         assert np.array_equal(distributions._generator(tf.RngState(seed, stream)).random_raw(4), expected)
+    block = distributions._seed_block(seed, 0)
+    assert block.shape == (1024, 4) and block.dtype == np.uint64
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 0
 
 
 def test_sample_rejects_non_finite_draws(monkeypatch):

@@ -230,6 +230,37 @@ def test_power_of_two_scaling_is_exact_property(smp, k):
     assert tf.outlier_band_counts(scaled) == tf.outlier_band_counts(smp)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    smp=engine_samples(),
+    a=st.floats(1e-3, 1e3).filter(lambda a: math.frexp(a)[0] != 0.5),  # not a power of two
+    b=st.floats(-1e3, 1e3),
+    p=st.floats(0.0, 1.0),
+)
+def test_affine_equivariance_property(smp, a, b, p):
+    # With u = 2^-53 and y = fl(fl(a*x) + b), the type-6 quantile
+    # y_lo + g*(y_hi - y_lo) of the transformed sample and fl(fl(a*Q_x) + b)
+    # each differ from a*(x_lo + g*(x_hi - x_lo)) + b (exact, same g) by
+    # first-order terms in u:
+    #   transformed: u*S + u*T from each y_i, 4u*T from the difference and
+    #   the product with g (|g*(y_hi - y_lo)| <= 2T), u*T from the sum;
+    #   direct: 5u*X from Q_x's own three roundings (X = S / a), u*S from
+    #   a*Q_x, u*T from + b;
+    # S = a*max(|x_lo|, |x_hi|), T = max(|y_lo|, |y_hi|). In all 7u(S + T),
+    # and u*v <= ulp(v), so 7 (ulp(S) + ulp(T)); 8 leaves room for the
+    # second-order terms. Knots and clamped p return y_i = fl(fl(a*x_i) + b)
+    # itself, exactly.
+    y = tf.Sample(a * smp.values + b)
+    got = tf.empirical_quantile(y, p)
+    want = a * tf.empirical_quantile(smp, p) + b
+    # x_lo and x_hi lie within one place of p(n+1) (the knot snapping moves j by one)
+    j = int(p * (smp.n + 1))
+    window = slice(max(j - 2, 0), min(j + 2, smp.n))
+    s = a * float(np.max(np.abs(smp.sorted[window])))
+    t = float(np.max(np.abs(y.sorted[window])))
+    assert abs(got - want) <= 8 * (math.ulp(s) + math.ulp(t))
+
+
 def test_empirical_rate_consistent_for_exponential():
     # seed-pinned statistical check: n = 1e5 draws from exp(1)
     smp = tf.sample(tf.parse_spec("exp(lambda=1)"), tf.RngState(2024, 0), 100_000)

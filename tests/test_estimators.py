@@ -458,6 +458,20 @@ def test_estimators_match_reference_on_many_samples():
         ]
 
 
+def test_shared_log_excesses_follow_k():
+    # hill and moment share a sample's log-excesses; a later call with another
+    # k must not reuse the earlier k's
+    spec = tf.parse_spec("pareto(alpha=1,delta=1)")
+    pairs = [(3, 7), (7, 3), (1, 29), (29, 1), (12, 12)]
+    for r in range(40):
+        smp = tf.sample(spec, tf.RngState(5, r), 30)
+        for k1, k2 in pairs:
+            assert tf.moment_dedh(smp, k1) == tf.moment_dedh(tf.Sample(smp.values), k1)
+            assert tf.hill(smp, k2) == tf.hill(tf.Sample(smp.values), k2)
+            # and back to k1 after hill's k2
+            assert tf.moment_dedh(smp, k1) == tf.moment_dedh(tf.Sample(smp.values), k1)
+
+
 ENGINE_SPECS = [
     "pareto(alpha=0.5,delta=1)",
     "frechet(alpha=1.5,mu=0,sigma=2)",

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tailfence as tf
+from tailfence import distributions, montecarlo
 from tailfence.distributions import RngState
 
 
@@ -72,6 +74,30 @@ def test_parallel_matches_serial():
     parallel = tf.run_study(cfg, workers=3)
     assert serial.csv_for_axis("n") == parallel.csv_for_axis("n")
     assert serial.csv_for_axis("k") == parallel.csv_for_axis("k")
+
+
+def test_output_bytes_do_not_depend_on_cache_state_or_point_order(tmp_path):
+    # 4 points x m = 600 replicates: streams 0..2399 span three hash blocks
+    cfg = make_config(m=600)
+    other = replace(cfg, seed=cfg.seed + 1)
+
+    def output_bytes(result, name):
+        return {p.name: p.read_bytes() for p in tf.write_study_outputs(result, tmp_path / name)}
+
+    def cold(config, name):
+        distributions._seed_pool.cache_clear()
+        distributions._seed_block.cache_clear()
+        return output_bytes(tf.run_study(config), name)
+
+    first, other_first = cold(cfg, "cold"), cold(other, "other_cold")
+    # each study now runs right after the other seed's study filled the caches
+    assert output_bytes(tf.run_study(cfg), "warmed") == first
+    assert output_bytes(tf.run_study(other), "other_warmed") == other_first
+    points = montecarlo._grid_points(cfg)
+    chunks = {g: montecarlo._evaluate_point(cfg, g, points[g]) for g in reversed(range(len(points)))}
+    rows = tuple(row for g in range(len(points)) for row in chunks[g])
+    assert output_bytes(montecarlo.StudyResult(cfg, rows), "reversed") == first
+    assert len(first) == 3 and first["pareto_n.csv"] != other_first["pareto_n.csv"]
 
 
 def test_replicate_streams_match_documented_mapping():
