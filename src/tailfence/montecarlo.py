@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from .distributions import DistributionSpec, RngState
+from .distributions import DistributionSpec, RngState, checked_int
 from .empirical import Sample, empirical_quantile
 from .estimators import ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, evaluate
 
@@ -42,7 +42,13 @@ class StudyConfig:
     methods: tuple[str, ...] = ALL_METHODS
 
     def __post_init__(self):
-        RngState(self.seed)  # validates the seed range
+        # Integer fields become Python ints here, so a float fails now rather
+        # than deep in the engine, and a numpy integer reaches the manifest as an int.
+        object.__setattr__(self, "seed", RngState(self.seed).seed)  # validates the seed range
+        object.__setattr__(self, "m", checked_int(self.m, "m"))
+        object.__setattr__(self, "n_grid", tuple(checked_int(n, "n_grid entry") for n in self.n_grid))
+        if self.k_grid is not None:
+            object.__setattr__(self, "k_grid", tuple(checked_int(k, "k_grid entry") for k in self.k_grid))
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
         if not self.n_grid:
@@ -130,15 +136,17 @@ def _grid_points(config: StudyConfig) -> list[_GridPoint]:
 def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[StudyRow]:
     if not point.methods:
         return []
-    per_method: dict[str, list] = {m: [] for m in point.methods}
+    valid_alphas: dict[str, list] = {m: [] for m in point.methods}
     spec, seed, base, n, k = config.spec, config.seed, g * config.m, point.n, point.k
     for r in range(config.m):
         smp = dist.sample(spec, RngState(seed, base + r), n)
-        for method, records in per_method.items():
-            records.append(evaluate(method, smp, k))
+        for method, values in valid_alphas.items():
+            record = evaluate(method, smp, k)
+            if record.valid:
+                values.append(record.alpha_hat)
     rows = []
     for method in point.methods:
-        values = [rec.alpha_hat for rec in per_method[method] if rec.valid]
+        values = valid_alphas[method]
         if values:
             mean, lo, hi = summarize_ci(values)
         else:

@@ -342,22 +342,58 @@ def test_lower_tail_round_trip_property(spec, log2_u):
     assert abs(tf.cdf(spec, x) - u) <= 1e-10 * u
 
 
-class _TopDrawGenerator:
-    """Stands in for a bit generator whose raw word is the largest, 2^64 - 1.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 (XSL-RR 128/64) multiplier
 
-    Its top 53 bits give the largest integer draw, 2^53 - 1.
+
+def _pcg64_emitting(word):
+    """A real PCG64 whose next raw 64-bit word is ``word``.
+
+    PCG64 steps its 128-bit state (state * MULT + inc mod 2^128) and outputs
+    hi ^ lo of the new state, rotated right by its top six bits. The new state
+    hi = 0, lo = word therefore outputs ``word``; the state to load is that
+    one stepped back once.
     """
+    bitgen = np.random.PCG64(0)
+    inc = bitgen.state["state"]["inc"]
+    previous = (word - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": previous, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
 
-    def random_raw(self, size):
-        return np.full(size, 2**64 - 1, dtype=np.uint64)
+
+def _top_draw_generator():
+    # The largest raw word, 2^64 - 1: its top 53 bits give the largest integer draw, 2^53 - 1.
+    return _pcg64_emitting(2**64 - 1)
 
 
 def test_top_integer_draw_stays_below_one(monkeypatch):
-    assert _uniform_open(_TopDrawGenerator(), 1)[0] == 1.0 - 2.0**-53
-    monkeypatch.setattr(distributions, "_generator", lambda rng: _TopDrawGenerator())
+    assert _top_draw_generator().random_raw(1)[0] == 2**64 - 1
+    assert _uniform_open(_top_draw_generator(), 1)[0] == 1.0 - 2.0**-53
+    monkeypatch.setattr(distributions, "_generator", lambda rng: _top_draw_generator())
     for text in ("pareto(alpha=1,delta=1)", "exp(lambda=1)", "hillhorror(alpha=0.5)",
                  "frechet(alpha=2,mu=0,sigma=1)"):
         assert np.isfinite(tf.sample(tf.parse_spec(text), tf.RngState(1, 0), 1).values).all()
+
+
+def _uniform_from_raw_words(words):
+    # The sampler's documented mapping of raw words to uniforms:
+    # u = ((w >> 11) + 0.5) / 2^53, clamped below 1.
+    k = (words >> np.uint64(11)).astype(np.float64)
+    return np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
+
+
+def test_uniform_open_matches_raw_word_formula_bit_for_bit():
+    edge_words = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**12, 2**64 - 2**11 - 1,
+                  2**64 - 2**11, 2**64 - 2]
+    for word in [*edge_words, 2**64 - 1]:
+        assert _pcg64_emitting(word).random_raw(1)[0] == word
+        expected = _uniform_from_raw_words(np.array([word], dtype=np.uint64))
+        assert np.array_equal(_uniform_open(_pcg64_emitting(word), 1), expected)
+    for stream in range(1200):
+        rng = tf.RngState(99, stream)
+        count = 1 + stream % 130
+        expected = _uniform_from_raw_words(distributions._generator(rng).random_raw(count))
+        assert np.array_equal(_uniform_open(distributions._generator(rng), count), expected)
 
 
 def test_uniform_draw_matches_generator_integers():
@@ -387,7 +423,7 @@ def test_stream_seed_matches_numpy_seed_sequence(seed):
 
 
 def test_sample_rejects_non_finite_draws(monkeypatch):
-    monkeypatch.setattr(distributions, "_generator", lambda rng: _TopDrawGenerator())
+    monkeypatch.setattr(distributions, "_generator", lambda rng: _top_draw_generator())
     spec = tf.parse_spec("hillhorror(alpha=0.01)")  # Q(1 - 2^-53) overflows
     with pytest.raises(ValueError, match="NaN or infinite"):
         tf.sample(spec, tf.RngState(1, 0), 3)
@@ -435,3 +471,33 @@ def test_rng_state_validation():
         tf.RngState(2**64, 0)
     with pytest.raises(ValueError):
         tf.RngState(1, -1)
+    with pytest.raises(ValueError):
+        tf.RngState(np.int64(-1), 0)
+
+
+@pytest.mark.parametrize(
+    ("seed", "stream"),
+    [(1.5, 0), (1, 2.5), (2.0, 0), (1, np.float64(3.0)), (True, 0), (1, False), ("1", 0), (1, None)],
+)
+def test_rng_state_rejects_non_integers(seed, stream):
+    # rejected here, not later inside sample with a TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        tf.RngState(seed, stream)
+
+
+def test_rng_state_takes_numpy_integers_as_python_ints():
+    spec = tf.parse_spec("pareto(alpha=1,delta=1)")
+    for seed, stream in [(np.uint64(2**64 - 1), np.int32(7)), (np.int64(12), 3), (12, np.uint16(3))]:
+        rng = tf.RngState(seed, stream)
+        assert type(rng.seed) is int and type(rng.stream) is int
+        plain = tf.RngState(int(seed), int(stream))
+        assert rng == plain
+        assert np.array_equal(tf.sample(spec, rng, 5).values, tf.sample(spec, plain, 5).values)
+
+
+def test_sample_count_must_be_an_integer():
+    spec = tf.parse_spec("uniform(a=0,b=1)")
+    for count in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            tf.sample(spec, tf.RngState(3, 0), count)
+    assert tf.sample(spec, tf.RngState(3, 0), np.int64(4)).n == 4

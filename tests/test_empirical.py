@@ -25,11 +25,18 @@ def test_sample_validation():
 
 
 def test_sample_is_immutable_and_sorted():
-    smp = tf.Sample([3.0, 1.0, 2.0])
+    source = np.array([3.0, 1.0, 2.0])
+    smp = tf.Sample(source)
+    source[:] = 9.0  # the sample keeps its own copy
     assert list(smp.sorted) == [1.0, 2.0, 3.0]
     assert list(smp.values) == [3.0, 1.0, 2.0]
     with pytest.raises(ValueError):
         smp.values[0] = 9.0
+    with pytest.raises(ValueError):
+        smp.sorted[0] = 9.0
+    assert source.flags.writeable  # the caller's array is left as it was
+    assert not np.shares_memory(smp.values, smp.sorted)
+    assert tf.Sample(2.5).n == 1
 
 
 def test_quantile_at_knots():

@@ -1,7 +1,8 @@
 import ast
+import itertools
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -459,8 +460,9 @@ def test_estimators_match_reference_on_many_samples():
 
 
 def test_shared_log_excesses_follow_k():
-    # hill and moment share a sample's log-excesses; a later call with another
-    # k must not reuse the earlier k's
+    # hill, t_hill and moment share a sample's top order statistics, and hill
+    # and moment its log-excesses with their mean, each cached for the last k;
+    # a later call with another k must not reuse the earlier k's
     spec = tf.parse_spec("pareto(alpha=1,delta=1)")
     pairs = [(3, 7), (7, 3), (1, 29), (29, 1), (12, 12)]
     for r in range(40):
@@ -470,6 +472,43 @@ def test_shared_log_excesses_follow_k():
             assert tf.hill(smp, k2) == tf.hill(tf.Sample(smp.values), k2)
             # and back to k1 after hill's k2
             assert tf.moment_dedh(smp, k1) == tf.moment_dedh(tf.Sample(smp.values), k1)
+    # every order of the four classical methods, going k1 -> k2 -> k1 on one sample
+    pairs = [(3, 7), (7, 3), (1, 10), (10, 1), (5, 5)]
+    for r in range(8):
+        values = tf.sample(spec, tf.RngState(6, r), 40).values
+        fresh = {
+            (method, k): tf.evaluate(method, tf.Sample(values), k)
+            for method in tf.CLASSICAL_METHODS
+            for k in range(1, 11)
+        }
+        for order in itertools.permutations(tf.CLASSICAL_METHODS):
+            for k1, k2 in pairs:
+                smp = tf.Sample(values)
+                for k in (k1, k2, k1):
+                    for method in order:
+                        assert tf.evaluate(method, smp, k) == fresh[(method, k)]
+
+
+def test_estimate_record_is_a_frozen_dataclass():
+    record = tf.EstimateRecord("hill", 1.5, True, "", 4)
+    assert [(f.name, f.default) for f in fields(record)] == [
+        ("method", MISSING), ("alpha_hat", MISSING), ("valid", MISSING), ("reason", ""), ("k", None),
+    ]
+    for name in ("method", "alpha_hat", "valid", "reason", "k", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 0)
+    with pytest.raises(FrozenInstanceError):
+        del record.k
+    same = tf.EstimateRecord(method="hill", alpha_hat=1.5, valid=True, reason="", k=4)
+    assert record == same and hash(record) == hash(same)
+    assert record != tf.EstimateRecord("hill", 1.5, True, "", 5)
+    assert tf.EstimateRecord("pickands", None, False) == tf.EstimateRecord("pickands", None, False, "", None)
+    moved = replace(record, k=5, valid=False)
+    assert moved == tf.EstimateRecord("hill", 1.5, False, "", 5) and record.k == 4
+    assert repr(record) == "EstimateRecord(method='hill', alpha_hat=1.5, valid=True, reason='', k=4)"
+    assert astuple(record) == ("hill", 1.5, True, "", 4)
+    with pytest.raises(TypeError):
+        tf.EstimateRecord("hill", 1.5)
 
 
 ENGINE_SPECS = [

@@ -52,6 +52,37 @@ def test_config_validation(overrides):
         make_config(**overrides)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"m": 2.5},
+        {"m": 40.0},
+        {"m": True},
+        {"n_grid": (10.5, 20)},
+        {"n_grid": (10, np.float64(15))},
+        {"k_grid": (2.5,)},
+        {"k_grid": (2, 4.0)},
+        {"seed": 1.5},
+    ],
+)
+def test_config_rejects_non_integers(overrides):
+    # rejected here, not later inside run_study with a TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_config(**overrides)
+
+
+def test_config_takes_numpy_integers_as_python_ints(tmp_path):
+    plain = make_config()
+    numpy_ints = make_config(seed=np.uint64(9), m=np.int64(40), n_grid=np.array([10, 15]),
+                             k_grid=(np.int32(2), np.int16(4)))
+    assert numpy_ints == plain
+    for value in (numpy_ints.seed, numpy_ints.m, *numpy_ints.n_grid, *numpy_ints.k_grid):
+        assert type(value) is int
+    paths = tf.write_study_outputs(tf.run_study(numpy_ints), tmp_path / "numpy")
+    expected = tf.write_study_outputs(tf.run_study(plain), tmp_path / "plain")
+    assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in expected]
+
+
 def test_default_grids():
     cfg = tf.StudyConfig(spec=tf.parse_spec("pareto(alpha=1,delta=1)"), seed=1, m=2,
                          n_grid=(10, 20), methods=("hill",))
