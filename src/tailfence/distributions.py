@@ -246,7 +246,8 @@ def _t_ppf(df, p):
     # x^2 = df * w / (1 - w) in the central form, df * (1 - w) / w in the tail
     # form; picking numerator and denominator first never divides by w = 0.
     v = 1.0 - w
-    num, den = np.where(central, (w, v), (v, w))
+    num = np.where(central, w, v)
+    den = np.where(central, v, w)
     return np.copysign(np.sqrt(df * num / den), d)  # d < 0 iff p < 1/2; +0.0 at 1/2
 
 

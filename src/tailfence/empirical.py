@@ -7,7 +7,9 @@ order statistic is returned exactly at p = k/(n+1).
 A sample's fences are always the paper's standard Tukey fences (1.5*IQR and
 3*IQR beyond the quartiles); only the theoretical characteristics in
 ``tail_chars`` take other multipliers. The four outlier rates are read off
-the band counts of ``outlier_band_counts``.
+the band counts of ``outlier_band_counts``. ``row_quantiles`` and
+``row_fence_characteristics`` do the same for every row of a matrix of
+sorted samples at once, in the same float steps as for one sample.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fences import Fences, fences_from_quartiles
+from .fences import DEFAULT_OUTER, Fences, fence_pair, fences_from_quartiles
 
 
 _KNOT_FUZZ = 8.0 * float(np.finfo(float).eps)
@@ -67,28 +69,42 @@ class Sample:
         return f"Sample(n={self.n}, min={self.sorted[0]:g}, max={self.sorted[-1]:g})"
 
 
-def empirical_quantile_flagged(sample: Sample, p: float) -> tuple[float, bool]:
-    """Type-6 quantile with a flag marking p outside [1/(n+1), n/(n+1)].
+def _type6_knot(n: int, p: float) -> tuple[int, float, bool]:
+    """Where the type-6 p-quantile of n order statistics lies: ``(i, g, clamped)``.
 
-    Out-of-range p is clamped to the nearest extreme order statistic
-    instead of raising, so small-sample pipelines degrade gracefully.
+    The quantile is ``x[i] + g * (x[i + 1] - x[i])`` of the sorted values
+    ``x``, and ``x[i]`` itself when g == 0. clamped marks p outside
+    [1/(n+1), n/(n+1)], infinite p included; NaN p raises ValueError.
     """
-    x = sample.sorted
-    n = x.size
+    if math.isnan(p):
+        raise ValueError(f"quantile level p must not be NaN, got p={p}")
     h = p * (n + 1)
     # Snap to the plotting-position knots: p = k/(n+1) must return X_(k:n)
     # bit-exactly even though h = p*(n+1) carries rounding error.
     fuzz = _KNOT_FUZZ * max(1.0, abs(h))
-    if h < 1.0 - fuzz:
-        return float(x[0]), True
-    if h > n + fuzz:
-        return float(x[-1]), True
+    if h < 1.0 - fuzz or h == -math.inf:
+        return 0, 0.0, True
+    if h > n + fuzz or h == math.inf:
+        return n - 1, 0.0, True
     j = int(math.floor(h + fuzz))
     g = h - j
     if g < fuzz or j >= n:
-        j = min(j, n)
-        return float(x[j - 1]), False
-    return float(x[j - 1] + g * (x[j] - x[j - 1])), False
+        return min(j, n) - 1, 0.0, False
+    return j - 1, g, False
+
+
+def empirical_quantile_flagged(sample: Sample, p: float) -> tuple[float, bool]:
+    """Type-6 quantile with a flag marking p outside [1/(n+1), n/(n+1)].
+
+    Out-of-range p, infinite p included, is clamped to the nearest extreme
+    order statistic instead of raising, so small-sample pipelines degrade
+    gracefully. NaN p raises ValueError.
+    """
+    x = sample.sorted
+    i, g, clamped = _type6_knot(x.size, p)
+    if g == 0.0:
+        return float(x[i]), clamped
+    return float(x[i] + g * (x[i + 1] - x[i])), clamped
 
 
 def empirical_quantile(sample: Sample, p: float) -> float:
@@ -115,6 +131,34 @@ def extreme_right_count(sample: Sample) -> int:
         below = int(np.searchsorted(sample.sorted, fen.outer_high, side="right"))
         sample._above_outer = sample.n - below
     return sample._above_outer
+
+
+def row_quantiles(rows: np.ndarray, p: float) -> np.ndarray:
+    """Type-6 p-quantile of each row of a matrix whose rows are sorted samples.
+
+    Row by row the same value as ``empirical_quantile(Sample(row), p)``.
+    """
+    i, g, _ = _type6_knot(rows.shape[1], p)
+    if g == 0.0:
+        return rows[:, i]
+    return rows[:, i] + g * (rows[:, i + 1] - rows[:, i])
+
+
+def row_fence_characteristics(rows: np.ndarray):
+    """Quartiles, upper outer fence and the count above it, per sorted row.
+
+    Returns the arrays ``(q1, q3, outer_high, above)``; row by row they equal
+    ``empirical_fences(Sample(row))`` and ``extreme_right_count(Sample(row))``.
+    Requires rows of at least 3 observations.
+    """
+    if rows.shape[1] < 3:
+        raise ValueError("sample too small for quartile fences")
+    q1 = row_quantiles(rows, 0.25)
+    q3 = row_quantiles(rows, 0.75)
+    with np.errstate(over="ignore"):  # as the Python floats of one sample: inf, no warning
+        _, outer_high = fence_pair(q1, q3, DEFAULT_OUTER)
+    above = np.count_nonzero(rows > outer_high[:, None], axis=1)
+    return q1, q3, outer_high, above
 
 
 def outlier_band_counts(sample: Sample) -> tuple[int, int, int, int, int]:

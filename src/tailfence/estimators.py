@@ -3,8 +3,12 @@
 Six fence/quartile estimators invert the outer-fence exceedance rate or the
 quartile ratio of an assumed family (Pareto, Frechet, Hill-horror), using the
 type-6 empirical quartiles and the standard 3*IQR outer fence baked into
-their derivations. The classical comparators (Hill, t-Hill, Pickands,
-moment) use the usual upper-order-statistic forms from the literature.
+their derivations. Each inversion is a function of characteristics,
+``alpha_from_fence_prob(family, p_eR, outer_high)`` or
+``alpha_from_quartiles(family, q1, q3)``: ``evaluate`` feeds it one sample's,
+``evaluate_rows`` every row's of a matrix of samples. The classical
+comparators (Hill, t-Hill, Pickands, moment) use the usual
+upper-order-statistic forms from the literature.
 
 Every estimator returns an :class:`EstimateRecord`; data-dependent failures
 (no outliers, tied order statistics, family mismatch) are reported as
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, empirical_fences, extreme_right_count
+from .empirical import Sample, empirical_fences, extreme_right_count, row_fence_characteristics
 
 _LOG2 = math.log(2.0)
 _LOG3 = math.log(3.0)
@@ -80,41 +84,50 @@ def _checked(method: str, alpha: float, k: int | None = None) -> EstimateRecord:
     return EstimateRecord(method, alpha, True, "", k)
 
 
-def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:
-    """Invert the outer-fence exceedance rate under the assumed family."""
-    if family not in FENCE_FAMILIES:
+def _method_for(family: str, by_family: dict[str, str]) -> str:
+    method = by_family.get(family)
+    if method is None:
         raise ValueError(f"family must be one of {FENCE_FAMILIES}, got {family!r}")
-    method = _FENCE_METHOD_BY_FAMILY[family]
-    fen = empirical_fences(sample)
-    p = extreme_right_count(sample) / sample.n
-    if p == 0.0:
+    return method
+
+
+def alpha_from_fence_prob(family: str, p_eR: float, outer_high: float) -> EstimateRecord:
+    """Invert the probability beyond the upper outer fence under the assumed family.
+
+    p_eR and outer_high are Python floats: a sample's share above its upper
+    outer fence and that fence (``par_n``, ``fr_n``, ``hh_n``), or the
+    family's own theoretical p_eR and fence, which give its alpha back.
+    """
+    method = _method_for(family, _FENCE_METHOD_BY_FAMILY)
+    if p_eR == 0.0:
         return _invalid(method, "no extreme outliers observed")
-    if fen.outer_high <= 0.0:
+    if outer_high <= 0.0:
         return _invalid(method, "outer fence not positive")
     if family == "hillhorror":
-        denom = math.log(-math.log(p) / fen.outer_high)
+        denom = math.log(-math.log(p_eR) / outer_high)
         if denom == 0.0:
             return _invalid(method, "outer fence equals -log(p_eR)")
-        return _checked(method, math.log(p) / denom)
-    denom = math.log(fen.outer_high)
+        return _checked(method, math.log(p_eR) / denom)
+    denom = math.log(outer_high)
     if denom == 0.0:
         return _invalid(method, "outer fence equals 1")
     if family == "pareto":
-        return _checked(method, -math.log(p) / denom)
-    return _checked(method, -math.log(-math.log1p(-p)) / denom)
+        return _checked(method, -math.log(p_eR) / denom)
+    return _checked(method, -math.log(-math.log1p(-p_eR)) / denom)
 
 
-def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
-    """Invert the theoretical quartile ratio of the assumed family."""
-    if family not in FENCE_FAMILIES:
-        raise ValueError(f"family must be one of {FENCE_FAMILIES}, got {family!r}")
-    method = _QUARTILE_METHOD_BY_FAMILY[family]
-    fen = empirical_fences(sample)
-    if fen.q1 <= 0.0:
+def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
+    """Invert the quartile ratio of the assumed family (``par_q``, ``fr_q``, ``hh_q``).
+
+    q1 and q3 are Python floats: a sample's type-6 quartiles, or the
+    family's own, which give its alpha back.
+    """
+    method = _method_for(family, _QUARTILE_METHOD_BY_FAMILY)
+    if q1 <= 0.0:
         return _invalid(method, "needs positive quartiles")
-    if fen.q1 == fen.q3:
+    if q1 == q3:
         return _invalid(method, "equal quartiles")
-    spread = math.log(fen.q3) - math.log(fen.q1)
+    spread = math.log(q3) - math.log(q1)
     if family == "hillhorror":
         # The denominator is never 0: that needs spread + loglog(4/3) to equal
         # loglog(4), so spread ~ 1.57 and the sum is an exact multiple of
@@ -126,6 +139,41 @@ def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     if family == "pareto":
         return _checked(method, _LOG3 / spread)
     return _checked(method, (_LOGLOG4 - _LOGLOG43) / spread)
+
+
+def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:
+    """Invert a sample's outer-fence exceedance rate under the assumed family."""
+    fen = empirical_fences(sample)
+    return alpha_from_fence_prob(family, extreme_right_count(sample) / sample.n, fen.outer_high)
+
+
+def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
+    """Invert the assumed family's quartile ratio at a sample's quartiles."""
+    fen = empirical_fences(sample)
+    return alpha_from_quartiles(family, fen.q1, fen.q3)
+
+
+def evaluate_rows(methods, rows: np.ndarray) -> dict[str, list[EstimateRecord]]:
+    """Score fence/quartile methods on every row of a matrix of sorted samples.
+
+    The characteristics of all rows are computed at once, then each method's
+    inversion runs once per row on Python floats, so row by row the records
+    equal ``evaluate(method, Sample(row))``.
+    """
+    q1, q3, outer_high, above = (a.tolist() for a in row_fence_characteristics(rows))
+    n = rows.shape[1]
+    p_eR = [count / n for count in above]
+    scored = {}
+    for method in methods:
+        if method in FENCE_METHODS:
+            family = FENCE_FAMILIES[FENCE_METHODS.index(method)]
+            scored[method] = [alpha_from_fence_prob(family, p, hi) for p, hi in zip(p_eR, outer_high)]
+        elif method in QUARTILE_METHODS:
+            family = FENCE_FAMILIES[QUARTILE_METHODS.index(method)]
+            scored[method] = [alpha_from_quartiles(family, lo, hi) for lo, hi in zip(q1, q3)]
+        else:
+            raise ValueError(f"method {method!r} is not a fence/quartile method")
+    return scored
 
 
 def _mean(values: np.ndarray) -> float:

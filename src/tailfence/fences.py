@@ -39,13 +39,24 @@ def fences_from_quartiles(
         )
     if q3 < q1:
         raise ValueError(f"q3 must not be below q1, got q1={q1}, q3={q3}")
-    iqr = q3 - q1
+    inner_low, inner_high = fence_pair(q1, q3, inner)
+    outer_low, outer_high = fence_pair(q1, q3, outer)
     return Fences(
         q1=q1,
         q3=q3,
-        iqr=iqr,
-        inner_low=q1 - inner * iqr,
-        inner_high=q3 + inner * iqr,
-        outer_low=q1 - outer * iqr,
-        outer_high=q3 + outer * iqr,
+        iqr=q3 - q1,
+        inner_low=inner_low,
+        inner_high=inner_high,
+        outer_low=outer_low,
+        outer_high=outer_high,
     )
+
+
+def fence_pair(q1, q3, multiplier: float):
+    """The fences ``(q1 - multiplier*iqr, q3 + multiplier*iqr)``, unchecked.
+
+    Takes floats or arrays alike, so a matrix of quartiles gets the same
+    float steps as one sample's.
+    """
+    iqr = q3 - q1
+    return q1 - multiplier * iqr, q3 + multiplier * iqr

@@ -7,14 +7,17 @@ with empirical 95% bands over the valid replicates.
 
 Replicate r at grid point g always uses ``RngState(seed, stream=g*m + r)``,
 so results are bit-identical for identical configs no matter how many
-workers evaluate the grid. Each replicate is drawn by ``distributions.sample``
-and scored by ``evaluate`` once per method.
+workers evaluate the grid. Each replicate is drawn by ``distributions.sample``.
+At a k-point, ``evaluate`` scores each replicate once per method. At an
+n-point, the replicates' sorted values are stacked into one (m, n) matrix and
+``evaluate_rows`` scores them all: it computes every row's quartiles, upper
+outer fence and count above it at once, then runs each method's inversion
+once per row, giving the records ``evaluate`` would.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,7 +28,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import DistributionSpec, RngState, checked_int
 from .empirical import Sample, empirical_quantile
-from .estimators import ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, evaluate
+from .estimators import ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, _mean, evaluate, evaluate_rows
 
 DEFAULT_N_GRID = tuple(range(10, 101, 5))
 
@@ -112,7 +115,7 @@ def summarize_ci(values) -> tuple[float, float, float]:
         # keep mean == ci bounds exact for constant collections
         return (float(smp.sorted[0]),) * 3
     return (
-        float(np.mean(smp.values)),
+        _mean(smp.values),
         empirical_quantile(smp, 0.025),
         empirical_quantile(smp, 0.975),
     )
@@ -136,14 +139,22 @@ def _grid_points(config: StudyConfig) -> list[_GridPoint]:
 def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[StudyRow]:
     if not point.methods:
         return []
-    valid_alphas: dict[str, list] = {m: [] for m in point.methods}
     spec, seed, base, n, k = config.spec, config.seed, g * config.m, point.n, point.k
-    for r in range(config.m):
-        smp = dist.sample(spec, RngState(seed, base + r), n)
-        for method, values in valid_alphas.items():
-            record = evaluate(method, smp, k)
-            if record.valid:
-                values.append(record.alpha_hat)
+    if k is None:
+        stacked = np.empty((config.m, n))
+        for r in range(config.m):
+            stacked[r] = dist.sample(spec, RngState(seed, base + r), n).sorted
+        records = evaluate_rows(point.methods, stacked)
+        valid_alphas = {method: [rec.alpha_hat for rec in recs if rec.valid]
+                        for method, recs in records.items()}
+    else:
+        valid_alphas = {m: [] for m in point.methods}
+        for r in range(config.m):
+            smp = dist.sample(spec, RngState(seed, base + r), n)
+            for method, values in valid_alphas.items():
+                record = evaluate(method, smp, k)
+                if record.valid:
+                    values.append(record.alpha_hat)
     rows = []
     for method in point.methods:
         values = valid_alphas[method]
@@ -203,6 +214,16 @@ class StudyResult:
 def _fmt(value: float | None) -> str:
     """CSV number format shared with the CLI; None is an empty field."""
     return "" if value is None else f"{value:.12g}"
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first use.
+
+    A serial study, the default, never loads ``multiprocessing``.
+    """
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(*args, **kwargs)
 
 
 def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:

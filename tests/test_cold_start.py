@@ -1,8 +1,10 @@
-"""scipy.special loads on the first numeric-family call, never at import.
+"""scipy.special loads on the first numeric-family call, never at import,
+and multiprocessing only when a study asks for a process pool.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported scipy. The script prints one JSON line: the commands after
-which scipy.special was loaded, and the digests of what they wrote.
+which scipy.special and multiprocessing were loaded, and the digests of what
+they wrote.
 """
 
 import hashlib
@@ -43,15 +45,17 @@ NUMERIC = [
 SMALL_STUDY = ["--seed", "3", "--m", "5", "--n-grid", "10,20", "--k-grid", "2,3"]
 
 # Runs (label, argv) pairs through cli.main and reports, after each, whether
-# scipy.special is loaded and the sha256 of each file it wrote or of its stdout.
+# scipy.special and multiprocessing are loaded and the sha256 of each file it
+# wrote or of its stdout.
 RUNNER = """
 import hashlib, io, json, sys, tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 loaded = lambda: "scipy.special" in sys.modules
+pool_loaded = lambda: "multiprocessing" in sys.modules
 import tailfence
-report = {"import": loaded(), "commands": {}}
+report = {"import": loaded(), "import_pool": pool_loaded(), "commands": {}}
 from tailfence.cli import main
 report["import_cli"] = loaded()
 with tempfile.TemporaryDirectory() as tmp:
@@ -63,7 +67,8 @@ with tempfile.TemporaryDirectory() as tmp:
         files = sorted(out.iterdir()) if out.is_dir() else []
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
         digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-        report["commands"][label] = {"code": code, "loaded": loaded(), "digests": digests}
+        report["commands"][label] = {"code": code, "loaded": loaded(),
+                                     "pool_loaded": pool_loaded(), "digests": digests}
 print(json.dumps(report))
 """
 
@@ -126,6 +131,15 @@ def test_numeric_families_load_scipy_special_on_first_use(spec, numeric_quantile
         expected = in_process_digests(study, tmp_path / "s")
         expected.pop("stdout")
         assert written == expected
+
+
+def test_serial_studies_never_load_multiprocessing():
+    # the process pool is imported when run_study is asked for workers > 1, not before
+    study = ["simulate", "--dist", "t(n=4)", *SMALL_STUDY, "--out", "{out}"]
+    report = fresh_run([("simulate", study)])
+    assert report["import_pool"] is False
+    run = report["commands"]["simulate"]
+    assert run["code"] == 0 and run["pool_loaded"] is False
 
 
 def test_first_numeric_call_binds_no_module_global():

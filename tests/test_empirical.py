@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailfence as tf
+from tailfence.empirical import row_quantiles
 
 
 def test_sample_validation():
@@ -75,6 +76,30 @@ def test_out_of_range_p_clamps_with_flag():
     single = tf.Sample([5.0])
     assert tf.empirical_quantile(single, 0.025) == 5.0
     assert tf.empirical_quantile(single, 0.975) == 5.0
+
+
+def test_non_finite_p_clamps_or_raises():
+    smp = tf.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
+    rows = np.array([smp.sorted, 10.0 * smp.sorted])
+    # infinite p, and a finite p whose (n+1)p overflows, clamp with the flag set
+    for p, low in [(math.inf, False), (1e308, False), (-math.inf, True), (-1e308, True)]:
+        assert tf.empirical_quantile_flagged(smp, p) == ((1.0, True) if low else (5.0, True))
+        assert row_quantiles(rows, p).tolist() == ([1.0, 10.0] if low else [5.0, 50.0])
+    for p in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="p=nan"):
+            tf.empirical_quantile_flagged(smp, p)
+        with pytest.raises(ValueError, match="p=nan"):
+            row_quantiles(rows, p)
+
+
+def test_row_quantiles_match_the_sample_quantile():
+    rng = np.random.default_rng(2719)
+    for n in (1, 2, 3, 7, 11, 15, 40):
+        rows = np.sort(rng.standard_t(2, size=(6, n)), axis=1)
+        rows[0] = 3.0  # a constant row
+        for p in (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0, 1 / (n + 1), n / (n + 1)):
+            got = row_quantiles(rows, p).tolist()
+            assert got == [tf.empirical_quantile(tf.Sample(row), p) for row in rows], (n, p)
 
 
 def test_fences_small_samples():

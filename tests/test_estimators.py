@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import tailfence as tf
 from tailfence import estimators
+from tailfence.empirical import row_fence_characteristics
 
 LOG3 = math.log(3.0)
 LOG4 = math.log(4.0)
@@ -106,6 +107,12 @@ def test_fence_prob_seed_regression():
 def test_fence_prob_rejects_bad_family():
     with pytest.raises(ValueError, match="family"):
         tf.estimate_fence_prob(quartile_sample(), "gumbel")
+    with pytest.raises(ValueError, match="family"):
+        tf.estimate_quartile_ratio(quartile_sample(), "gumbel")
+    with pytest.raises(ValueError, match="family"):
+        estimators.alpha_from_fence_prob("gumbel", 0.01, 10.0)
+    with pytest.raises(ValueError, match="family"):
+        estimators.alpha_from_quartiles("gumbel", 1.0, 2.0)
 
 
 def test_quartile_ratio_worked_examples():
@@ -144,6 +151,22 @@ def test_quartile_ratio_exact_on_matched_quartiles():
             rec = tf.estimate_quartile_ratio(own_quantile_grid(form.format(alpha)), family)
             assert rec.valid
             assert rec.alpha_hat == pytest.approx(alpha, abs=1e-12), (family, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize(("family", "form"), [
+    ("pareto", "pareto(alpha={},delta=1)"),
+    ("frechet", "frechet(alpha={},mu=0,sigma=1)"),
+    ("hillhorror", "hillhorror(alpha={})"),
+])
+def test_inversions_return_alpha_from_theoretical_characteristics(family, form, alpha):
+    # the paper's estimators invert characteristics: fed its own family's, each gives alpha back
+    chars = tf.characteristics(tf.parse_spec(form.format(alpha)))
+    fen = chars.fences
+    for record in (estimators.alpha_from_fence_prob(family, chars.p_eR, fen.outer_high),
+                   estimators.alpha_from_quartiles(family, fen.q1, fen.q3)):
+        assert record.valid, record
+        assert abs(record.alpha_hat - alpha) <= 4 * math.ulp(alpha), record
 
 
 def test_hill_simple_cases():
@@ -569,3 +592,63 @@ def test_scale_invariance_property(text, n, seed, c, k_share):
             assert (a.valid, a.reason) == (b.valid, b.reason)
             if a.alpha_hat is not None:
                 assert b.alpha_hat == pytest.approx(a.alpha_hat, rel=1e-9)
+
+
+def bits(record):
+    """A record as (method, exact alpha bits, valid, reason, k): -0.0 and 0.0 differ."""
+    alpha = None if record.alpha_hat is None else record.alpha_hat.hex()
+    return record.method, alpha, record.valid, record.reason, record.k
+
+
+def assert_rows_match_samples(rows):
+    q1, q3, outer_high, above = (a.tolist() for a in row_fence_characteristics(rows))
+    scored = estimators.evaluate_rows(tf.NEW_METHODS, rows)
+    for r, row in enumerate(rows):
+        smp = tf.Sample(row)
+        assert (q1[r], False) == tf.empirical_quantile_flagged(smp, 0.25)
+        assert (q3[r], False) == tf.empirical_quantile_flagged(smp, 0.75)
+        assert outer_high[r] == tf.empirical_fences(smp).outer_high
+        assert above[r] == tf.outlier_band_counts(smp)[4]
+        for method in tf.NEW_METHODS:
+            assert bits(scored[method][r]) == bits(tf.evaluate(method, smp)), (r, method)
+
+
+@st.composite
+def sorted_matrices(draw):
+    """(m, n) matrices of sorted rows: heavy tails, ties, negatives and constant rows."""
+    n = draw(st.one_of(st.sampled_from([7, 11, 15]), st.integers(5, 200)))  # 7, 11, 15: knots at both quartiles
+    m = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.pareto(draw(st.floats(0.2, 5.0)), size=(m, n))
+    x = x * draw(st.floats(1e-3, 1e3)) + draw(st.floats(-5.0, 5.0))
+    levels = draw(st.sampled_from([None, 1.0, 4.0, 64.0]))
+    if levels is not None:  # ties
+        x = np.round(x * levels) / levels
+    constant = rng.random(m) < draw(st.floats(0.0, 0.3))
+    x[constant] = draw(st.floats(-3.0, 3.0))
+    x.sort(axis=1)
+    return x
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rows=sorted_matrices())
+def test_row_scoring_equals_sample_scoring_property(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rows_match_samples(rows)
+
+
+def test_row_scoring_covers_the_crafted_samples():
+    crafted = [values for method, values, _, _ in CRAFTED if method in tf.NEW_METHODS]
+    assert len(crafted) == 10
+    for values in crafted:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rows_match_samples(np.sort(np.array(values, dtype=float))[None, :])
+
+
+def test_evaluate_rows_scores_only_the_new_methods():
+    with pytest.raises(ValueError, match="not a fence/quartile method"):
+        estimators.evaluate_rows(("hill",), np.ones((2, 5)))
+    with pytest.raises(ValueError, match="sample too small"):
+        estimators.evaluate_rows(("par_n",), np.ones((2, 2)))

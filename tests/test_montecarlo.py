@@ -99,10 +99,20 @@ def test_study_is_deterministic():
     assert r1.csv_for_axis("k") == r2.csv_for_axis("k")
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
+    pools = []
+    real = montecarlo.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recording)
     cfg = make_config()
     serial = tf.run_study(cfg, workers=1)
+    assert pools == []
     parallel = tf.run_study(cfg, workers=3)
+    assert [type(pool).__module__ for pool in pools] == ["concurrent.futures.process"]
     assert serial.csv_for_axis("n") == parallel.csv_for_axis("n")
     assert serial.csv_for_axis("k") == parallel.csv_for_axis("k")
 
