@@ -55,10 +55,10 @@ def _open_out(path):
 def _parse_grid(text: str) -> tuple[int, ...]:
     """Parse 'a:b:step' (inclusive of b when hit) or a comma list of ints."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"invalid grid {text!r}; expected a:b:step")
-        a, b, step = (int(part) for part in parts)
+        try:
+            a, b, step = (int(part) for part in text.split(":"))
+        except ValueError:
+            raise ValueError(f"invalid grid {text!r}; expected a:b:step") from None
         if step <= 0 or b < a:
             raise ValueError(f"invalid grid {text!r}; need a <= b and step > 0")
         return tuple(range(a, b + 1, step))

@@ -9,7 +9,9 @@ A sample's fences are always the paper's standard Tukey fences (1.5*IQR and
 ``tail_chars`` take other multipliers. The four outlier rates are read off
 the band counts of ``outlier_band_counts``. ``row_quantiles`` and
 ``row_fence_characteristics`` do the same for every row of a matrix of
-sorted samples at once, in the same float steps as for one sample.
+sorted samples at once, in the same float steps as for one sample; the
+fence/quartile estimators read even a single sample's quartiles, fence and
+count through them, as a 1-row matrix.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ _KNOT_FUZZ = 8.0 * float(np.finfo(float).eps)
 class Sample:
     """Immutable collection of finite observations with cached order statistics.
 
-    The standard fences and the count above the upper outer fence are computed
-    on first use and cached too, so the six fence/quartile estimators of one
-    sample share one pair of quartiles and one count. So are, for the last k
-    asked for, the top k order statistics with the (n-k)-th, which Hill,
-    t-Hill and the moment estimator share, and the log-excesses over that
-    order statistic with their mean, which Hill and the moment estimator share.
+    For the last k asked for, the top k order statistics with the (n-k)-th,
+    which Hill, t-Hill and the moment estimator share, are cached too, and so
+    are the log-excesses over that order statistic with their mean, which Hill
+    and the moment estimator share.
     """
 
-    __slots__ = ("values", "sorted", "_fences", "_above_outer", "_tail", "_log_excess")
+    __slots__ = ("values", "sorted", "_tail", "_log_excess")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float, ndmin=1)  # a copy: the caller's array stays theirs
@@ -53,8 +53,6 @@ class Sample:
         ordered.flags.writeable = False
         self.values = arr
         self.sorted = ordered
-        self._fences = None
-        self._above_outer = None
         self._tail = None  # (k, top k values, (n-k)-th order statistic), filled by estimators
         self._log_excess = None  # (k, log-excesses, their mean), filled by estimators.hill/moment_dedh
 
@@ -117,20 +115,7 @@ def empirical_fences(sample: Sample) -> Fences:
     """Standard Tukey fences from the type-6 empirical quartiles; requires n >= 3."""
     if sample.n < 3:
         raise ValueError("sample too small for quartile fences")
-    if sample._fences is None:
-        q1 = empirical_quantile(sample, 0.25)
-        q3 = empirical_quantile(sample, 0.75)
-        sample._fences = fences_from_quartiles(q1, q3)
-    return sample._fences
-
-
-def extreme_right_count(sample: Sample) -> int:
-    """Number of observations strictly above the upper outer fence; requires n >= 3."""
-    if sample._above_outer is None:
-        fen = empirical_fences(sample)
-        below = int(np.searchsorted(sample.sorted, fen.outer_high, side="right"))
-        sample._above_outer = sample.n - below
-    return sample._above_outer
+    return fences_from_quartiles(empirical_quantile(sample, 0.25), empirical_quantile(sample, 0.75))
 
 
 def row_quantiles(rows: np.ndarray, p: float) -> np.ndarray:
@@ -148,7 +133,8 @@ def row_fence_characteristics(rows: np.ndarray):
     """Quartiles, upper outer fence and the count above it, per sorted row.
 
     Returns the arrays ``(q1, q3, outer_high, above)``; row by row they equal
-    ``empirical_fences(Sample(row))`` and ``extreme_right_count(Sample(row))``.
+    the quartiles and upper outer fence of ``empirical_fences(Sample(row))``
+    and the extreme-right count of ``outlier_band_counts(Sample(row))``.
     Requires rows of at least 3 observations.
     """
     if rows.shape[1] < 3:
@@ -173,7 +159,7 @@ def outlier_band_counts(sample: Sample) -> tuple[int, int, int, int, int]:
     below_outer = int(np.searchsorted(x, fen.outer_low, side="left"))
     below_inner = int(np.searchsorted(x, fen.inner_low, side="left"))
     above_inner = n - int(np.searchsorted(x, fen.inner_high, side="right"))
-    above_outer = extreme_right_count(sample)
+    above_outer = n - int(np.searchsorted(x, fen.outer_high, side="right"))
     inside = n - below_inner - above_inner
     return (
         below_outer,

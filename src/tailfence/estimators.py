@@ -5,8 +5,9 @@ quartile ratio of an assumed family (Pareto, Frechet, Hill-horror), using the
 type-6 empirical quartiles and the standard 3*IQR outer fence baked into
 their derivations. Each inversion is a function of characteristics,
 ``alpha_from_fence_prob(family, p_eR, outer_high)`` or
-``alpha_from_quartiles(family, q1, q3)``: ``evaluate`` feeds it one sample's,
-``evaluate_rows`` every row's of a matrix of samples. The classical
+``alpha_from_quartiles(family, q1, q3)``. ``evaluate_rows`` feeds it every
+row's of a matrix of sorted samples, and ``evaluate`` scores one sample as
+a 1-row matrix, so both take the same path. The classical
 comparators (Hill, t-Hill, Pickands, moment) use the usual
 upper-order-statistic forms from the literature.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, empirical_fences, extreme_right_count, row_fence_characteristics
+from .empirical import Sample, row_fence_characteristics
 
 _LOG2 = math.log(2.0)
 _LOG3 = math.log(3.0)
@@ -143,22 +144,20 @@ def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
 
 def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:
     """Invert a sample's outer-fence exceedance rate under the assumed family."""
-    fen = empirical_fences(sample)
-    return alpha_from_fence_prob(family, extreme_right_count(sample) / sample.n, fen.outer_high)
+    return evaluate(_method_for(family, _FENCE_METHOD_BY_FAMILY), sample)
 
 
 def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     """Invert the assumed family's quartile ratio at a sample's quartiles."""
-    fen = empirical_fences(sample)
-    return alpha_from_quartiles(family, fen.q1, fen.q3)
+    return evaluate(_method_for(family, _QUARTILE_METHOD_BY_FAMILY), sample)
 
 
 def evaluate_rows(methods, rows: np.ndarray) -> dict[str, list[EstimateRecord]]:
     """Score fence/quartile methods on every row of a matrix of sorted samples.
 
     The characteristics of all rows are computed at once, then each method's
-    inversion runs once per row on Python floats, so row by row the records
-    equal ``evaluate(method, Sample(row))``.
+    inversion runs once per row on Python floats. ``evaluate`` scores a
+    single sample here too, as a 1-row matrix.
     """
     q1, q3, outer_high, above = (a.tolist() for a in row_fence_characteristics(rows))
     n = rows.shape[1]
@@ -293,10 +292,6 @@ def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecor
         if k is None:
             raise ValueError(f"method {method!r} requires k")
         return classical(sample, k)
-    if method in FENCE_METHODS:
-        family = FENCE_FAMILIES[FENCE_METHODS.index(method)]
-        return estimate_fence_prob(sample, family)
-    if method in QUARTILE_METHODS:
-        family = FENCE_FAMILIES[QUARTILE_METHODS.index(method)]
-        return estimate_quartile_ratio(sample, family)
+    if method in NEW_METHODS:
+        return evaluate_rows((method,), sample.sorted[None, :])[method][0]
     raise ValueError(f"unknown method {method!r}")

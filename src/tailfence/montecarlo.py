@@ -75,6 +75,10 @@ class StudyConfig:
                 raise ValueError("k_grid must be strictly ascending")
             if any(not 1 <= k <= n_fixed - 1 for k in self.k_grid):
                 raise ValueError(f"k_grid must lie in [1, {n_fixed - 1}], got {self.k_grid}")
+        k_min = self.effective_k_grid[0]
+        if self.methods == ("pickands",) and 4 * k_min > n_fixed:
+            # _grid_points drops pickands wherever 4k > n: no row would be written
+            raise ValueError(f"pickands needs 4k <= n = {n_fixed}, but the smallest k is {k_min}")
 
     @property
     def fixed_n(self) -> int:

@@ -173,6 +173,8 @@ def test_module_entry_point():
         (["estimate", "--in", "x", "--method", "bogus"], "argument --method: invalid choice"),
         (["frobnicate"], "argument command: invalid choice"),
         ([], "the following arguments are required: command"),
+        (["simulate", "--dist", "exp(lambda=1)", "--n-grid", "10:20:x", "--out", "x"],
+         "invalid grid '10:20:x'; expected a:b:step"),
     ],
 )
 def test_usage_errors_are_one_json_line(argv, message, capsys):
