@@ -198,17 +198,6 @@ def _t_cdf(df, x):
     lo, hi = _t_quartile_band(df)
     half = 0.5 * df
     x = np.asarray(x, float)
-    if x.ndim == 0:
-        # A scalar call (every public cdf) picks its form in Python: on a 0-d
-        # array the per-element selection below costs more than the betainc
-        # call it saves.
-        t = float(x)
-        tt = t * t
-        if abs(t) <= lo or (abs(t) < hi and 0.5 * betainc(0.5, half, tt / (df + tt)) <= 0.25):
-            v = 0.5 * betainc(0.5, half, tt / (df + tt))
-            return 0.5 + v if t >= 0 else 0.5 - v
-        v = 0.5 * betainc(half, 0.5, df / (df + tt))
-        return 1.0 - v if t >= 0 else v
     xx = x * x
     ax = np.abs(x)
     inner = ax <= lo
@@ -249,12 +238,6 @@ def _t_ppf(df, p):
     num = np.where(central, w, v)
     den = np.where(central, v, w)
     return np.copysign(np.sqrt(df * num / den), d)  # d < 0 iff p < 1/2; +0.0 at 1/2
-
-
-def _hh_quantile(alpha, p):
-    p = np.asarray(p, float)
-    with np.errstate(over="ignore"):
-        return np.power(1.0 - p, -1.0 / alpha) * (-np.log1p(-p))
 
 
 # --- vectorized CDF / quantile dispatch --------------------------------------
@@ -330,7 +313,7 @@ def _quantile_array(spec: DistributionSpec, prob) -> np.ndarray:
     if family == "gumbel":
         return p["mu"] - p["gamma"] * np.log(-np.log(prob))
     if family == "hillhorror":
-        return _hh_quantile(p["alpha"], prob)
+        return np.power(1.0 - prob, -1.0 / p["alpha"]) * (-np.log1p(-prob))
     raise AssertionError(f"unhandled family {family}")
 
 
@@ -338,7 +321,7 @@ def cdf(spec: DistributionSpec, x: float) -> float:
     """P(X <= x) for the given spec; total on finite x."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    return float(_cdf_array(spec, x))
+    return _cdf_array(spec, [x]).item()
 
 
 def quantile(spec: DistributionSpec, p: float) -> float:

@@ -3,8 +3,8 @@
 p_eL / p_eR are the probabilities of falling beyond the outer Tukey fences
 (Q1 - 3*IQR and Q3 + 3*IQR by default); p_mL / p_mR cover the disjoint mild
 bands between the inner and outer fences. Families with tractable quartile
-algebra get hand-derived closed forms as fast paths; every family also has
-the generic CDF route, and the two must agree.
+algebra get hand-derived closed forms as fast paths, both tails from one
+routine; every family also has the generic CDF route, and the two must agree.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ def fences(
     inner: float = DEFAULT_INNER,
     outer: float = DEFAULT_OUTER,
 ) -> Fences:
-    """Theoretical fences from the 0.25/0.75 quantiles.
+    """Theoretical fences from the 0.25/0.75 quantiles, read in one quantile call.
 
     Raises ValueError when a quartile or an outer fence is not a finite
     float64, so no characteristic is ever computed from an infinite fence,
     and when the quartiles are equal in float64 (a huge shape rounds the
     quartile algebra away), so none is computed from a zero IQR.
     """
-    q1 = dist.quantile(spec, 0.25)
-    q3 = dist.quantile(spec, 0.75)
+    q1, q3 = dist._quantile_array(spec, (0.25, 0.75)).tolist()
     if not (math.isfinite(q1) and math.isfinite(q3)):
         raise ValueError(f"{spec}: quartiles not finite in float64 (q1={q1}, q3={q3})")
     if q1 == q3:
@@ -73,13 +72,72 @@ def _or_inf(fn, *args) -> float:
         return math.inf
 
 
+def _checked_outer(outer: float) -> float:
+    f = float(outer)
+    if not 0.0 < f < math.inf:  # NaN fails too
+        raise ValueError(f"outer multiplier must be finite and positive, got {outer}")
+    return f
+
+
 def frechet_left_tail_threshold(outer: float = DEFAULT_OUTER) -> float:
     """Shape above which the Frechet left tail reaches past the low outer fence.
 
     The same threshold governs when the negative-Weibull right tail reaches
-    past the high outer fence (the two cases mirror each other).
+    past the high outer fence (the two cases mirror each other). Raises
+    ValueError unless ``outer`` is finite and positive.
     """
-    return math.log(_LOG4 / _LOG43) / math.log((1.0 + outer) / outer)
+    f = _checked_outer(outer)
+    return math.log(_LOG4 / _LOG43) / math.log((1.0 + f) / f)
+
+
+def _closed_form_tails(spec: DistributionSpec, outer: float) -> tuple[float | None, float | None]:
+    """``(p_eL, p_eR)`` from the quartile algebra of the family; see :func:`closed_form_p_eR`."""
+    f = _checked_outer(outer)
+    family = spec.family
+    if family == "uniform":
+        p = max(0.0, 0.25 - 0.5 * f)
+        return p, p
+    if family == "exponential":
+        # fences at (log(4/3) - f*log3)/lambda and (log4 + f*log3)/lambda
+        reach = _LOG43 - f * math.log(3.0)  # low fence times lambda
+        return (-math.expm1(-reach) if reach > 0.0 else 0.0), 0.25 * 3.0 ** (-f)
+    if family == "gumbel":
+        return (
+            math.exp(-_or_inf(math.exp, (1.0 + f) * _LOGLOG4 - f * _LOGLOG43)),
+            -math.expm1(-math.exp((1.0 + f) * _LOGLOG43 - f * _LOGLOG4)),
+        )
+    if family not in ("pareto", "frechet", "negweibull", "hillhorror"):
+        return None, None
+    a = spec.params["alpha"]
+    if family in ("pareto", "hillhorror"):
+        # Pareto quartiles over delta; times log(4/3) and log 4, the Hill-horror ones
+        q1, q3 = _or_inf(pow, 4.0 / 3.0, 1.0 / a), _or_inf(pow, 4.0, 1.0 / a)
+        if family == "hillhorror":
+            # 0 when the low fence is below the support, always at the default multiplier
+            return (0.0 if (1.0 + f) * q1 * _LOG43 - f * q3 * _LOG4 <= 0.0 else None), None
+        low, high = (1.0 + f) * q1 - f * q3, (1.0 + f) * q3 - f * q1  # fences over delta
+        return (
+            # 0 at or below the support edge delta; NaN is inf - inf
+            -math.expm1(-a * math.log(low)) if low > 1.0 else 0.0,
+            high ** (-a) if 1.0 < high < math.inf else None,
+        )
+    if family == "frechet":
+        lo, hi = _LOG4 ** (-1.0 / a), _or_inf(pow, _LOG43, -1.0 / a)
+        # the fences minus mu, in sigma units
+        low, high = (1.0 + f) * lo - f * hi, (1.0 + f) * hi - f * lo
+        return (
+            # 0 at shapes up to frechet_left_tail_threshold(outer)
+            math.exp(-_or_inf(pow, low, -a)) if low > 0.0 else 0.0,
+            -math.expm1(-(high ** (-a))) if 1.0 < high < math.inf else None,
+        )
+    # negweibull
+    u, v = _or_inf(pow, _LOG4, 1.0 / a), _LOG43 ** (1.0 / a)
+    # mu minus the fences, in sigma units
+    low, high = (1.0 + f) * u - f * v, (1.0 + f) * v - f * u
+    return (
+        math.exp(-_or_inf(pow, low, a)) if 0.0 < low < math.inf else None,
+        -math.expm1(-(high**a)) if high > 0.0 else 0.0,
+    )
 
 
 def closed_form_p_eR(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> float | None:
@@ -90,81 +148,15 @@ def closed_form_p_eR(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> fl
     (e.g. 1/108 for the exponential family). A probability whose exact value
     underflows is 0.0. Where float64 cannot carry the algebra (the fence in
     standard units overflows, or a huge shape cancels it to the quartile) the
-    result is None, so that the numeric route applies.
+    result is None, so that the numeric route applies. Raises ValueError
+    unless ``outer`` is finite and positive.
     """
-    p = spec.params
-    f = float(outer)
-    if f <= 0:
-        raise ValueError(f"outer multiplier must be positive, got {outer}")
-    family = spec.family
-    if family == "uniform":
-        return max(0.0, 0.25 - 0.5 * f)
-    if family == "exponential":
-        # outer fence sits at (log4 + f*log3)/lambda
-        return 0.25 * 3.0 ** (-f)
-    if family == "pareto":
-        a = p["alpha"]
-        edge = (1.0 + f) * _or_inf(pow, 4.0, 1.0 / a) - f * _or_inf(pow, 4.0 / 3.0, 1.0 / a)
-        return edge ** (-a) if 1.0 < edge < math.inf else None
-    if family == "frechet":
-        a = p["alpha"]
-        lo, hi = _LOG4 ** (-1.0 / a), _or_inf(pow, _LOG43, -1.0 / a)
-        edge = (1.0 + f) * hi - f * lo
-        return -math.expm1(-(edge ** (-a))) if 1.0 < edge < math.inf else None
-    if family == "negweibull":
-        a = p["alpha"]
-        u, v = _or_inf(pow, _LOG4, 1.0 / a), _LOG43 ** (1.0 / a)
-        reach = (1.0 + f) * v - f * u  # mu minus the high fence, in sigma units
-        if reach <= 0.0:
-            return 0.0
-        return -math.expm1(-(reach**a))
-    if family == "gumbel":
-        return -math.expm1(-math.exp((1.0 + f) * _LOGLOG43 - f * _LOGLOG4))
-    return None
+    return _closed_form_tails(spec, outer)[1]
 
 
 def closed_form_p_eL(spec: DistributionSpec, outer: float = DEFAULT_OUTER) -> float | None:
     """Closed-form extreme-left probability, or None as for :func:`closed_form_p_eR`."""
-    p = spec.params
-    f = float(outer)
-    if f <= 0:
-        raise ValueError(f"outer multiplier must be positive, got {outer}")
-    family = spec.family
-    if family == "uniform":
-        return max(0.0, 0.25 - 0.5 * f)
-    if family == "exponential":
-        reach = _LOG43 - f * math.log(3.0)  # low fence times lambda
-        return -math.expm1(-reach) if reach > 0.0 else 0.0
-    if family == "pareto":
-        a = p["alpha"]
-        edge = (1.0 + f) * _or_inf(pow, 4.0 / 3.0, 1.0 / a) - f * _or_inf(pow, 4.0, 1.0 / a)
-        if not edge > 1.0:  # low fence at or below the support edge delta; NaN is inf - inf
-            return 0.0
-        return -math.expm1(-a * math.log(edge))
-    if family == "frechet":
-        a = p["alpha"]
-        lo, hi = _LOG4 ** (-1.0 / a), _or_inf(pow, _LOG43, -1.0 / a)
-        reach = (1.0 + f) * lo - f * hi  # low fence minus mu, in sigma units
-        if reach <= 0.0:  # shape at or below frechet_left_tail_threshold(outer)
-            return 0.0
-        return math.exp(-_or_inf(pow, reach, -a))
-    if family == "negweibull":
-        a = p["alpha"]
-        u, v = _or_inf(pow, _LOG4, 1.0 / a), _LOG43 ** (1.0 / a)
-        reach = (1.0 + f) * u - f * v  # mu minus the low fence, in sigma units
-        return math.exp(-_or_inf(pow, reach, a)) if 0.0 < reach < math.inf else None
-    if family == "gumbel":
-        return math.exp(-_or_inf(math.exp, (1.0 + f) * _LOGLOG4 - f * _LOGLOG43))
-    if family == "hillhorror":
-        a = p["alpha"]
-        low_fence = (
-            (1.0 + f) * _or_inf(pow, 4.0 / 3.0, 1.0 / a) * _LOG43
-            - f * _or_inf(pow, 4.0, 1.0 / a) * _LOG4
-        )
-        if low_fence <= 0.0:  # below the support; always true at the default multiplier
-            return 0.0
-        return None
-    return None
+    return _closed_form_tails(spec, outer)[0]
 
 
 def characteristics(
@@ -175,22 +167,24 @@ def characteristics(
 ) -> TailCharacteristics:
     """All six outlier probabilities for a distribution spec.
 
-    With ``use_closed_forms=False`` every probability is computed from the
-    CDF at the fences, which serves as the independent cross-check for the
-    closed-form fast paths.
+    One pass: one quantile call for both quartiles, one closed-form dispatch
+    for both tails, and one CDF call at the four fences. A tail without a
+    closed form is read from the CDF. With ``use_closed_forms=False`` every
+    probability is computed from the CDF at the fences, which serves as the
+    independent cross-check for the closed-form fast paths.
     """
     fen = fences(spec, inner, outer)
-    p_eL = closed_form_p_eL(spec, outer) if use_closed_forms else None
-    p_eR = closed_form_p_eR(spec, outer) if use_closed_forms else None
+    p_eL, p_eR = _closed_form_tails(spec, outer) if use_closed_forms else (None, None)
+    # Continuous catalog: P(X < t) = F(t).
+    below_outer, below_inner, upto_inner, upto_outer = dist._cdf_array(
+        spec, (fen.outer_low, fen.inner_low, fen.inner_high, fen.outer_high)
+    ).tolist()
     if p_eL is None:
-        # Continuous catalog: P(X < t) = F(t).
-        p_eL = dist.cdf(spec, fen.outer_low)
+        p_eL = below_outer
     if p_eR is None:
-        p_eR = 1.0 - dist.cdf(spec, fen.outer_high)
-    below_inner = dist.cdf(spec, fen.inner_low)
-    above_inner = 1.0 - dist.cdf(spec, fen.inner_high)
+        p_eR = 1.0 - upto_outer
     p_mL = max(0.0, below_inner - p_eL)
-    p_mR = max(0.0, above_inner - p_eR)
+    p_mR = max(0.0, 1.0 - upto_inner - p_eR)
     return TailCharacteristics(
         p_eL=p_eL,
         p_eR=p_eR,

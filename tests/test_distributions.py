@@ -298,8 +298,8 @@ def test_t_cdf_matches_both_form_reference_bit_for_bit(df):
         return np.array(sorted(points | {-x for x in points}))
 
     grid = both_signs(edges | extremes | set(dense))
-    # scalar calls (the public cdf) take their own path: the edges, the
-    # extremes and every 20th dense point
+    # the public cdf evaluates one x as a 1-element array: it must agree with
+    # the whole-grid call at the edges, the extremes and every 20th dense point
     scalars = both_signs(edges | extremes | set(dense[::20]))
     with np.errstate(invalid="ignore", over="ignore"):  # the reference's inf / inf at |x| > 1e154
         expected, expected_scalars = reference_t_cdf(df, grid), reference_t_cdf(df, scalars)

@@ -1,11 +1,12 @@
-"""Byte oracle: sha256 of the `simulate` outputs for five fixed configs.
+"""Byte oracle: sha256 of the `simulate`, `chars` and `table1` outputs.
 
 Every CSV and manifest byte must stay the same across engine changes. A
 deliberate byte change is versioned in the manifest and announced in
 CHANGES.md, and only then are these digests re-recorded.
 
-Each config runs all ten methods at seed 42 and m = 30 over the default
-grids (n = 10..100 step 5, k = 2..99 at n = 100).
+Each `simulate` config runs all ten methods at seed 42 and m = 30 over the
+default grids (n = 10..100 step 5, k = 2..99 at n = 100). `chars` runs one
+fixed spec list, every family at several shapes, at three multiplier pairs.
 """
 
 import hashlib
@@ -53,3 +54,48 @@ def test_simulate_output_bytes(spec, tmp_path):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
     }
     assert digests == GOLDEN[spec]
+
+
+# Shapes on both sides of each closed form's branches: the Frechet left tail
+# and the negative-Weibull right tail open above frechet_left_tail_threshold
+# (5.47 at outer = 3), hillhorror(alpha=100) leaves its closed form at
+# outer = 0.25, and the small pair gives the uniform and exponential families
+# mass past the low fence.
+CHARS_SPECS = (
+    ["uniform(a=0,b=1)", "uniform(a=-3,b=2.5)"]
+    + [f"exp(lambda={lam})" for lam in (0.01, 1, 250)]
+    + [f"gamma(alpha={a},beta={b})" for a, b in ((0.3, 1), (1, 2), (5, 0.5), (50, 1))]
+    + ["normal(mu=0,sigma2=1)", "normal(mu=3,sigma2=0.25)"]
+    + [f"t(n={n})" for n in range(1, 41)]
+    + [f"pareto(alpha={a},delta=2)" for a in (0.1, 0.5, 1, 2.5, 10, 100)]
+    + [f"frechet(alpha={a},mu=1,sigma=2)" for a in (0.2, 0.5, 2, 5.5, 8, 40)]
+    + [f"negweibull(alpha={a},mu=-1,sigma=0.5)" for a in (0.3, 1, 3, 5.5, 10)]
+    + ["gumbel(mu=0,gamma=1)", "gumbel(mu=-2,gamma=5)"]
+    + [f"hillhorror(alpha={a})" for a in (0.2, 0.5, 1, 3, 10, 100)]
+)
+
+GOLDEN_CHARS = {
+    (1.5, 3.0): "983ccf7c5611afdda3b165e1fc3724492d1933b9082795de67ab20d3399734fe",
+    (0.2, 0.25): "e3922b4f54813b2b05faeb634b4b9b16c92b251698f1c085f39579b634deece9",
+    (2.0, 6.0): "99813b9bfd23675b7208351d7185924760413e292ea27670e793cb65ad8a2bc3",
+}
+
+GOLDEN_TABLE1 = "35ee26d8891b8d6145eaf5715d19ab974eb2c4d95e521aa80daa919208261ade"
+
+
+def _digest(argv, path):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(("inner", "outer"), list(GOLDEN_CHARS))
+def test_chars_output_bytes(inner, outer, tmp_path):
+    argv = ["chars", "--inner-fence", str(inner), "--outer-fence", str(outer)]
+    for spec in CHARS_SPECS:
+        argv += ["--dist", spec]
+    assert _digest(argv, tmp_path / "chars.csv") == GOLDEN_CHARS[inner, outer]
+
+
+def test_table1_output_bytes(tmp_path):
+    assert _digest(["table1"], tmp_path / "table1.csv") == GOLDEN_TABLE1

@@ -118,6 +118,24 @@ def test_closed_form_p_eL_values():
     assert tf.closed_form_p_eL(tf.parse_spec("normal(mu=0,sigma2=1)")) is None
 
 
+
+# One ValueError for any multiplier outside (0, inf), whatever the family and
+# the side, and also where the family has no closed form.
+@pytest.mark.parametrize("outer", [0.0, -1.0, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda outer: tf.closed_form_p_eL(tf.parse_spec("exp(lambda=1)"), outer),
+        lambda outer: tf.closed_form_p_eR(tf.parse_spec("exp(lambda=1)"), outer),
+        lambda outer: tf.closed_form_p_eR(tf.parse_spec("t(n=3)"), outer),
+        tf.frechet_left_tail_threshold,
+    ],
+    ids=["p_eL", "p_eR", "p_eR_no_closed_form", "frechet_threshold"],
+)
+def test_closed_forms_reject_bad_outer_multiplier(call, outer):
+    with pytest.raises(ValueError, match="outer multiplier must be finite and positive"):
+        call(outer)
+
 def test_negweibull_right_tail_reaches_fence_for_large_shape():
     # the high fence drops below the endpoint once the shape passes the
     # same threshold that opens the frechet left tail
