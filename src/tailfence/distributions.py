@@ -6,8 +6,8 @@ one scipy.special pair: gamma the regularized incomplete gamma function
 (``gammainc``/``gammaincinv``), normal ``ndtr``/``ndtri``, and Student-t
 the regularized incomplete beta function (``betainc``/``betaincinv``) in a
 central and a tail form, split at the quartiles; each Student-t draw is
-inverted once, and each CDF point evaluated once, through the one form its
-branch uses (the CDF evaluates both only within 2^-20 of the quartile). The
+inverted once, through the one form its branch uses, and the CDF evaluates
+both forms and takes the one that the computed central mass picks. The
 Hill-horror law is defined by its quantile function; its CDF is the closed
 form ``1 - exp(-alpha * W(x / alpha))`` with W the Lambert W function.
 
@@ -178,41 +178,18 @@ def _special():
     return special
 
 
-@functools.lru_cache(maxsize=16)
-def _t_quartile_band(df: float) -> tuple[float, float]:
-    # |x| bounds 2^-20 (relative) either side of the upper quartile q. The
-    # density times q exceeds 0.15 there for every df, so outside the band the
-    # central mass is more than 1.4e-7 from 1/4, far beyond betainc's
-    # rounding: the computed mass and |x| fall on the same side of the split.
-    q = float(_t_ppf(df, 0.75))
-    return q * (1.0 - 2.0**-20), q * (1.0 + 2.0**-20)
-
-
 def _t_cdf(df, x):
-    # Two incomplete-beta forms, split at the quartiles: 0.5 -/+ the central
-    # mass P(0 < T < |x|) while that is at most 1/4, else the tail mass
-    # P(T > |x|), so a small tail probability never comes from 0.5 - central.
-    # Each element evaluates only the form it uses, except in a thin band
-    # around the quartile, where the computed central mass decides the form.
+    # Two incomplete-beta forms: 0.5 -/+ the central mass P(0 < T < |x|) where
+    # the computed central mass is at most 1/4, else the tail mass P(T > |x|),
+    # so a small tail probability never comes from 0.5 - central.
     betainc = _special().betainc
-    lo, hi = _t_quartile_band(df)
-    half = 0.5 * df
     x = np.asarray(x, float)
     xx = x * x
-    ax = np.abs(x)
-    inner = ax <= lo
-    band = (lo < ax) & (ax < hi)
-    if band.any():
-        xb = xx[band]
-        inner[band] = 0.5 * betainc(0.5, half, xb / (df + xb)) <= 0.25
-    # one betainc call on per-element (a, b, y)
-    v = 0.5 * betainc(
-        np.where(inner, 0.5, half),
-        np.where(inner, half, 0.5),
-        np.where(inner, xx, df) / (df + xx),
-    )
-    upper = np.where(inner, 0.5 + v, 1.0 - v)
-    lower = np.where(inner, 0.5 - v, v)
+    central = 0.5 * betainc(0.5, 0.5 * df, xx / (df + xx))
+    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + xx))
+    inner = central <= 0.25
+    upper = np.where(inner, 0.5 + central, 1.0 - tail)
+    lower = np.where(inner, 0.5 - central, tail)
     return np.where(x >= 0, upper, lower)
 
 
@@ -225,19 +202,32 @@ def _t_ppf(df, p):
     mass = np.abs(d)  # P(|T| < |x|)
     central = mass <= 0.5
     half = 0.5 * df
+    smaller = np.minimum(p, 1.0 - p)
     # The central form inverts mass, the tail form 2 * min(p, 1 - p) (1 - mass
     # in exact arithmetic); in float64 too, each branch's is the smaller one.
     w = _special().betaincinv(
         np.where(central, 0.5, half),
         np.where(central, half, 0.5),
-        np.minimum(mass, 2.0 * np.minimum(p, 1.0 - p)),
+        np.minimum(mass, 2.0 * smaller),
     )
     # x^2 = df * w / (1 - w) in the central form, df * (1 - w) / w in the tail
-    # form; picking numerator and denominator first never divides by w = 0.
+    # form; picking numerator and denominator first never divides by the
+    # central form's w = 0 at p = 1/2.
     v = 1.0 - w
     num = np.where(central, w, v)
     den = np.where(central, v, w)
-    return np.copysign(np.sqrt(df * num / den), d)  # d < 0 iff p < 1/2; +0.0 at 1/2
+    # Only t(1) and t(2) reach a subnormal or 0 tail-form w: below p ~ 5e-155
+    # and ~ 5e-309 (t(3) keeps w > 1e-216 down to p = 5e-324). The df test
+    # spares the sampler's other t-families the array check.
+    if df < 3 and (tiny := den < 2.0**-1022).any():
+        # There df * (1 - w) / w overflows or divides by 0. x comes from the
+        # leading tail term instead, min(p, 1 - p) = w^(df/2) / (df * B(df/2, 1/2))
+        # with x^2 = df / w, exact to a relative O(w).
+        half_log_w = (math.log(df) + _special().betaln(half, 0.5) + np.log(smaller)) / df
+        x = np.where(tiny, math.sqrt(df) * np.exp(-half_log_w), np.sqrt(df * num / np.where(tiny, 1.0, den)))
+    else:
+        x = np.sqrt(df * num / den)
+    return np.copysign(x, d)  # d < 0 iff p < 1/2; +0.0 at 1/2
 
 
 # --- vectorized CDF / quantile dispatch --------------------------------------

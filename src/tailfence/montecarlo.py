@@ -52,6 +52,7 @@ class StudyConfig:
         object.__setattr__(self, "n_grid", tuple(checked_int(n, "n_grid entry") for n in self.n_grid))
         if self.k_grid is not None:
             object.__setattr__(self, "k_grid", tuple(checked_int(k, "k_grid entry") for k in self.k_grid))
+        object.__setattr__(self, "methods", tuple(self.methods))  # a list must not skip the pickands check
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
         if not self.n_grid:

@@ -255,10 +255,43 @@ def test_t_quantile_matches_both_form_reference_bit_for_bit(df):
         assert tf.sample(spec, rng, 40).values.tobytes() == expected.tobytes(), stream
 
 
+# -cot(pi p), the exact t(1) quantile, by mpmath at 40 digits
+T1_FAR_TAIL = {
+    1e-300: -3.1830988618379066356e299,
+    1e-200: -3.1830988618379067724e199,
+    1e-160: -3.1830988618379067515e159,
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_t_quantile_stays_finite_where_the_tail_inversion_underflows():
+    # The tail form's w underflows (t(1) below p ~ 5e-155, t(2) below ~ 5e-309),
+    # so df * (1 - w) / w overflowed or divided by 0 and gave -inf.
+    t1, t2 = tf.parse_spec("t(n=1)"), tf.parse_spec("t(n=2)")
+    for p, exact in T1_FAR_TAIL.items():
+        assert tf.quantile(t1, p) == pytest.approx(exact, rel=1e-12, abs=0.0), p
+    for p in (5e-324, 1e-300):
+        exact = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert tf.quantile(t2, p) == pytest.approx(exact, rel=1e-12, abs=0.0), p
+    # |x| ~ 6.4e322 exceeds the largest float: -inf, but no warning
+    assert tf.quantile(t1, 5e-324) == -math.inf
+    # from t(3) on the tail-form w stays normal down to the smallest p
+    for df in (3, 4, 7, 40, 10**6):
+        assert math.isfinite(tf.quantile(tf.DistributionSpec("studentt", {"n": df}), 5e-324)), df
+    # one array call mixing both cases: each element as its scalar call, and the
+    # elements whose inversion does not underflow keep the reference's bits
+    grid = np.array([5e-324, 1e-300, 1e-160, 1e-150, 2.0**-54, 0.25, 0.5, 0.9, 1.0 - 2.0**-53])
+    for df in (1, 2):
+        spec = tf.DistributionSpec("studentt", {"n": df})
+        values = distributions._quantile_array(spec, grid)
+        assert values.tolist() == [tf.quantile(spec, p) for p in grid]
+        assert values[3:].tobytes() == reference_t_ppf(df, grid[3:]).tobytes()
+
+
 def reference_t_cdf(df, x):
-    # The Student-t CDF as it was before each element evaluated one form: both
-    # incomplete-beta forms for every element, then the one the computed
-    # central mass picks. The one-form CDF must give the same bits.
+    # The Student-t CDF in its plain statement: both incomplete-beta forms for
+    # every element, then the one the computed central mass picks. _t_cdf must
+    # give the same bits.
     x = np.asarray(x, float)
     xx = x * x
     central = 0.5 * special.betainc(0.5, 0.5 * df, xx / (df + xx))
@@ -340,6 +373,54 @@ def test_lower_tail_round_trip_property(spec, log2_u):
     if spec.family != "studentt":
         assert x > 0
     assert abs(tf.cdf(spec, x) - u) <= 1e-10 * u
+
+
+# Windows of adjacent sampler uniforms, k * 2^-53 + 2^-54 clamped below 1 for
+# integer k < 2^53 (what _uniform_open draws), so an ulp-level drop shows.
+_WINDOW = 100_000
+_LAST_FIRST = 2**53 - _WINDOW
+
+
+def sampler_window(first):
+    u = (first + np.arange(_WINDOW)).astype(float) * 2.0**-53 + 2.0**-54
+    return np.minimum(u, distributions._BELOW_ONE)
+
+
+_SHAPE = st.floats(0.1, 10.0)
+_LOCATION = st.floats(-5.0, 5.0)
+_SCALE = st.floats(0.1, 5.0)
+CLOSED_FORM_SPECS = st.one_of(
+    st.builds(lambda a, w: tf.DistributionSpec("uniform", {"a": a, "b": a + w}), _LOCATION, _SCALE),
+    st.builds(lambda lam: tf.DistributionSpec("exponential", {"lambda": lam}), _SCALE),
+    st.builds(lambda a, d: tf.DistributionSpec("pareto", {"alpha": a, "delta": d}), _SHAPE, _SCALE),
+    st.builds(lambda a, mu, s: tf.DistributionSpec("frechet", {"alpha": a, "mu": mu, "sigma": s}),
+              _SHAPE, _LOCATION, _SCALE),
+    st.builds(lambda a, mu, s: tf.DistributionSpec("negweibull", {"alpha": a, "mu": mu, "sigma": s}),
+              _SHAPE, _LOCATION, _SCALE),
+    st.builds(lambda mu, g: tf.DistributionSpec("gumbel", {"mu": mu, "gamma": g}), _LOCATION, _SCALE),
+    st.builds(lambda a: tf.DistributionSpec("hillhorror", {"alpha": a}), _SHAPE),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    spec=CLOSED_FORM_SPECS,
+    p=st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(-53.0, -1.0).map(lambda e: 2.0**e),
+        st.floats(-53.0, -1.0).map(lambda e: 1.0 - 2.0**e),
+    ),
+)
+def test_closed_form_quantiles_monotone_on_sampler_grid(spec, p):
+    # test_quantile_monotone_on_grid steps by 1e-3 and cannot see an ulp-level
+    # drop; this walks both ends of the sampler's range and a window around p.
+    centre = min(max(round(p * 2**53) - _WINDOW // 2, 0), _LAST_FIRST)
+    for first in (0, centre, _LAST_FIRST):
+        values = distributions._quantile_array(spec, sampler_window(first))
+        assert np.all(np.isfinite(values)), (spec, first)
+        drops = np.flatnonzero(np.diff(values) < 0)
+        assert drops.size == 0, (spec, first, drops[:5])
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 (XSL-RR 128/64) multiplier

@@ -84,6 +84,21 @@ def test_config_takes_numpy_integers_as_python_ints(tmp_path):
     assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in expected]
 
 
+def test_config_methods_list_is_checked_like_a_tuple():
+    # the CLI passes a tuple; a list must meet the same pickands check, not run to no rows
+    with pytest.raises(ValueError, match=r"pickands needs 4k <= n"):
+        tf.StudyConfig(spec=tf.parse_spec("pareto(alpha=1,delta=1)"), seed=9, m=40,
+                       n_grid=(10,), k_grid=(3,), methods=["pickands"])
+
+
+def test_config_methods_list_equals_its_tuple_twin(tmp_path):
+    as_list = make_config(methods=["par_q", "hill"])
+    assert as_list == make_config() and as_list.methods == ("par_q", "hill")
+    paths = tf.write_study_outputs(tf.run_study(as_list), tmp_path / "list")
+    expected = tf.write_study_outputs(tf.run_study(make_config()), tmp_path / "tuple")
+    assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in expected]
+
+
 def test_default_grids():
     cfg = tf.StudyConfig(spec=tf.parse_spec("pareto(alpha=1,delta=1)"), seed=1, m=2,
                          n_grid=(10, 20), methods=("hill",))
