@@ -435,17 +435,20 @@ def _generator(rng: RngState) -> np.random.PCG64:
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _uniform_open(bitgen: np.random.PCG64, count: int) -> np.ndarray:
+def _open_unit(u: np.ndarray) -> np.ndarray:
     # Generator.random() gives k / 2^53 with k the top 53 bits of each raw
     # 64-bit word (the integer Generator.integers(0, 2**53) draws), in one C
     # call. Adding 2^-54 keeps u off 0: it rounds (2k + 1) / 2^54 to a double,
     # exactly as (k + 0.5) / 2^53 does. For the top k that is 1.0 (1 - 2^-54 is
     # not representable), so clamp: u lies in [2^-54, 1 - 2^-53] and every
-    # quantile stays finite.
-    u = np.random.Generator(bitgen).random(count)
+    # quantile stays finite. Works in place and returns u.
     u += 2.0**-54
     np.minimum(u, _BELOW_ONE, out=u)
     return u
+
+
+def _uniform_open(bitgen: np.random.PCG64, count: int) -> np.ndarray:
+    return _open_unit(np.random.Generator(bitgen).random(count))
 
 
 def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
@@ -462,3 +465,25 @@ def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
         raise ValueError(f"count must be >= 1, got {count}")
     u = _uniform_open(_generator(rng), count)
     return Sample(_quantile_array(spec, u))
+
+
+def sample_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -> np.ndarray:
+    """One sorted sample of ``count`` draws per stream, as a (len(streams), count) matrix.
+
+    Row i equals ``sample(spec, RngState(seed, streams[i]), count).sorted``
+    bit for bit. Each row's uniforms are drawn straight into the matrix; the
+    2^-54 shift, the inverse transform and the sort then run once over all
+    rows.
+    """
+    count = checked_int(count, "count")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    u = np.empty((len(streams), count))
+    for row, stream in zip(u, streams):
+        np.random.Generator(_generator(RngState(seed, stream))).random(out=row)
+    rows = _quantile_array(spec, _open_unit(u))
+    rows.sort(axis=1)
+    # NaN sorts last and -inf/+inf to the ends, as in Sample
+    if not np.isfinite(rows[:, [0, -1]]).all():
+        raise ValueError("sample contains NaN or infinite values")
+    return rows

@@ -28,15 +28,15 @@ _KNOT_FUZZ = 8.0 * float(np.finfo(float).eps)
 
 
 class Sample:
-    """Immutable collection of finite observations with cached order statistics.
+    """Immutable collection of finite observations and their order statistics.
 
-    For the last k asked for, the top k order statistics with the (n-k)-th,
-    which Hill, t-Hill and the moment estimator share, are cached too, and so
-    are the log-excesses over that order statistic with their mean, which Hill
-    and the moment estimator share.
+    ``values`` keeps the input order and ``sorted`` the ascending order, both
+    read-only. Every estimator reads a sample as the 1-row matrix
+    ``sorted[None, :]``; the study engine draws its replicates as one such
+    matrix per grid point and builds no Sample for them.
     """
 
-    __slots__ = ("values", "sorted", "_tail", "_log_excess")
+    __slots__ = ("values", "sorted")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float, ndmin=1)  # a copy: the caller's array stays theirs
@@ -53,8 +53,6 @@ class Sample:
         ordered.flags.writeable = False
         self.values = arr
         self.sorted = ordered
-        self._tail = None  # (k, top k values, (n-k)-th order statistic), filled by estimators
-        self._log_excess = None  # (k, log-excesses, their mean), filled by estimators.hill/moment_dedh
 
     @property
     def n(self) -> int:

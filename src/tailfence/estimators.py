@@ -6,10 +6,12 @@ type-6 empirical quartiles and the standard 3*IQR outer fence baked into
 their derivations. Each inversion is a function of characteristics,
 ``alpha_from_fence_prob(family, p_eR, outer_high)`` or
 ``alpha_from_quartiles(family, q1, q3)``. ``evaluate_rows`` feeds it every
-row's of a matrix of sorted samples, and ``evaluate`` scores one sample as
-a 1-row matrix, so both take the same path. The classical
-comparators (Hill, t-Hill, Pickands, moment) use the usual
-upper-order-statistic forms from the literature.
+row's of a matrix of sorted samples. The classical comparators (Hill,
+t-Hill, Pickands, moment) use the usual upper-order-statistic forms from the
+literature, each written once as a row form that ``classical_rows`` runs on
+every row of such a matrix at once. ``evaluate`` and the named estimators
+score one sample as a 1-row matrix, so a single sample and a study's
+replicates take the same path.
 
 Every estimator returns an :class:`EstimateRecord`; data-dependent failures
 (no outliers, tied order statistics, family mismatch) are reported as
@@ -49,11 +51,13 @@ class EstimateRecord:
     "family mismatch" / "non-heavy tail estimate") as diagnostic evidence;
     valid=True always implies a finite positive estimate.
 
-    Every replicate builds one record per method, so ``__init__`` is written
-    by hand: it fills the instance dict directly, where the generated init of
-    a frozen dataclass calls ``object.__setattr__`` once per field (0.8
-    against 1.85 µs a record on a 2-core x86 VM). The record stays frozen, and
-    ``dataclasses.replace``, ``==``, ``hash`` and ``repr`` are the generated ones.
+    Every replicate of an n-point builds one record per fence/quartile method
+    (a k-point keeps the classical row forms' arrays and builds none), so
+    ``__init__`` is written by hand: it fills the instance dict directly,
+    where the generated init of a frozen dataclass calls
+    ``object.__setattr__`` once per field (0.8 against 1.85 µs a record on a
+    2-core x86 VM). The record stays frozen, and ``dataclasses.replace``,
+    ``==``, ``hash`` and ``repr`` are the generated ones.
     """
 
     method: str
@@ -180,118 +184,176 @@ def _mean(values: np.ndarray) -> float:
     return float(np.add.reduce(values)) / values.size
 
 
-def _top_order_stats(sample: Sample, k: int):
-    # The top k values and the (n-k)-th order statistic, which hill, t_hill
-    # and moment share: cached on the sample for the last k. Only a k that
-    # passed the range check is ever cached.
-    cached = sample._tail
-    if cached is None or cached[0] != k:
-        n = sample.n
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-        x = sample.sorted
-        cached = sample._tail = (k, x[n - k :], x.item(n - k - 1))
-    return cached[1], cached[2]
+# --- classical estimators, one row per sorted sample ---------------------------
+#
+# Each row form scores every row of a matrix of sorted samples at once and
+# returns two arrays: the estimate per row (NaN where the record carries none)
+# and a code into ROW_REASONS, 0 for a valid estimate. A row's code is its
+# first failing check. The rows that a check rules out are given harmless
+# values (ratios of 1) before any later step, so no step warns.
+
+ROW_REASONS = (
+    "",
+    "requires positive order statistics",
+    "non-finite estimate",
+    "degenerate tail",
+    "degenerate moment ratio",
+    "non-heavy tail estimate",
+    "tied order statistics",
+    "zero tail-index estimate",
+)
+_VALID, _NOT_POSITIVE, _NON_FINITE, _DEGENERATE, _DEGENERATE_RATIO, _NON_HEAVY, _TIED, _ZERO_INDEX = range(8)
 
 
-def _log_excesses(sample: Sample, k: int, tail: np.ndarray, base: float):
-    # log(tail / base) and its mean, which hill and moment share: cached on
-    # the sample for the last k. Callers do not write into the array.
-    cached = sample._log_excess
-    if cached is None or cached[0] != k:
-        logs = np.log(tail / base)
-        cached = sample._log_excess = (k, logs, _mean(logs))
-    return cached[1], cached[2]
+def _mark(code: np.ndarray, failed: np.ndarray, reason: int) -> None:
+    """Give ``reason`` to the rows that fail this check after passing every earlier one."""
+    if np.count_nonzero(failed):  # most checks fail on no row
+        code[(code == _VALID) & failed] = reason
 
 
-def hill(sample: Sample, k: int) -> EstimateRecord:
-    """Hill estimator: reciprocal mean log-excess over the (n-k)-th order statistic."""
-    tail, base = _top_order_stats(sample, k)
-    if base <= 0.0:
-        return _invalid("hill", "requires positive order statistics", k)
-    if tail.item(-1) / base == math.inf:  # the largest excess ratio overflows (no numpy warning)
-        return _invalid("hill", "non-finite estimate", k)
-    _, gamma = _log_excesses(sample, k, tail, base)
-    if gamma == 0.0:
-        return _invalid("hill", "degenerate tail", k)
-    return EstimateRecord("hill", 1.0 / gamma, True, "", k)
+def _tail_rows(rows: np.ndarray, k: int):
+    """Each row's top k order statistics and its (n-k)-th, the base, with a mask of positive bases.
 
-
-def t_hill(sample: Sample, k: int) -> EstimateRecord:
-    """t-Hill estimator via the harmonic-mean ratio T = mean(base/tail).
-
-    For a Pareto tail E[t/X | X > t] = alpha/(alpha+1), so alpha is
-    recovered as T/(1-T). Kept as the single place encoding that
-    normalization in case a different convention is ever preferred.
+    Rows whose base is not positive come back as ones.
     """
-    tail, base = _top_order_stats(sample, k)
-    if base <= 0.0:
-        return _invalid("thill", "requires positive order statistics", k)
-    t = _mean(base / tail)
-    if t == 0.0:  # every ratio base / tail underflows (no numpy warning): t > 0 in exact arithmetic
-        return _invalid("thill", "non-finite estimate", k)
-    if t >= 1.0:
-        return _invalid("thill", "degenerate tail", k)
-    return _checked("thill", t / (1.0 - t), k)
+    n = rows.shape[1]
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    block = rows[:, n - k - 1 :]
+    positive = block[:, 0] > 0.0
+    if not positive.all():
+        block = np.where(positive[:, None], block, 1.0)
+    return block[:, 1:], block[:, 0], positive
 
 
-def pickands(sample: Sample, k: int) -> EstimateRecord:
-    """Pickands estimator from the (k, 2k, 4k) upper order statistics."""
-    n = sample.n
-    if k < 1 or 4 * k > n:
-        raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
-    x = sample.sorted
+def _log_excess_rows(rows: np.ndarray, k: int):
+    """log(tail / base) per row, and the code of the rows that have none.
+
+    A row whose base is not positive, or whose largest excess ratio
+    overflows, gets its code and ratios of 1, so its logs are 0.
+    """
+    tail, base, positive = _tail_rows(rows, k)
+    with np.errstate(over="ignore"):  # as with Python floats: inf, marked below
+        ratios = tail / base[:, None]
+    code = np.where(positive, _VALID, _NOT_POSITIVE)
+    _mark(code, ratios[:, -1] == math.inf, _NON_FINITE)  # tail is ascending: its last ratio is the largest
+    ratios[code != _VALID] = 1.0
+    return np.log(ratios), code
+
+
+def _reciprocal_where(keep: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """1 / gamma where ``keep`` holds (gamma != 0 there), NaN elsewhere."""
+    alpha = 1.0 / np.where(keep, gamma, 1.0)
+    alpha[~keep] = math.nan
+    return alpha
+
+
+def _hill_rows(rows: np.ndarray, k: int):
+    logs, code = _log_excess_rows(rows, k)
+    gamma = np.add.reduce(logs, axis=1) / k
+    _mark(code, gamma == 0.0, _DEGENERATE)
+    return _reciprocal_where(code == _VALID, gamma), code
+
+
+def _t_hill_rows(rows: np.ndarray, k: int):
+    # For a Pareto tail E[t/X | X > t] = alpha/(alpha+1), so alpha is recovered
+    # as T/(1-T) from T = mean(base/tail). This is the single place encoding
+    # that normalization, in case a different convention is ever preferred.
+    tail, base, positive = _tail_rows(rows, k)
+    t = np.add.reduce(base[:, None] / tail, axis=1) / k
+    code = np.where(positive, _VALID, _NOT_POSITIVE)
+    _mark(code, t == 0.0, _NON_FINITE)  # every ratio base / tail underflows, while t > 0 in exact arithmetic
+    _mark(code, t >= 1.0, _DEGENERATE)
+    valid = code == _VALID
+    alpha = t / (1.0 - np.where(valid, t, 0.0))  # 0 < t < 1 on valid rows: finite and positive
+    alpha[~valid] = math.nan
+    return alpha, code
+
+
+def _pickands_row(a: float, b: float, c: float) -> tuple[float, int]:
     # Python floats: an overflowing spacing ratio becomes inf without a numpy warning
-    a, b, c = x.item(n - k), x.item(n - 2 * k), x.item(n - 4 * k)
     upper, lower = a - b, b - c
     if upper == 0.0 or lower == 0.0:
-        return _invalid("pickands", "tied order statistics", k)
+        return math.nan, _TIED
     ratio = upper / lower
     if not 0.0 < ratio < math.inf:
         # the spacings are so far apart in scale that their ratio under- or overflows
-        return _invalid("pickands", "non-finite estimate", k)
+        return math.nan, _NON_FINITE
     gamma = math.log(ratio) / _LOG2
     if gamma == 0.0:
-        return _invalid("pickands", "zero tail-index estimate", k)
-    alpha = 1.0 / gamma
-    if gamma < 0.0:
-        return EstimateRecord("pickands", alpha, False, "non-heavy tail estimate", k)
-    return EstimateRecord("pickands", alpha, True, "", k)
+        return math.nan, _ZERO_INDEX
+    return 1.0 / gamma, _VALID if gamma > 0.0 else _NON_HEAVY
 
 
-def moment_dedh(sample: Sample, k: int) -> EstimateRecord:
-    """Moment (Dekkers-Einmahl-de Haan) estimator from log-excess moments."""
-    tail, base = _top_order_stats(sample, k)
-    if base <= 0.0:
-        return _invalid("moment", "requires positive order statistics", k)
-    if tail.item(-1) / base == math.inf:  # as in hill: the largest excess ratio overflows
-        return _invalid("moment", "non-finite estimate", k)
-    logs, m1 = _log_excesses(sample, k, tail, base)
-    m2 = _mean(logs * logs)
-    if m2 == 0.0:
-        return _invalid("moment", "degenerate tail", k)
-    ratio = m1 * m1 / m2
-    if ratio == 1.0:
-        return _invalid("moment", "degenerate moment ratio", k)
-    gamma = m1 + 1.0 - 0.5 / (1.0 - ratio)
-    if gamma == 0.0:
-        return _invalid("moment", "non-heavy tail estimate", k)
-    alpha = 1.0 / gamma
-    if gamma < 0.0:
-        return EstimateRecord("moment", alpha, False, "non-heavy tail estimate", k)
-    return EstimateRecord("moment", alpha, True, "", k)
+def _pickands_rows(rows: np.ndarray, k: int):
+    n = rows.shape[1]
+    if k < 1 or 4 * k > n:
+        raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
+    alpha, code = zip(*map(_pickands_row, rows[:, n - k].tolist(), rows[:, n - 2 * k].tolist(),
+                           rows[:, n - 4 * k].tolist()))
+    return np.array(alpha), np.array(code)
 
 
-_CLASSICAL = {"hill": hill, "thill": t_hill, "pickands": pickands, "moment": moment_dedh}
+def _moment_rows(rows: np.ndarray, k: int):
+    logs, code = _log_excess_rows(rows, k)
+    m1 = np.add.reduce(logs, axis=1) / k
+    m2 = np.add.reduce(logs * logs, axis=1) / k
+    ratio = m1 * m1 / np.where(m2 == 0.0, 1.0, m2)
+    gamma = m1 + 1.0 - 0.5 / np.where(ratio == 1.0, 1.0, 1.0 - ratio)
+    _mark(code, m2 == 0.0, _DEGENERATE)
+    _mark(code, ratio == 1.0, _DEGENERATE_RATIO)
+    _mark(code, gamma <= 0.0, _NON_HEAVY)
+    # a non-heavy tail keeps its negative estimate as evidence; gamma == 0 has none
+    return _reciprocal_where((code == _VALID) | ((code == _NON_HEAVY) & (gamma != 0.0)), gamma), code
+
+
+_CLASSICAL_ROWS = {"hill": _hill_rows, "thill": _t_hill_rows, "pickands": _pickands_rows,
+                   "moment": _moment_rows}
+
+
+def classical_rows(method: str, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Score a classical method at k on every row of a matrix of sorted samples.
+
+    Returns ``(alpha, code)``: per row the estimate, NaN where the record
+    carries none, and the index of its reason in ``ROW_REASONS`` (0: valid).
+    ``evaluate`` scores a single sample here too, as a 1-row matrix.
+    """
+    scorer = _CLASSICAL_ROWS.get(method)
+    if scorer is None:
+        raise ValueError(f"method {method!r} is not a classical method")
+    return scorer(rows, k)
 
 
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:
     """Dispatch by CLI method name; classical methods require k."""
-    classical = _CLASSICAL.get(method)
-    if classical is not None:
+    rows = sample.sorted[None, :]
+    if method in _CLASSICAL_ROWS:
         if k is None:
             raise ValueError(f"method {method!r} requires k")
-        return classical(sample, k)
+        alpha, code = classical_rows(method, rows, k)
+        estimate, reason = alpha.item(0), int(code[0])
+        return EstimateRecord(method, None if math.isnan(estimate) else estimate,
+                              reason == _VALID, ROW_REASONS[reason], k)
     if method in NEW_METHODS:
-        return evaluate_rows((method,), sample.sorted[None, :])[method][0]
+        return evaluate_rows((method,), rows)[method][0]
     raise ValueError(f"unknown method {method!r}")
+
+
+def hill(sample: Sample, k: int) -> EstimateRecord:
+    """Hill estimator: reciprocal mean log-excess over the (n-k)-th order statistic."""
+    return evaluate("hill", sample, k)
+
+
+def t_hill(sample: Sample, k: int) -> EstimateRecord:
+    """t-Hill estimator via the harmonic-mean ratio T = mean(base/tail): alpha = T/(1-T)."""
+    return evaluate("thill", sample, k)
+
+
+def pickands(sample: Sample, k: int) -> EstimateRecord:
+    """Pickands estimator from the (k, 2k, 4k) upper order statistics."""
+    return evaluate("pickands", sample, k)
+
+
+def moment_dedh(sample: Sample, k: int) -> EstimateRecord:
+    """Moment (Dekkers-Einmahl-de Haan) estimator from log-excess moments."""
+    return evaluate("moment", sample, k)

@@ -7,12 +7,17 @@ with empirical 95% bands over the valid replicates.
 
 Replicate r at grid point g always uses ``RngState(seed, stream=g*m + r)``,
 so results are bit-identical for identical configs no matter how many
-workers evaluate the grid. Each replicate is drawn by ``distributions.sample``.
-At a k-point, ``evaluate`` scores each replicate once per method. At an
-n-point, the replicates' sorted values are stacked into one (m, n) matrix and
-``evaluate_rows`` scores them all: it computes every row's quartiles, upper
-outer fence and count above it at once, then runs each method's inversion
-once per row, giving the records ``evaluate`` would.
+workers evaluate the grid. ``distributions.sample_rows`` draws a grid
+point's m replicates as one (m, n) matrix of sorted rows, row r equal to
+``sample(spec, RngState(seed, g*m + r), n).sorted``: each row's uniforms come
+from its own stream, and the inverse transform and the sort run once over
+the matrix. At an n-point, ``evaluate_rows`` scores the matrix: it computes
+every row's quartiles, upper outer fence and count above it at once, then
+runs each method's inversion once per row. At a k-point,
+``classical_rows`` scores it once per classical method, as arrays of
+estimates and reason codes. Either way a row gets the record ``evaluate``
+gives for its sample, and the valid estimates reach ``summarize_ci`` in
+replicate order.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import distributions as dist
 from .distributions import DistributionSpec, RngState, checked_int
 from .empirical import Sample, empirical_quantile
-from .estimators import ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, _mean, evaluate, evaluate_rows
+# evaluate is not called here; the benchmark's tracer wraps this binding
+from .estimators import (ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, _mean, classical_rows,  # noqa: F401
+                         evaluate, evaluate_rows)
 
 DEFAULT_N_GRID = tuple(range(10, 101, 5))
 
@@ -144,22 +149,17 @@ def _grid_points(config: StudyConfig) -> list[_GridPoint]:
 def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[StudyRow]:
     if not point.methods:
         return []
-    spec, seed, base, n, k = config.spec, config.seed, g * config.m, point.n, point.k
-    if k is None:
-        stacked = np.empty((config.m, n))
-        for r in range(config.m):
-            stacked[r] = dist.sample(spec, RngState(seed, base + r), n).sorted
-        records = evaluate_rows(point.methods, stacked)
+    first = g * config.m
+    samples = dist.sample_rows(config.spec, config.seed, range(first, first + config.m), point.n)
+    if point.k is None:
+        records = evaluate_rows(point.methods, samples)
         valid_alphas = {method: [rec.alpha_hat for rec in recs if rec.valid]
                         for method, recs in records.items()}
     else:
-        valid_alphas = {m: [] for m in point.methods}
-        for r in range(config.m):
-            smp = dist.sample(spec, RngState(seed, base + r), n)
-            for method, values in valid_alphas.items():
-                record = evaluate(method, smp, k)
-                if record.valid:
-                    values.append(record.alpha_hat)
+        valid_alphas = {}
+        for method in point.methods:
+            alpha, code = classical_rows(method, samples, point.k)
+            valid_alphas[method] = alpha[code == 0].tolist()
     rows = []
     for method in point.methods:
         values = valid_alphas[method]
@@ -236,12 +236,13 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
 
     Grid points run in this process by default (workers=None or 1). An
     explicit workers > 1 spreads them over a process pool, which pays only on
-    large studies: on a 2-core host, serial vs 2 workers took 0.26 s vs
-    0.24 s for the 98-point k-sweep at m=40, 0.025 s vs 0.058 s for the
-    19-point t(4) n-sweep at m=8, and 8.2 s vs 5.4 s for a default
-    `simulate` (117 points, m=1000). A one-point study always runs in one
-    process. Results are gathered by grid-point index, never by completion
-    order, so the bytes do not depend on ``workers``.
+    large studies: on a 2-core x86 host, serial vs 2 workers took 0.072 s vs
+    0.13 s for the 98-point Pareto k-sweep at m=40, 0.014 s vs 0.040 s for
+    the 19-point t(4) n-sweep at m=8, and for a default `simulate` (117
+    points, m=1000) 1.6 s vs 0.97 s on Pareto(0.5, 1) and 9.3 s vs 5.2 s on
+    t(4) (medians of 9, 9, 3 and 3 interleaved runs). A one-point study
+    always runs in one process. Results are gathered by grid-point index,
+    never by completion order, so the bytes do not depend on ``workers``.
     """
     points = _grid_points(config)
     if workers is not None and workers > 1 and len(points) > 1:

@@ -510,6 +510,29 @@ def test_sample_rejects_non_finite_draws(monkeypatch):
         tf.sample(spec, tf.RngState(1, 0), 3)
 
 
+@pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)", "gamma(alpha=0.5,beta=1)"])
+@pytest.mark.parametrize("seed", [7, 2**40 + 1])
+def test_sample_rows_equal_stacked_samples_bit_for_bit(text, seed):
+    # streams 1000..1059 cross the hash-block edge at 1024
+    spec = tf.parse_spec(text)
+    streams = range(1000, 1060)
+    rows = distributions.sample_rows(spec, seed, streams, 33)
+    stacked = np.stack([tf.sample(spec, tf.RngState(seed, s), 33).sorted for s in streams])
+    assert rows.shape == (60, 33) and rows.flags.c_contiguous
+    assert rows.tobytes() == stacked.tobytes()
+
+
+def test_sample_rows_reject_bad_counts_and_non_finite_draws(monkeypatch):
+    spec = tf.parse_spec("hillhorror(alpha=0.01)")
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        distributions.sample_rows(spec, 1, range(3), 0)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        distributions.sample_rows(spec, 1, range(3), 2.0)
+    monkeypatch.setattr(distributions, "_generator", lambda rng: _top_draw_generator())
+    with pytest.raises(ValueError, match="NaN or infinite"):  # Q(1 - 2^-53) overflows
+        distributions.sample_rows(spec, 1, range(3), 2)
+
+
 def test_sampling_deterministic_in_seed_and_stream():
     spec = tf.parse_spec("uniform(a=0,b=1)")
     a = tf.sample(spec, tf.RngState(123, 0), 5)

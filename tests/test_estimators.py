@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 import warnings
 from dataclasses import MISSING, FrozenInstanceError, astuple, fields, replace
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailfence as tf
-from tailfence import estimators
+from tailfence import distributions, estimators
 from tailfence.empirical import row_fence_characteristics
 
 LOG3 = math.log(3.0)
@@ -432,9 +431,13 @@ CRAFTED = [
 
 
 def emitted_reasons():
-    """Every reason string the estimators module can put into a record."""
+    """Every reason string the estimators module can put into a record.
+
+    The fence/quartile inversions name theirs in the call that builds the
+    record; the classical row forms report an index into ROW_REASONS.
+    """
     tree = ast.parse(Path(estimators.__file__).read_text())
-    reasons = set()
+    reasons = set(estimators.ROW_REASONS) - {""}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_invalid", "EstimateRecord"):
             reasons.update(arg.value for arg in node.args
@@ -482,34 +485,54 @@ def test_estimators_match_reference_on_many_samples():
         ]
 
 
-def test_shared_log_excesses_follow_k():
-    # hill, t_hill and moment share a sample's top order statistics, and hill
-    # and moment its log-excesses with their mean, each cached for the last k;
-    # a later call with another k must not reuse the earlier k's
-    spec = tf.parse_spec("pareto(alpha=1,delta=1)")
-    pairs = [(3, 7), (7, 3), (1, 29), (29, 1), (12, 12)]
-    for r in range(40):
-        smp = tf.sample(spec, tf.RngState(5, r), 30)
-        for k1, k2 in pairs:
-            assert tf.moment_dedh(smp, k1) == tf.moment_dedh(tf.Sample(smp.values), k1)
-            assert tf.hill(smp, k2) == tf.hill(tf.Sample(smp.values), k2)
-            # and back to k1 after hill's k2
-            assert tf.moment_dedh(smp, k1) == tf.moment_dedh(tf.Sample(smp.values), k1)
-    # every order of the four classical methods, going k1 -> k2 -> k1 on one sample
-    pairs = [(3, 7), (7, 3), (1, 10), (10, 1), (5, 5)]
-    for r in range(8):
-        values = tf.sample(spec, tf.RngState(6, r), 40).values
-        fresh = {
-            (method, k): tf.evaluate(method, tf.Sample(values), k)
-            for method in tf.CLASSICAL_METHODS
-            for k in range(1, 11)
-        }
-        for order in itertools.permutations(tf.CLASSICAL_METHODS):
-            for k1, k2 in pairs:
-                smp = tf.Sample(values)
-                for k in (k1, k2, k1):
-                    for method in order:
-                        assert tf.evaluate(method, smp, k) == fresh[(method, k)]
+def row_form_records(method, rows, k):
+    """The records of every row of a matrix of sorted samples, from the method's row form."""
+    alpha, code = estimators.classical_rows(method, rows, k)
+    return [tf.EstimateRecord(method, None if math.isnan(a) else a, c == 0, estimators.ROW_REASONS[c], k)
+            for a, c in zip(alpha.tolist(), code.tolist())]
+
+
+@pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)"])
+def test_row_forms_match_reference_on_every_k(text):
+    n = 100
+    rows = distributions.sample_rows(tf.parse_spec(text), 21, range(20), n)
+    samples = [tf.Sample(row) for row in rows]
+    reasons = set()
+    for method in tf.CLASSICAL_METHODS:
+        for k in range(2, n // 4 + 1 if method == "pickands" else n):
+            got = [bits(record) for record in row_form_records(method, rows, k)]
+            assert got == [bits(reference_evaluate(method, smp, k)) for smp in samples], (method, k)
+            reasons.update(reason for *_, reason, _ in got)
+    # t(4) rows mix positive and non-positive bases at one k
+    assert ("requires positive order statistics" in reasons) == text.startswith("t")
+
+
+def test_row_forms_do_not_warn_and_keep_rows_apart():
+    # t(4) rows whose base is 0 or negative, some with a 0 among the top k
+    t4 = distributions.sample_rows(tf.parse_spec("t(n=4)"), 5, range(200), 60)
+    t4[:3, 25:35] = 0.0
+    t4.sort(axis=1)
+    # overflowing and underflowing excess ratios beside ordinary rows
+    mixed = np.array([[1e-300, 1e300], [1.0, 2.0], [0.0, 1.0], [2.0, 2.0], [-1.0, 5.0], [1e-300, 1e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("hill", "thill", "moment"):
+            for rows, ks in ((t4, range(1, 60)), (mixed, (1,))):
+                for k in ks:
+                    _, code = estimators.classical_rows(method, rows, k)
+                    assert (code[rows[:, -k - 1] <= 0.0] == 1).all()
+                    # a row scores as it does alone, as a 1-row matrix
+                    assert row_form_records(method, rows, k) == [
+                        tf.evaluate(method, tf.Sample(row), k) for row in rows]
+
+
+def test_classical_rows_scores_only_the_classical_methods():
+    with pytest.raises(ValueError, match="not a classical method"):
+        estimators.classical_rows("par_n", np.ones((2, 5)), 2)
+    with pytest.raises(ValueError, match="k must satisfy"):
+        estimators.classical_rows("hill", np.ones((2, 5)), 5)
+    with pytest.raises(ValueError, match="4k <= n"):
+        estimators.classical_rows("pickands", np.ones((2, 5)), 2)
 
 
 def test_estimate_record_is_a_frozen_dataclass():
