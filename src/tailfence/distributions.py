@@ -336,7 +336,10 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 # streams. Every operand is a uint64 array or a non-negative Python int
 # below 2^64, which promotes to uint64 under both the legacy and the NEP 50
 # rules; a numpy uint64 scalar never meets a Python int. test_distributions
-# pins the words to numpy's SeedSequence.
+# pins the words to numpy's SeedSequence. A grid point slices its streams'
+# words out of the blocks once (_stream_words), and every PCG64, a grid
+# point's rows and a single sample's alike, is built from one stream's four
+# words by _generator.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -412,14 +415,34 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
     return seeds
 
 
+def _stream_words(seed: int, streams: range) -> np.ndarray:
+    """PCG64 seed words of consecutive streams: a (len(streams), 4) array.
+
+    Sliced out of each hash block the range meets, so a range that crosses a
+    block edge costs one slice per block, and a range inside one block is a
+    read-only view of it.
+    """
+    if streams.step != 1:
+        raise ValueError(f"streams must be consecutive, got {streams}")
+    parts = []
+    first, stop = streams.start, streams.stop
+    while first < stop:
+        block, row = divmod(first, _BLOCK)
+        take = min(stop - first, _BLOCK - row)
+        parts.append(_seed_block(seed, block)[row : row + take])
+        first += take
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty((0, 4), np.uint64)
+
+
 class _StreamSeed(np.random.bit_generator.ISeedSequence):
-    """SeedSequence(seed, spawn_key=(stream,)) reduced to the PCG64 seed words."""
+    """SeedSequence(seed, spawn_key=(stream,)) reduced to its four PCG64 seed words."""
 
     __slots__ = ("words",)
 
-    def __init__(self, rng: RngState):
-        block, row = divmod(rng.stream, _BLOCK)
-        self.words = _seed_block(rng.seed, block)[row]
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 passes np.uint64 itself, which needs no np.dtype() call
@@ -428,27 +451,31 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _generator(rng: RngState) -> np.random.PCG64:
-    return np.random.PCG64(_StreamSeed(rng))
+def _generator(words: np.ndarray) -> np.random.PCG64:
+    """The PCG64 of one stream, from its four seed words (a row of ``_stream_words``)."""
+    return np.random.PCG64(_StreamSeed(words))
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _open_unit(u: np.ndarray) -> np.ndarray:
-    # Generator.random() gives k / 2^53 with k the top 53 bits of each raw
-    # 64-bit word (the integer Generator.integers(0, 2**53) draws), in one C
-    # call. Adding 2^-54 keeps u off 0: it rounds (2k + 1) / 2^54 to a double,
-    # exactly as (k + 0.5) / 2^53 does. For the top k that is 1.0 (1 - 2^-54 is
-    # not representable), so clamp: u lies in [2^-54, 1 - 2^-53] and every
-    # quantile stays finite. Works in place and returns u.
+def _open_unit(raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit PCG64 words mapped to uniforms in [2^-54, 1 - 2^-53].
+
+    (w >> 11) * 2^-53 is k / 2^53 with k the top 53 bits of the word: what
+    Generator.random() gives, and Generator.integers(0, 2**53) draws k.
+    Adding 2^-54 keeps u off 0: it rounds (2k + 1) / 2^54 to a double,
+    exactly as (k + 0.5) / 2^53 does. For the top k that is 1.0 (1 - 2^-54
+    is not representable), so clamp: every quantile stays finite.
+    """
+    u = (raw >> 11) * 2.0**-53
     u += 2.0**-54
     np.minimum(u, _BELOW_ONE, out=u)
     return u
 
 
 def _uniform_open(bitgen: np.random.PCG64, count: int) -> np.ndarray:
-    return _open_unit(np.random.Generator(bitgen).random(count))
+    return _open_unit(bitgen.random_raw(count))
 
 
 def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
@@ -457,31 +484,34 @@ def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
     Stream ``rng`` is a SeedSequence(seed, spawn_key=(stream,)) feeding
     PCG64, so identical (seed, stream) pairs produce identical samples
     regardless of execution order, and replicate streams can be drawn in any
-    order or process. The uniforms are the raw PCG64 words mapped to
-    [2^-54, 1 - 2^-53] by ``Generator.random`` plus 2^-54.
+    order or process. The uniforms are the raw PCG64 words w mapped to
+    [2^-54, 1 - 2^-53] as (w >> 11) * 2^-53 + 2^-54.
     """
     count = checked_int(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    u = _uniform_open(_generator(rng), count)
+    words = _stream_words(rng.seed, range(rng.stream, rng.stream + 1))[0]
+    u = _uniform_open(_generator(words), count)
     return Sample(_quantile_array(spec, u))
 
 
 def sample_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -> np.ndarray:
     """One sorted sample of ``count`` draws per stream, as a (len(streams), count) matrix.
 
-    Row i equals ``sample(spec, RngState(seed, streams[i]), count).sorted``
-    bit for bit. Each row's uniforms are drawn straight into the matrix; the
-    2^-54 shift, the inverse transform and the sort then run once over all
-    rows.
+    ``streams`` is a range of consecutive streams. Row i equals
+    ``sample(spec, RngState(seed, streams[i]), count).sorted`` bit for bit.
+    The streams' seed words are sliced out of their hash blocks once, each
+    row's raw PCG64 words are drawn from its own stream into one uint64
+    matrix, and the mapping to uniforms, the inverse transform and the sort
+    then run once over all rows.
     """
     count = checked_int(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    u = np.empty((len(streams), count))
-    for row, stream in zip(u, streams):
-        np.random.Generator(_generator(RngState(seed, stream))).random(out=row)
-    rows = _quantile_array(spec, _open_unit(u))
+    RngState(seed, streams.start)  # validates the seed and the first stream
+    # one array per row, stacked once: cheaper than copying each into a row of the matrix
+    raw = np.array([_generator(words).random_raw(count) for words in _stream_words(seed, streams)], np.uint64)
+    rows = _quantile_array(spec, _open_unit(raw.reshape(len(streams), count)))
     rows.sort(axis=1)
     # NaN sorts last and -inf/+inf to the ends, as in Sample
     if not np.isfinite(rows[:, [0, -1]]).all():

@@ -9,7 +9,9 @@ their derivations. Each inversion is a function of characteristics,
 row's of a matrix of sorted samples. The classical comparators (Hill,
 t-Hill, Pickands, moment) use the usual upper-order-statistic forms from the
 literature, each written once as a row form that ``classical_rows`` runs on
-every row of such a matrix at once. ``evaluate`` and the named estimators
+every row of such a matrix at once; the methods scored together share one
+block of top order statistics, and Hill and moment one set of
+log-excesses. ``evaluate`` and the named estimators
 score one sample as a 1-row matrix, so a single sample and a study's
 replicates take the same path.
 
@@ -212,9 +214,10 @@ def _mark(code: np.ndarray, failed: np.ndarray, reason: int) -> None:
 
 
 def _tail_rows(rows: np.ndarray, k: int):
-    """Each row's top k order statistics and its (n-k)-th, the base, with a mask of positive bases.
+    """Each row's top k order statistics and its (n-k)-th, the base, with the rows' starting codes.
 
-    Rows whose base is not positive come back as ones.
+    Rows whose base is not positive come back as ones, with code
+    ``_NOT_POSITIVE``; every other row starts valid.
     """
     n = rows.shape[1]
     if not 1 <= k <= n - 1:
@@ -223,19 +226,18 @@ def _tail_rows(rows: np.ndarray, k: int):
     positive = block[:, 0] > 0.0
     if not positive.all():
         block = np.where(positive[:, None], block, 1.0)
-    return block[:, 1:], block[:, 0], positive
+    return block[:, 1:], block[:, 0], np.where(positive, _VALID, _NOT_POSITIVE)
 
 
-def _log_excess_rows(rows: np.ndarray, k: int):
+def _log_excess_rows(tail: np.ndarray, base: np.ndarray, code: np.ndarray):
     """log(tail / base) per row, and the code of the rows that have none.
 
-    A row whose base is not positive, or whose largest excess ratio
-    overflows, gets its code and ratios of 1, so its logs are 0.
+    A row that already has a code, or whose largest excess ratio overflows,
+    gets its code and ratios of 1, so its logs are 0. ``code`` is not written.
     """
-    tail, base, positive = _tail_rows(rows, k)
     with np.errstate(over="ignore"):  # as with Python floats: inf, marked below
         ratios = tail / base[:, None]
-    code = np.where(positive, _VALID, _NOT_POSITIVE)
+    code = code.copy()
     _mark(code, ratios[:, -1] == math.inf, _NON_FINITE)  # tail is ascending: its last ratio is the largest
     ratios[code != _VALID] = 1.0
     return np.log(ratios), code
@@ -248,20 +250,17 @@ def _reciprocal_where(keep: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _hill_rows(rows: np.ndarray, k: int):
-    logs, code = _log_excess_rows(rows, k)
+def _hill_rows(logs: np.ndarray, code: np.ndarray, k: int):
     gamma = np.add.reduce(logs, axis=1) / k
     _mark(code, gamma == 0.0, _DEGENERATE)
     return _reciprocal_where(code == _VALID, gamma), code
 
 
-def _t_hill_rows(rows: np.ndarray, k: int):
+def _t_hill_rows(tail: np.ndarray, base: np.ndarray, code: np.ndarray, k: int):
     # For a Pareto tail E[t/X | X > t] = alpha/(alpha+1), so alpha is recovered
     # as T/(1-T) from T = mean(base/tail). This is the single place encoding
     # that normalization, in case a different convention is ever preferred.
-    tail, base, positive = _tail_rows(rows, k)
     t = np.add.reduce(base[:, None] / tail, axis=1) / k
-    code = np.where(positive, _VALID, _NOT_POSITIVE)
     _mark(code, t == 0.0, _NON_FINITE)  # every ratio base / tail underflows, while t > 0 in exact arithmetic
     _mark(code, t >= 1.0, _DEGENERATE)
     valid = code == _VALID
@@ -289,13 +288,13 @@ def _pickands_rows(rows: np.ndarray, k: int):
     n = rows.shape[1]
     if k < 1 or 4 * k > n:
         raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
-    alpha, code = zip(*map(_pickands_row, rows[:, n - k].tolist(), rows[:, n - 2 * k].tolist(),
-                           rows[:, n - 4 * k].tolist()))
-    return np.array(alpha), np.array(code)
+    scored = list(map(_pickands_row, rows[:, n - k].tolist(), rows[:, n - 2 * k].tolist(),
+                      rows[:, n - 4 * k].tolist()))
+    return (np.array([alpha for alpha, _ in scored], dtype=float),
+            np.array([code for _, code in scored], dtype=int))
 
 
-def _moment_rows(rows: np.ndarray, k: int):
-    logs, code = _log_excess_rows(rows, k)
+def _moment_rows(logs: np.ndarray, code: np.ndarray, k: int):
     m1 = np.add.reduce(logs, axis=1) / k
     m2 = np.add.reduce(logs * logs, axis=1) / k
     ratio = m1 * m1 / np.where(m2 == 0.0, 1.0, m2)
@@ -307,30 +306,44 @@ def _moment_rows(rows: np.ndarray, k: int):
     return _reciprocal_where((code == _VALID) | ((code == _NON_HEAVY) & (gamma != 0.0)), gamma), code
 
 
-_CLASSICAL_ROWS = {"hill": _hill_rows, "thill": _t_hill_rows, "pickands": _pickands_rows,
-                   "moment": _moment_rows}
+def classical_rows(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Score classical methods at k on every row of a matrix of sorted samples.
 
-
-def classical_rows(method: str, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Score a classical method at k on every row of a matrix of sorted samples.
-
-    Returns ``(alpha, code)``: per row the estimate, NaN where the record
-    carries none, and the index of its reason in ``ROW_REASONS`` (0: valid).
+    Returns ``{method: (alpha, code)}``: per row the estimate, NaN where the
+    record carries none, and the index of its reason in ``ROW_REASONS``
+    (0: valid). The top k + 1 order statistics are taken once, and Hill and
+    the moment estimator read one shared set of log-excesses; each method
+    marks its own copy of the codes, so no method's checks reach another's.
     ``evaluate`` scores a single sample here too, as a 1-row matrix.
     """
-    scorer = _CLASSICAL_ROWS.get(method)
-    if scorer is None:
-        raise ValueError(f"method {method!r} is not a classical method")
-    return scorer(rows, k)
+    for method in methods:
+        if method not in CLASSICAL_METHODS:
+            raise ValueError(f"method {method!r} is not a classical method")
+    wanted = set(methods)
+    if wanted - {"pickands"}:
+        tail, base, code = _tail_rows(rows, k)
+    if wanted & {"hill", "moment"}:
+        logs, log_code = _log_excess_rows(tail, base, code)
+    scored = {}
+    for method in methods:
+        if method == "hill":
+            scored[method] = _hill_rows(logs, log_code.copy(), k)
+        elif method == "thill":
+            scored[method] = _t_hill_rows(tail, base, code.copy(), k)
+        elif method == "moment":
+            scored[method] = _moment_rows(logs, log_code.copy(), k)
+        else:
+            scored[method] = _pickands_rows(rows, k)
+    return scored
 
 
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:
     """Dispatch by CLI method name; classical methods require k."""
     rows = sample.sorted[None, :]
-    if method in _CLASSICAL_ROWS:
+    if method in CLASSICAL_METHODS:
         if k is None:
             raise ValueError(f"method {method!r} requires k")
-        alpha, code = classical_rows(method, rows, k)
+        alpha, code = classical_rows((method,), rows, k)[method]
         estimate, reason = alpha.item(0), int(code[0])
         return EstimateRecord(method, None if math.isnan(estimate) else estimate,
                               reason == _VALID, ROW_REASONS[reason], k)

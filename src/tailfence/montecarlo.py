@@ -9,13 +9,16 @@ Replicate r at grid point g always uses ``RngState(seed, stream=g*m + r)``,
 so results are bit-identical for identical configs no matter how many
 workers evaluate the grid. ``distributions.sample_rows`` draws a grid
 point's m replicates as one (m, n) matrix of sorted rows, row r equal to
-``sample(spec, RngState(seed, g*m + r), n).sorted``: each row's uniforms come
-from its own stream, and the inverse transform and the sort run once over
-the matrix. At an n-point, ``evaluate_rows`` scores the matrix: it computes
-every row's quartiles, upper outer fence and count above it at once, then
-runs each method's inversion once per row. At a k-point,
-``classical_rows`` scores it once per classical method, as arrays of
-estimates and reason codes. Either way a row gets the record ``evaluate``
+``sample(spec, RngState(seed, g*m + r), n).sorted``: the m streams' PCG64
+seed words are sliced out of their hash blocks once, each row's raw words
+come from its own stream's PCG64, and the mapping to uniforms, the inverse
+transform and the sort run once over the matrix. At an n-point,
+``evaluate_rows`` scores the matrix: it computes every row's quartiles,
+upper outer fence and count above it at once, then runs each method's
+inversion once per row. At a k-point, one ``classical_rows`` call scores
+all its classical methods from one shared block of top order statistics
+(and one set of log-excesses for Hill and moment), as arrays of estimates
+and reason codes per method. Either way a row gets the record ``evaluate``
 gives for its sample, and the valid estimates reach ``summarize_ci`` in
 replicate order.
 """
@@ -156,10 +159,8 @@ def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[Stud
         valid_alphas = {method: [rec.alpha_hat for rec in recs if rec.valid]
                         for method, recs in records.items()}
     else:
-        valid_alphas = {}
-        for method in point.methods:
-            alpha, code = classical_rows(method, samples, point.k)
-            valid_alphas[method] = alpha[code == 0].tolist()
+        valid_alphas = {method: alpha[code == 0].tolist()
+                        for method, (alpha, code) in classical_rows(point.methods, samples, point.k).items()}
     rows = []
     for method in point.methods:
         values = valid_alphas[method]
@@ -236,10 +237,10 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
 
     Grid points run in this process by default (workers=None or 1). An
     explicit workers > 1 spreads them over a process pool, which pays only on
-    large studies: on a 2-core x86 host, serial vs 2 workers took 0.072 s vs
-    0.13 s for the 98-point Pareto k-sweep at m=40, 0.014 s vs 0.040 s for
+    large studies: on a 2-core x86 host, serial vs 2 workers took 0.057 s vs
+    0.081 s for the 98-point Pareto k-sweep at m=40, 0.013 s vs 0.031 s for
     the 19-point t(4) n-sweep at m=8, and for a default `simulate` (117
-    points, m=1000) 1.6 s vs 0.97 s on Pareto(0.5, 1) and 9.3 s vs 5.2 s on
+    points, m=1000) 1.26 s vs 0.70 s on Pareto(0.5, 1) and 8.8 s vs 4.3 s on
     t(4) (medians of 9, 9, 3 and 3 interleaved runs). A one-point study
     always runs in one process. Results are gathered by grid-point index,
     never by completion order, so the bytes do not depend on ``workers``.

@@ -236,6 +236,11 @@ def reference_t_ppf(df, p):
     return np.where(p < 0.5, -x, x)
 
 
+def stream_generator(seed, stream):
+    """The PCG64 that ``sample`` builds for RngState(seed, stream), from the stream's seed words."""
+    return distributions._generator(distributions._stream_words(seed, range(stream, stream + 1))[0])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 40])
 def test_t_quantile_matches_both_form_reference_bit_for_bit(df):
@@ -249,10 +254,9 @@ def test_t_quantile_matches_both_form_reference_bit_for_bit(df):
         assert tf.quantile(spec, u) == float(reference_t_ppf(df, u)), u
     assert math.copysign(1.0, tf.quantile(spec, 0.5)) == 1.0  # +0.0, as the reference
     for stream in range(1000):
-        rng = tf.RngState(2024, stream)
-        u = _uniform_open(distributions._generator(rng), 40)
+        u = _uniform_open(stream_generator(2024, stream), 40)
         expected = reference_t_ppf(df, u)
-        assert tf.sample(spec, rng, 40).values.tobytes() == expected.tobytes(), stream
+        assert tf.sample(spec, tf.RngState(2024, stream), 40).values.tobytes() == expected.tobytes(), stream
 
 
 # -cot(pi p), the exact t(1) quantile, by mpmath at 40 digits
@@ -423,6 +427,67 @@ def test_closed_form_quantiles_monotone_on_sampler_grid(spec, p):
         assert drops.size == 0, (spec, first, drops[:5])
 
 
+def exact_cdf_pdf(spec, x):
+    """F(x) and f(x) of a scipy-backed family at the float x, by mpmath."""
+    mp = pytest.importorskip("mpmath")
+    x = mp.mpf(x)
+    if spec.family == "studentt":
+        df = mp.mpf(spec.params["n"])
+        tail = mp.betainc(df / 2, mp.mpf(1) / 2, 0, df / (df + x * x), regularized=True) / 2
+        pdf = mp.gamma((df + 1) / 2) / (mp.sqrt(df * mp.pi) * mp.gamma(df / 2)) * (1 + x * x / df) ** (-(df + 1) / 2)
+        return (tail if x < 0 else 1 - tail), pdf
+    if spec.family == "gamma":
+        a, b = mp.mpf(spec.params["alpha"]), mp.mpf(spec.params["beta"])
+        return mp.gammainc(a, 0, b * x, regularized=True), b * (b * x) ** (a - 1) * mp.exp(-b * x) / mp.gamma(a)
+    assert spec.family == "normal" and spec.params == {"mu": 0.0, "sigma2": 1.0}
+    return mp.ncdf(x), mp.npdf(x)
+
+
+# Drops of the scipy-backed quantiles between adjacent sampler uniforms
+# (2k+1)·2^-54, on windows of `width` uniforms centred on p: how many pairs
+# drop, the largest drop and the largest error of a dropped pair's values
+# against mpmath, both in ulps of the value. Measured with scipy 1.17.1; a
+# scipy that drops more pairs, or further, fails here.
+SCIPY_QUANTILE_DROPS = [
+    # spec, p, width, dropped pairs, largest drop, largest error
+    ("t(n=3)", 0.3, 1000, 154, 11.0, 11.06),
+    ("t(n=3)", 0.25, 1000, 89, 8.0, 9.21),
+    ("t(n=4)", 0.25, 1000, 64, 9.0, 10.76),
+    ("t(n=4)", 0.76, 1000, 4, 4.0, 8.91),
+    ("gamma(alpha=0.5,beta=1)", 0.9, 1000, 139, 57.0, 42.37),
+    ("gamma(alpha=0.5,beta=1)", 0.5, 1000, 50, 6.0, 13.59),
+    ("normal(mu=0,sigma2=1)", 0.1, 100_000, 13, 2.0, 3.27),
+]
+
+
+@pytest.mark.parametrize(("text", "p", "width", "pairs", "largest_drop", "largest_error"), SCIPY_QUANTILE_DROPS)
+def test_scipy_quantile_drops_are_rounding_error(text, p, width, pairs, largest_drop, largest_error):
+    # These quantiles are not monotone at the ulp level, so neither
+    # Q(sort u) == sort Q(u) nor transforming only the order statistics an
+    # estimator reads would keep today's bytes. Every drop must be the
+    # quantile's own rounding error: mpmath puts each value of a dropped pair
+    # within the recorded error of the exact quantile, and the exact
+    # quantiles of the pair increase.
+    mp = pytest.importorskip("mpmath")
+    spec = tf.parse_spec(text)
+    first = round(p * 2**53) - width // 2
+    u = (first + np.arange(width)).astype(float) * 2.0**-53 + 2.0**-54
+    x = distributions._quantile_array(spec, u)
+    drops = np.flatnonzero(np.diff(x) < 0)
+    assert 0 < drops.size <= pairs
+    ulps = np.spacing(np.abs(x))
+    assert np.max((x[drops] - x[drops + 1]) / ulps[drops]) <= largest_drop
+    error = {}  # x - Q(u): one Newton step from x, exact to far below an ulp
+    with mp.workdps(30):
+        for i in sorted({*drops.tolist(), *(drops + 1).tolist()}):
+            cdf, pdf = exact_cdf_pdf(spec, float(x[i]))
+            error[i] = (cdf - mp.mpf(float(u[i]))) / pdf
+            assert abs(float(error[i])) <= largest_error * ulps[i], (i, float(error[i]) / ulps[i])
+        for i in drops.tolist():
+            # Q(u[i+1]) - Q(u[i]) = (x[i+1] - error[i+1]) - (x[i] - error[i]) > 0
+            assert mp.mpf(float(x[i + 1])) - error[i + 1] > mp.mpf(float(x[i])) - error[i], i
+
+
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 (XSL-RR 128/64) multiplier
 
 
@@ -450,7 +515,7 @@ def _top_draw_generator():
 def test_top_integer_draw_stays_below_one(monkeypatch):
     assert _top_draw_generator().random_raw(1)[0] == 2**64 - 1
     assert _uniform_open(_top_draw_generator(), 1)[0] == 1.0 - 2.0**-53
-    monkeypatch.setattr(distributions, "_generator", lambda rng: _top_draw_generator())
+    monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     for text in ("pareto(alpha=1,delta=1)", "exp(lambda=1)", "hillhorror(alpha=0.5)",
                  "frechet(alpha=2,mu=0,sigma=1)"):
         assert np.isfinite(tf.sample(tf.parse_spec(text), tf.RngState(1, 0), 1).values).all()
@@ -471,21 +536,19 @@ def test_uniform_open_matches_raw_word_formula_bit_for_bit():
         expected = _uniform_from_raw_words(np.array([word], dtype=np.uint64))
         assert np.array_equal(_uniform_open(_pcg64_emitting(word), 1), expected)
     for stream in range(1200):
-        rng = tf.RngState(99, stream)
         count = 1 + stream % 130
-        expected = _uniform_from_raw_words(distributions._generator(rng).random_raw(count))
-        assert np.array_equal(_uniform_open(distributions._generator(rng), count), expected)
+        expected = _uniform_from_raw_words(stream_generator(99, stream).random_raw(count))
+        assert np.array_equal(_uniform_open(stream_generator(99, stream), count), expected)
 
 
 def test_uniform_draw_matches_generator_integers():
     # The raw-word draw must give the u that Generator.integers(0, 2**53)
     # gives on the same SeedSequence(seed, spawn_key=(stream,)) stream.
     for stream in range(1000):
-        rng = tf.RngState(2024, stream)
-        seq = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream,))
+        seq = np.random.SeedSequence(entropy=2024, spawn_key=(stream,))
         k = np.random.Generator(np.random.PCG64(seq)).integers(0, 2**53, size=64, dtype=np.int64)
         expected = np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
-        assert np.array_equal(_uniform_open(distributions._generator(rng), 64), expected)
+        assert np.array_equal(_uniform_open(stream_generator(2024, stream), 64), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
@@ -496,7 +559,7 @@ def test_stream_seed_matches_numpy_seed_sequence(seed):
     for stream in [*range(40), *block_edges, 2**32 - 1, 2**32, 2**40 + 3, 2**96 + 5, 10**30]:
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
         expected = np.random.PCG64(seq).random_raw(4)
-        assert np.array_equal(distributions._generator(tf.RngState(seed, stream)).random_raw(4), expected)
+        assert np.array_equal(stream_generator(seed, stream).random_raw(4), expected)
     block = distributions._seed_block(seed, 0)
     assert block.shape == (1024, 4) and block.dtype == np.uint64
     with pytest.raises(ValueError, match="read-only"):
@@ -504,22 +567,49 @@ def test_stream_seed_matches_numpy_seed_sequence(seed):
 
 
 def test_sample_rejects_non_finite_draws(monkeypatch):
-    monkeypatch.setattr(distributions, "_generator", lambda rng: _top_draw_generator())
+    monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     spec = tf.parse_spec("hillhorror(alpha=0.01)")  # Q(1 - 2^-53) overflows
     with pytest.raises(ValueError, match="NaN or infinite"):
         tf.sample(spec, tf.RngState(1, 0), 3)
 
 
+# Ranges of streams as a grid point's seed words are sliced out of the hash
+# blocks (1024 streams each): inside one block, across an edge, starting on
+# one, across three blocks, one stream, none, and where a block's higher words change.
+SAMPLE_ROW_STREAMS = [
+    range(1, 41),
+    range(1000, 1060),
+    range(1024, 1064),
+    range(1000, 3100),
+    range(5000, 5001),
+    range(77, 77),
+    range(2**32 - 3, 2**32 + 4),
+]
+
+
+@pytest.mark.parametrize("streams", SAMPLE_ROW_STREAMS, ids=str)
 @pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)", "gamma(alpha=0.5,beta=1)"])
 @pytest.mark.parametrize("seed", [7, 2**40 + 1])
-def test_sample_rows_equal_stacked_samples_bit_for_bit(text, seed):
-    # streams 1000..1059 cross the hash-block edge at 1024
+def test_sample_rows_equal_stacked_samples_bit_for_bit(text, seed, streams):
     spec = tf.parse_spec(text)
-    streams = range(1000, 1060)
     rows = distributions.sample_rows(spec, seed, streams, 33)
-    stacked = np.stack([tf.sample(spec, tf.RngState(seed, s), 33).sorted for s in streams])
-    assert rows.shape == (60, 33) and rows.flags.c_contiguous
-    assert rows.tobytes() == stacked.tobytes()
+    stacked = [tf.sample(spec, tf.RngState(seed, s), 33).sorted for s in streams]
+    assert rows.shape == (len(streams), 33) and rows.flags.c_contiguous
+    assert rows.tobytes() == b"".join(row.tobytes() for row in stacked)
+
+
+def test_stream_words_slice_each_block_once():
+    for seed in (1, 99, 2**63 + 5):
+        for streams in SAMPLE_ROW_STREAMS:
+            words = distributions._stream_words(seed, streams)
+            assert words.shape == (len(streams), 4) and words.dtype == np.uint64
+            for stream, row in zip(streams, words):
+                block, offset = divmod(stream, 1024)
+                assert np.array_equal(row, distributions._seed_block(seed, block)[offset]), (seed, stream)
+    inside = distributions._stream_words(1, range(1024, 1064))
+    assert inside.base is distributions._seed_block(1, 1) and not inside.flags.writeable
+    with pytest.raises(ValueError, match="consecutive"):
+        distributions._stream_words(1, range(0, 10, 2))
 
 
 def test_sample_rows_reject_bad_counts_and_non_finite_draws(monkeypatch):
@@ -528,7 +618,11 @@ def test_sample_rows_reject_bad_counts_and_non_finite_draws(monkeypatch):
         distributions.sample_rows(spec, 1, range(3), 0)
     with pytest.raises(ValueError, match="count must be an integer"):
         distributions.sample_rows(spec, 1, range(3), 2.0)
-    monkeypatch.setattr(distributions, "_generator", lambda rng: _top_draw_generator())
+    with pytest.raises(ValueError, match="seed must be a 64-bit"):
+        distributions.sample_rows(spec, 2**64, range(3), 2)
+    with pytest.raises(ValueError, match="stream must be non-negative"):
+        distributions.sample_rows(spec, 1, range(-1, 3), 2)
+    monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     with pytest.raises(ValueError, match="NaN or infinite"):  # Q(1 - 2^-53) overflows
         distributions.sample_rows(spec, 1, range(3), 2)
 

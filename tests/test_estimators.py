@@ -487,7 +487,7 @@ def test_estimators_match_reference_on_many_samples():
 
 def row_form_records(method, rows, k):
     """The records of every row of a matrix of sorted samples, from the method's row form."""
-    alpha, code = estimators.classical_rows(method, rows, k)
+    alpha, code = estimators.classical_rows((method,), rows, k)[method]
     return [tf.EstimateRecord(method, None if math.isnan(a) else a, c == 0, estimators.ROW_REASONS[c], k)
             for a, c in zip(alpha.tolist(), code.tolist())]
 
@@ -519,7 +519,7 @@ def test_row_forms_do_not_warn_and_keep_rows_apart():
         for method in ("hill", "thill", "moment"):
             for rows, ks in ((t4, range(1, 60)), (mixed, (1,))):
                 for k in ks:
-                    _, code = estimators.classical_rows(method, rows, k)
+                    _, code = estimators.classical_rows((method,), rows, k)[method]
                     assert (code[rows[:, -k - 1] <= 0.0] == 1).all()
                     # a row scores as it does alone, as a 1-row matrix
                     assert row_form_records(method, rows, k) == [
@@ -528,11 +528,14 @@ def test_row_forms_do_not_warn_and_keep_rows_apart():
 
 def test_classical_rows_scores_only_the_classical_methods():
     with pytest.raises(ValueError, match="not a classical method"):
-        estimators.classical_rows("par_n", np.ones((2, 5)), 2)
+        estimators.classical_rows(("par_n",), np.ones((2, 5)), 2)
+    with pytest.raises(ValueError, match="not a classical method"):  # before any method is scored
+        estimators.classical_rows(("hill", "par_n"), np.ones((2, 5)), 5)
     with pytest.raises(ValueError, match="k must satisfy"):
-        estimators.classical_rows("hill", np.ones((2, 5)), 5)
+        estimators.classical_rows(("hill",), np.ones((2, 5)), 5)
     with pytest.raises(ValueError, match="4k <= n"):
-        estimators.classical_rows("pickands", np.ones((2, 5)), 2)
+        estimators.classical_rows(("pickands",), np.ones((2, 5)), 2)
+    assert estimators.classical_rows((), np.ones((2, 5)), 2) == {}
 
 
 def test_estimate_record_is_a_frozen_dataclass():
@@ -682,3 +685,55 @@ def test_evaluate_rows_scores_only_the_new_methods():
         estimators.evaluate_rows(("hill",), np.ones((2, 5)))
     with pytest.raises(ValueError, match="sample too small"):
         estimators.evaluate_rows(("par_n",), np.ones((2, 2)))
+
+
+def assert_joint_scoring_equals_alone(rows, k):
+    """Every classical method usable at k, scored together, gives each method's arrays scored alone."""
+    methods = tuple(m for m in tf.CLASSICAL_METHODS if m != "pickands" or 4 * k <= rows.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        joint = estimators.classical_rows(methods, rows, k)
+        assert list(joint) == list(methods)
+        for method in methods:
+            alpha, code = joint[method]
+            alone_alpha, alone_code = estimators.classical_rows((method,), rows, k)[method]
+            assert (alpha.dtype, code.dtype) == (alone_alpha.dtype, alone_code.dtype) == (np.float64, np.int_)
+            assert alpha.tobytes() == alone_alpha.tobytes(), method
+            assert code.tobytes() == alone_code.tobytes(), method
+        # reversed order: no method's masking reaches a method scored after it
+        again = estimators.classical_rows(methods[::-1], rows, k)
+        for method in methods:
+            assert again[method][0].tobytes() == joint[method][0].tobytes(), method
+            assert again[method][1].tobytes() == joint[method][1].tobytes(), method
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rows=sorted_matrices(), k_share=st.floats(0.0, 1.0))
+def test_joint_classical_scoring_equals_each_method_alone_property(rows, k_share):
+    n = rows.shape[1]
+    assert_joint_scoring_equals_alone(rows, 1 + int(k_share * (n - 2)))
+
+
+def test_joint_classical_scoring_equals_each_method_alone_on_crafted_rows():
+    crafted = [(values, k) for method, values, k, _ in CRAFTED if method in tf.CLASSICAL_METHODS]
+    assert len(crafted) == 13
+    for values, k in crafted:
+        assert_joint_scoring_equals_alone(np.sort(np.array(values, dtype=float))[None, :], k)
+    # the 4-value rows as one matrix, where each row's failing check sits beside the others'
+    stacked = np.sort(np.array([values for values, _ in crafted if len(values) == 4], dtype=float), axis=1)
+    assert stacked.shape == (7, 4)
+    for k in (1, 2, 3):
+        assert_joint_scoring_equals_alone(stacked, k)
+
+
+def test_every_scorer_takes_a_matrix_of_no_rows():
+    empty = np.empty((0, 12))
+    scored = estimators.classical_rows(tf.CLASSICAL_METHODS, empty, 3)
+    for method in tf.CLASSICAL_METHODS:
+        alpha, code = scored[method]
+        assert (alpha.shape, alpha.dtype, code.shape, code.dtype) == ((0,), np.float64, (0,), np.int_), method
+        alone_alpha, alone_code = estimators.classical_rows((method,), empty, 3)[method]
+        assert (alone_alpha.shape, alone_alpha.dtype) == ((0,), np.float64), method
+        assert (alone_code.shape, alone_code.dtype) == ((0,), np.int_), method
+    assert estimators.evaluate_rows(tf.NEW_METHODS, empty) == {method: [] for method in tf.NEW_METHODS}
+

@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import tailfence as tf
-from tailfence import estimators, montecarlo
+from tailfence import distributions, estimators, montecarlo
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -41,3 +41,24 @@ def test_run_study_takes_workers_one():
     assert [row.axis for row in result.rows] == ["n", "n", "k", "k"]
     for axis in ("n", "k"):
         assert result.csv_for_axis(axis) == default.csv_for_axis(axis)
+
+
+def test_every_draw_builds_its_generator_through_the_traced_binding(monkeypatch):
+    # The tracer's distributions.rng_s wraps _generator: a grid point's rows and
+    # a single sample must each build their PCG64 there, one call per stream.
+    calls = []
+    original = distributions._generator
+
+    def counting(words):
+        calls.append(words.tolist())
+        return original(words)
+
+    monkeypatch.setattr(distributions, "_generator", counting)
+    spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
+    rows = distributions.sample_rows(spec, 11, range(1020, 1030), 6)
+    assert len(calls) == 10
+    assert calls == distributions._stream_words(11, range(1020, 1030)).tolist()
+    calls.clear()
+    smp = tf.sample(spec, tf.RngState(11, 1025), 6)
+    assert calls == [distributions._stream_words(11, range(1025, 1026))[0].tolist()]
+    assert smp.sorted.tobytes() == rows[5].tobytes()
