@@ -103,7 +103,7 @@ def cmd_estimate(args) -> int:
     sample = load_sample(args.input)
     if args.method in CLASSICAL_METHODS and args.k is None:
         raise ValueError(f"method {args.method!r} requires --k")
-    record = evaluate(args.method, sample, k=args.k if args.method in CLASSICAL_METHODS else None)
+    record = evaluate(args.method, sample, k=args.k)
     with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["method", "k", "alpha_hat", "valid", "reason"])

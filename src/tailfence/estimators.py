@@ -5,28 +5,30 @@ quartile ratio of an assumed family (Pareto, Frechet, Hill-horror), using the
 type-6 empirical quartiles and the standard 3*IQR outer fence baked into
 their derivations. Each inversion is a function of characteristics,
 ``alpha_from_fence_prob(family, p_eR, outer_high)`` or
-``alpha_from_quartiles(family, q1, q3)``. ``evaluate_rows`` feeds it every
-row's of a matrix of sorted samples. The classical comparators (Hill,
-t-Hill, Pickands, moment) use the usual upper-order-statistic forms from the
-literature, each written once as a row form that ``classical_rows`` runs on
-every row of such a matrix at once; the methods scored together share one
-block of top order statistics, and Hill and moment one set of
-log-excesses. ``evaluate`` and the named estimators
-score one sample as a 1-row matrix, so a single sample and a study's
-replicates take the same path.
+``alpha_from_quartiles(family, q1, q3)``. ``evaluate_rows`` runs it on the
+characteristics of every row of a matrix of sorted samples. The classical
+comparators (Hill, t-Hill, Pickands, moment) use the usual upper-order-statistic
+forms from the literature, each written once as a row form that
+``classical_rows`` runs on every row of such a matrix at once; the methods
+scored together share one block of top order statistics, and Hill and moment
+one set of log-excesses.
 
-Every estimator returns an :class:`EstimateRecord`; data-dependent failures
-(no outliers, tied order statistics, family mismatch) are reported as
-invalid records rather than raised.
+All ten methods return one row result, ``{method: (alpha, code)}``: per row
+the estimate (NaN where there is none) and its reason's index in
+``ROW_REASONS`` (0: valid), so data-dependent failures are codes, never
+exceptions. ``evaluate``, the named estimators and the two inversions
+return a 1-row result as an :class:`EstimateRecord`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from .distributions import checked_int
 from .empirical import Sample, row_fence_characteristics
 
 _LOG2 = math.log(2.0)
@@ -45,21 +47,14 @@ _FENCE_METHOD_BY_FAMILY = dict(zip(FENCE_FAMILIES, FENCE_METHODS))
 _QUARTILE_METHOD_BY_FAMILY = dict(zip(FENCE_FAMILIES, QUARTILE_METHODS))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EstimateRecord:
-    """One estimator outcome: point estimate plus validity diagnostics.
+    """One sample's estimator outcome, built from its 1-row result.
 
-    alpha_hat may carry a non-positive value alongside valid=False (reason
-    "family mismatch" / "non-heavy tail estimate") as diagnostic evidence;
-    valid=True always implies a finite positive estimate.
-
-    Every replicate of an n-point builds one record per fence/quartile method
-    (a k-point keeps the classical row forms' arrays and builds none), so
-    ``__init__`` is written by hand: it fills the instance dict directly,
-    where the generated init of a frozen dataclass calls
-    ``object.__setattr__`` once per field (0.8 against 1.85 µs a record on a
-    2-core x86 VM). The record stays frozen, and ``dataclasses.replace``,
-    ``==``, ``hash`` and ``repr`` are the generated ones.
+    alpha_hat is None where the row's estimate is NaN, and reason is the
+    row's ``ROW_REASONS`` entry. A non-positive alpha_hat comes with
+    valid=False (reason "family mismatch" / "non-heavy tail estimate") as
+    diagnostic evidence; valid=True always implies a finite positive estimate.
     """
 
     method: str
@@ -68,27 +63,37 @@ class EstimateRecord:
     reason: str = ""
     k: int | None = None
 
-    def __init__(self, method: str, alpha_hat: float | None, valid: bool,
-                 reason: str = "", k: int | None = None):
-        fields = self.__dict__
-        fields["method"] = method
-        fields["alpha_hat"] = alpha_hat
-        fields["valid"] = valid
-        fields["reason"] = reason
-        fields["k"] = k
+
+ROW_REASONS = (
+    "",
+    "requires positive order statistics",
+    "non-finite estimate",
+    "degenerate tail",
+    "degenerate moment ratio",
+    "non-heavy tail estimate",
+    "tied order statistics",
+    "zero tail-index estimate",
+    "no extreme outliers observed",
+    "outer fence not positive",
+    "outer fence equals -log(p_eR)",
+    "outer fence equals 1",
+    "needs positive quartiles",
+    "equal quartiles",
+    "family mismatch",
+)
+(_VALID, _NOT_POSITIVE, _NON_FINITE, _DEGENERATE, _DEGENERATE_RATIO, _NON_HEAVY, _TIED, _ZERO_INDEX,
+ _NO_OUTLIERS, _FENCE_NOT_POSITIVE, _FENCE_AT_LOG_P, _FENCE_AT_ONE, _QUARTILES_NOT_POSITIVE,
+ _EQUAL_QUARTILES, _MISMATCH) = range(len(ROW_REASONS))
 
 
-def _invalid(method: str, reason: str, k: int | None = None) -> EstimateRecord:
-    return EstimateRecord(method, None, False, reason, k)
+def _record(method: str, alpha: float, code: int, k: int | None) -> EstimateRecord:
+    return EstimateRecord(method, None if math.isnan(alpha) else alpha, code == _VALID, ROW_REASONS[code], k)
 
 
-def _checked(method: str, alpha: float, k: int | None = None) -> EstimateRecord:
-    if not math.isfinite(alpha):
-        return _invalid(method, "non-finite estimate", k)
-    if alpha <= 0.0:
-        # Surfaced, not clamped: diagnostic evidence of misclassified data.
-        return EstimateRecord(method, alpha, False, "family mismatch", k)
-    return EstimateRecord(method, alpha, True, "", k)
+def _row_arrays(scored) -> tuple[np.ndarray, np.ndarray]:
+    """A list of per-row (alpha, code) pairs as the float64 and int arrays of a row result."""
+    return (np.array([alpha for alpha, _ in scored], dtype=float),
+            np.array([code for _, code in scored], dtype=int))
 
 
 def _method_for(family: str, by_family: dict[str, str]) -> str:
@@ -98,6 +103,50 @@ def _method_for(family: str, by_family: dict[str, str]) -> str:
     return method
 
 
+def _graded(alpha: float) -> tuple[float, int]:
+    if not math.isfinite(alpha):
+        return math.nan, _NON_FINITE
+    # A non-positive estimate is surfaced, not clamped: diagnostic evidence of misclassified data.
+    return alpha, _VALID if alpha > 0.0 else _MISMATCH
+
+
+def _fence_row(family: str, p_eR: float, outer_high: float) -> tuple[float, int]:
+    if p_eR == 0.0:
+        return math.nan, _NO_OUTLIERS
+    if outer_high <= 0.0:
+        return math.nan, _FENCE_NOT_POSITIVE
+    if family == "hillhorror":
+        denom = math.log(-math.log(p_eR) / outer_high)
+        if denom == 0.0:
+            return math.nan, _FENCE_AT_LOG_P
+        return _graded(math.log(p_eR) / denom)
+    denom = math.log(outer_high)
+    if denom == 0.0:
+        return math.nan, _FENCE_AT_ONE
+    if family == "pareto":
+        return _graded(-math.log(p_eR) / denom)
+    return _graded(-math.log(-math.log1p(-p_eR)) / denom)
+
+
+def _quartile_row(family: str, q1: float, q3: float) -> tuple[float, int]:
+    if q1 <= 0.0:
+        return math.nan, _QUARTILES_NOT_POSITIVE
+    if q1 == q3:
+        return math.nan, _EQUAL_QUARTILES
+    spread = math.log(q3) - math.log(q1)
+    if family == "hillhorror":
+        # The denominator is never 0: that needs spread + loglog(4/3) to equal
+        # loglog(4), so spread ~ 1.57 and the sum is an exact multiple of
+        # 2^-52, which loglog(4) is not.
+        return _graded(_LOG3 / (spread + _LOGLOG43 - _LOGLOG4))
+    if spread == 0.0:
+        # q1 < q3 so close (e.g. adjacent floats near 1e300) that their logs agree
+        return math.nan, _NON_FINITE
+    if family == "pareto":
+        return _graded(_LOG3 / spread)
+    return _graded((_LOGLOG4 - _LOGLOG43) / spread)
+
+
 def alpha_from_fence_prob(family: str, p_eR: float, outer_high: float) -> EstimateRecord:
     """Invert the probability beyond the upper outer fence under the assumed family.
 
@@ -105,22 +154,7 @@ def alpha_from_fence_prob(family: str, p_eR: float, outer_high: float) -> Estima
     outer fence and that fence (``par_n``, ``fr_n``, ``hh_n``), or the
     family's own theoretical p_eR and fence, which give its alpha back.
     """
-    method = _method_for(family, _FENCE_METHOD_BY_FAMILY)
-    if p_eR == 0.0:
-        return _invalid(method, "no extreme outliers observed")
-    if outer_high <= 0.0:
-        return _invalid(method, "outer fence not positive")
-    if family == "hillhorror":
-        denom = math.log(-math.log(p_eR) / outer_high)
-        if denom == 0.0:
-            return _invalid(method, "outer fence equals -log(p_eR)")
-        return _checked(method, math.log(p_eR) / denom)
-    denom = math.log(outer_high)
-    if denom == 0.0:
-        return _invalid(method, "outer fence equals 1")
-    if family == "pareto":
-        return _checked(method, -math.log(p_eR) / denom)
-    return _checked(method, -math.log(-math.log1p(-p_eR)) / denom)
+    return _record(_method_for(family, _FENCE_METHOD_BY_FAMILY), *_fence_row(family, p_eR, outer_high), None)
 
 
 def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
@@ -129,23 +163,7 @@ def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
     q1 and q3 are Python floats: a sample's type-6 quartiles, or the
     family's own, which give its alpha back.
     """
-    method = _method_for(family, _QUARTILE_METHOD_BY_FAMILY)
-    if q1 <= 0.0:
-        return _invalid(method, "needs positive quartiles")
-    if q1 == q3:
-        return _invalid(method, "equal quartiles")
-    spread = math.log(q3) - math.log(q1)
-    if family == "hillhorror":
-        # The denominator is never 0: that needs spread + loglog(4/3) to equal
-        # loglog(4), so spread ~ 1.57 and the sum is an exact multiple of
-        # 2^-52, which loglog(4) is not.
-        return _checked(method, _LOG3 / (spread + _LOGLOG43 - _LOGLOG4))
-    if spread == 0.0:
-        # q1 < q3 so close (e.g. adjacent floats near 1e300) that their logs agree
-        return _invalid(method, "non-finite estimate")
-    if family == "pareto":
-        return _checked(method, _LOG3 / spread)
-    return _checked(method, (_LOGLOG4 - _LOGLOG43) / spread)
+    return _record(_method_for(family, _QUARTILE_METHOD_BY_FAMILY), *_quartile_row(family, q1, q3), None)
 
 
 def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:
@@ -158,10 +176,11 @@ def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     return evaluate(_method_for(family, _QUARTILE_METHOD_BY_FAMILY), sample)
 
 
-def evaluate_rows(methods, rows: np.ndarray) -> dict[str, list[EstimateRecord]]:
+def evaluate_rows(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Score fence/quartile methods on every row of a matrix of sorted samples.
 
-    The characteristics of all rows are computed at once, then each method's
+    Returns ``{method: (alpha, code)}``, as ``classical_rows`` does. The
+    characteristics of all rows are computed at once, then each method's
     inversion runs once per row on Python floats. ``evaluate`` scores a
     single sample here too, as a 1-row matrix.
     """
@@ -171,13 +190,12 @@ def evaluate_rows(methods, rows: np.ndarray) -> dict[str, list[EstimateRecord]]:
     scored = {}
     for method in methods:
         if method in FENCE_METHODS:
-            family = FENCE_FAMILIES[FENCE_METHODS.index(method)]
-            scored[method] = [alpha_from_fence_prob(family, p, hi) for p, hi in zip(p_eR, outer_high)]
+            pairs = map(_fence_row, repeat(FENCE_FAMILIES[FENCE_METHODS.index(method)]), p_eR, outer_high)
         elif method in QUARTILE_METHODS:
-            family = FENCE_FAMILIES[QUARTILE_METHODS.index(method)]
-            scored[method] = [alpha_from_quartiles(family, lo, hi) for lo, hi in zip(q1, q3)]
+            pairs = map(_quartile_row, repeat(FENCE_FAMILIES[QUARTILE_METHODS.index(method)]), q1, q3)
         else:
             raise ValueError(f"method {method!r} is not a fence/quartile method")
+        scored[method] = _row_arrays(list(pairs))
     return scored
 
 
@@ -188,23 +206,9 @@ def _mean(values: np.ndarray) -> float:
 
 # --- classical estimators, one row per sorted sample ---------------------------
 #
-# Each row form scores every row of a matrix of sorted samples at once and
-# returns two arrays: the estimate per row (NaN where the record carries none)
-# and a code into ROW_REASONS, 0 for a valid estimate. A row's code is its
-# first failing check. The rows that a check rules out are given harmless
-# values (ratios of 1) before any later step, so no step warns.
-
-ROW_REASONS = (
-    "",
-    "requires positive order statistics",
-    "non-finite estimate",
-    "degenerate tail",
-    "degenerate moment ratio",
-    "non-heavy tail estimate",
-    "tied order statistics",
-    "zero tail-index estimate",
-)
-_VALID, _NOT_POSITIVE, _NON_FINITE, _DEGENERATE, _DEGENERATE_RATIO, _NON_HEAVY, _TIED, _ZERO_INDEX = range(8)
+# Each row form scores every row of a matrix of sorted samples at once. A row's
+# code is its first failing check. The rows that a check rules out are given
+# harmless values (ratios of 1) before any later step, so no step warns.
 
 
 def _mark(code: np.ndarray, failed: np.ndarray, reason: int) -> None:
@@ -288,10 +292,8 @@ def _pickands_rows(rows: np.ndarray, k: int):
     n = rows.shape[1]
     if k < 1 or 4 * k > n:
         raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
-    scored = list(map(_pickands_row, rows[:, n - k].tolist(), rows[:, n - 2 * k].tolist(),
-                      rows[:, n - 4 * k].tolist()))
-    return (np.array([alpha for alpha, _ in scored], dtype=float),
-            np.array([code for _, code in scored], dtype=int))
+    return _row_arrays(list(map(_pickands_row, rows[:, n - k].tolist(), rows[:, n - 2 * k].tolist(),
+                                rows[:, n - 4 * k].tolist())))
 
 
 def _moment_rows(logs: np.ndarray, code: np.ndarray, k: int):
@@ -309,11 +311,10 @@ def _moment_rows(logs: np.ndarray, code: np.ndarray, k: int):
 def classical_rows(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Score classical methods at k on every row of a matrix of sorted samples.
 
-    Returns ``{method: (alpha, code)}``: per row the estimate, NaN where the
-    record carries none, and the index of its reason in ``ROW_REASONS``
-    (0: valid). The top k + 1 order statistics are taken once, and Hill and
-    the moment estimator read one shared set of log-excesses; each method
-    marks its own copy of the codes, so no method's checks reach another's.
+    Returns ``{method: (alpha, code)}``, as ``evaluate_rows`` does. The top
+    k + 1 order statistics are taken once, and Hill and the moment estimator
+    read one shared set of log-excesses; each method marks its own copy of
+    the codes, so no method's checks reach another's.
     ``evaluate`` scores a single sample here too, as a 1-row matrix.
     """
     for method in methods:
@@ -338,18 +339,19 @@ def classical_rows(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndar
 
 
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:
-    """Dispatch by CLI method name; classical methods require k."""
+    """Dispatch by CLI method name; classical methods require an integer k."""
     rows = sample.sorted[None, :]
     if method in CLASSICAL_METHODS:
         if k is None:
             raise ValueError(f"method {method!r} requires k")
-        alpha, code = classical_rows((method,), rows, k)[method]
-        estimate, reason = alpha.item(0), int(code[0])
-        return EstimateRecord(method, None if math.isnan(estimate) else estimate,
-                              reason == _VALID, ROW_REASONS[reason], k)
-    if method in NEW_METHODS:
-        return evaluate_rows((method,), rows)[method][0]
-    raise ValueError(f"unknown method {method!r}")
+        k = checked_int(k, "k")
+        scored = classical_rows((method,), rows, k)
+    elif method in NEW_METHODS:
+        scored, k = evaluate_rows((method,), rows), None  # fence/quartile records carry no k
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    alpha, code = scored[method]
+    return _record(method, alpha.item(0), code.item(0), k)
 
 
 def hill(sample: Sample, k: int) -> EstimateRecord:

@@ -17,10 +17,10 @@ transform and the sort run once over the matrix. At an n-point,
 upper outer fence and count above it at once, then runs each method's
 inversion once per row. At a k-point, one ``classical_rows`` call scores
 all its classical methods from one shared block of top order statistics
-(and one set of log-excesses for Hill and moment), as arrays of estimates
-and reason codes per method. Either way a row gets the record ``evaluate``
-gives for its sample, and the valid estimates reach ``summarize_ci`` in
-replicate order.
+(and one set of log-excesses for Hill and moment). Either way a row gets
+the estimate and reason code (into ``estimators.ROW_REASONS``) that
+``evaluate`` gives its sample, and the estimates with code 0 reach
+``summarize_ci`` in replicate order.
 """
 
 from __future__ import annotations
@@ -155,12 +155,10 @@ def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[Stud
     first = g * config.m
     samples = dist.sample_rows(config.spec, config.seed, range(first, first + config.m), point.n)
     if point.k is None:
-        records = evaluate_rows(point.methods, samples)
-        valid_alphas = {method: [rec.alpha_hat for rec in recs if rec.valid]
-                        for method, recs in records.items()}
+        scored = evaluate_rows(point.methods, samples)
     else:
-        valid_alphas = {method: alpha[code == 0].tolist()
-                        for method, (alpha, code) in classical_rows(point.methods, samples, point.k).items()}
+        scored = classical_rows(point.methods, samples, point.k)
+    valid_alphas = {method: alpha[code == 0].tolist() for method, (alpha, code) in scored.items()}
     rows = []
     for method in point.methods:
         values = valid_alphas[method]

@@ -1,8 +1,6 @@
-import ast
 import math
 import warnings
 from dataclasses import MISSING, FrozenInstanceError, astuple, fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +293,20 @@ def test_evaluate_dispatch():
         tf.evaluate("bogus", smp)
 
 
+NAMED_CLASSICAL = {"hill": tf.hill, "thill": tf.t_hill, "pickands": tf.pickands, "moment": tf.moment_dedh}
+
+
+@pytest.mark.parametrize("method", tf.CLASSICAL_METHODS)
+@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), True, "3"])
+def test_classical_k_must_be_an_integer(method, k):
+    smp = pareto_grid_sample(1.0, 40)
+    for score in (lambda k: tf.evaluate(method, smp, k), lambda k: NAMED_CLASSICAL[method](smp, k)):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            score(k)
+        record = score(np.int64(3))  # a numpy integer reaches the record as an int
+        assert type(record.k) is int and record == score(3)
+
+
 # --- reference oracle ------------------------------------------------------------
 #
 # The per-sample estimator code as it stood before the estimators were tuned
@@ -430,24 +442,10 @@ CRAFTED = [
 ]
 
 
-def emitted_reasons():
-    """Every reason string the estimators module can put into a record.
-
-    The fence/quartile inversions name theirs in the call that builds the
-    record; the classical row forms report an index into ROW_REASONS.
-    """
-    tree = ast.parse(Path(estimators.__file__).read_text())
-    reasons = set(estimators.ROW_REASONS) - {""}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_invalid", "EstimateRecord"):
-            reasons.update(arg.value for arg in node.args
-                           if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-                           and arg.value not in tf.ALL_METHODS)
-    return reasons
-
-
 def test_crafted_samples_reach_every_reason():
-    assert {reason for _, _, _, reason in CRAFTED} == emitted_reasons()
+    # every method reports its reason as an index into ROW_REASONS
+    assert len(set(estimators.ROW_REASONS)) == len(estimators.ROW_REASONS)
+    assert {reason for _, _, _, reason in CRAFTED} == set(estimators.ROW_REASONS)
 
 
 @pytest.mark.parametrize(("method", "values", "k", "reason"), CRAFTED)
@@ -485,11 +483,18 @@ def test_estimators_match_reference_on_many_samples():
         ]
 
 
-def row_form_records(method, rows, k):
-    """The records of every row of a matrix of sorted samples, from the method's row form."""
-    alpha, code = estimators.classical_rows((method,), rows, k)[method]
+def row_records(method, alpha, code, k):
+    """The records of a row result's arrays, one per row."""
+    assert (alpha.dtype, code.dtype) == (np.float64, np.int_)
     return [tf.EstimateRecord(method, None if math.isnan(a) else a, c == 0, estimators.ROW_REASONS[c], k)
             for a, c in zip(alpha.tolist(), code.tolist())]
+
+
+def row_form_records(method, rows, k):
+    """The records of every row of a matrix of sorted samples, from the method's row form."""
+    if method in tf.NEW_METHODS:  # fence/quartile records carry no k
+        return row_records(method, *estimators.evaluate_rows((method,), rows)[method], None)
+    return row_records(method, *estimators.classical_rows((method,), rows, k)[method], k)
 
 
 @pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)"])
@@ -629,6 +634,9 @@ def bits(record):
 def assert_rows_match_samples(rows):
     q1, q3, outer_high, above = (a.tolist() for a in row_fence_characteristics(rows))
     scored = estimators.evaluate_rows(tf.NEW_METHODS, rows)
+    records = {method: row_records(method, *scored[method], None) for method in tf.NEW_METHODS}
+    for method in tf.NEW_METHODS:  # scored together, each method gives its rows alone
+        assert list(map(bits, records[method])) == list(map(bits, row_form_records(method, rows, None)))
     for r, row in enumerate(rows):
         smp = tf.Sample(row)
         assert (q1[r], False) == tf.empirical_quantile_flagged(smp, 0.25)
@@ -636,7 +644,7 @@ def assert_rows_match_samples(rows):
         assert outer_high[r] == tf.empirical_fences(smp).outer_high
         assert above[r] == tf.outlier_band_counts(smp)[4]
         for method in tf.NEW_METHODS:
-            record = scored[method][r]
+            record = records[method][r]
             assert bits(record) == bits(tf.evaluate(method, smp)), (r, method)
             if record.reason == "non-finite estimate":
                 # a check the reference lacks: it divided by the zero log spread
@@ -678,6 +686,10 @@ def test_row_scoring_covers_the_crafted_samples():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_rows_match_samples(np.sort(np.array(values, dtype=float))[None, :])
+    # a finite non-positive estimate keeps its value, -0.0 included
+    zero = [-1e-320] * 3 + [0.0] * 6 + [1e-320, 1.0]
+    assert_rows_match_samples(np.array([zero]))
+    assert bits(tf.evaluate("hh_n", tf.Sample(zero))) == ("hh_n", "-0x0.0p+0", False, "family mismatch", None)
 
 
 def test_evaluate_rows_scores_only_the_new_methods():
@@ -735,5 +747,9 @@ def test_every_scorer_takes_a_matrix_of_no_rows():
         alone_alpha, alone_code = estimators.classical_rows((method,), empty, 3)[method]
         assert (alone_alpha.shape, alone_alpha.dtype) == ((0,), np.float64), method
         assert (alone_code.shape, alone_code.dtype) == ((0,), np.int_), method
-    assert estimators.evaluate_rows(tf.NEW_METHODS, empty) == {method: [] for method in tf.NEW_METHODS}
+    scored = estimators.evaluate_rows(tf.NEW_METHODS, empty)
+    assert list(scored) == list(tf.NEW_METHODS)
+    for method in tf.NEW_METHODS:
+        alpha, code = scored[method]
+        assert (alpha.shape, alpha.dtype, code.shape, code.dtype) == ((0,), np.float64, (0,), np.int_), method
 

@@ -33,6 +33,14 @@ def test_every_traced_target_exists():
     assert montecarlo.evaluate is estimators.evaluate
 
 
+def test_traced_evaluate_returns_a_record_with_a_bool_valid():
+    # the tracer's estimators.evaluate wrapper counts records by their .valid
+    smp = tf.sample(tf.parse_spec("pareto(alpha=0.5,delta=1)"), tf.RngState(7, 0), 40)
+    for method, k in (("par_n", None), ("hill", 5)):
+        record = montecarlo.evaluate(method, smp, k)
+        assert isinstance(record, estimators.EstimateRecord) and type(record.valid) is bool, record
+
+
 def test_run_study_takes_workers_one():
     config = tf.StudyConfig(spec=tf.parse_spec("t(n=4)"), seed=3, m=4, n_grid=(10, 20),
                             k_grid=(2, 3), methods=("par_n", "hill"))
