@@ -327,7 +327,8 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 # Building numpy's SeedSequence costs ~20 us, mostly Python-level overhead and
 # as much as the rest of a replicate's draw, so its hash (numpy's
 # bit_generator.pyx) is computed here, for an aligned block of 1024 streams
-# at a time. The pool is mixed from the seed once per seed, with Python ints.
+# at a time. Each block mixes the seed's pool itself, with Python ints: ~20 us
+# against ~230 us for the block's arrays, so it is not cached apart.
 # Within a block only the stream's low 32-bit word varies (1024 divides
 # 2^32), so the stream's word count, and with it every hash constant, is the
 # same for the whole block: the low word is a uint64 array of 1024 values,
@@ -373,9 +374,10 @@ def _mix(x, y):
     return mixed ^ (mixed >> 16)
 
 
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's 4-word pool after the seed's words, and its hash constant."""
+@functools.lru_cache(maxsize=4)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of streams block*1024 ... block*1024 + 1023: a read-only (1024, 4) array."""
+    # SeedSequence's 4-word pool after the seed's words
     words = _words32(seed)  # at most two: RngState keeps seed < 2^64
     words += [0] * (4 - len(words))  # padded to the pool size, as with a spawn key
     pool = []
@@ -388,14 +390,6 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
             if src != dst:
                 value, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), hash_const
-
-
-@functools.lru_cache(maxsize=4)
-def _seed_block(seed: int, block: int) -> np.ndarray:
-    """PCG64 seed words of streams block*1024 ... block*1024 + 1023: a read-only (1024, 4) array."""
-    pool, hash_const = _seed_pool(seed)
-    pool = list(pool)
     first = block * _BLOCK
     low = first & _MASK32
     words = [np.arange(low, low + _BLOCK, dtype=np.uint64), *_words32(first)[1:]]

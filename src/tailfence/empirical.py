@@ -196,7 +196,7 @@ def load_sample(path) -> Sample:
 
     A non-numeric first line is treated as a header and skipped.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no data")

@@ -36,15 +36,7 @@ _LOG3 = math.log(3.0)
 _LOGLOG4 = math.log(math.log(4.0))
 _LOGLOG43 = math.log(math.log(4.0 / 3.0))
 
-FENCE_FAMILIES = ("pareto", "frechet", "hillhorror")
-FENCE_METHODS = ("par_n", "fr_n", "hh_n")
-QUARTILE_METHODS = ("par_q", "fr_q", "hh_q")
-NEW_METHODS = ("par_n", "par_q", "fr_n", "fr_q", "hh_n", "hh_q")
 CLASSICAL_METHODS = ("hill", "thill", "pickands", "moment")
-ALL_METHODS = NEW_METHODS + CLASSICAL_METHODS
-
-_FENCE_METHOD_BY_FAMILY = dict(zip(FENCE_FAMILIES, FENCE_METHODS))
-_QUARTILE_METHOD_BY_FAMILY = dict(zip(FENCE_FAMILIES, QUARTILE_METHODS))
 
 
 @dataclass(frozen=True)
@@ -88,19 +80,6 @@ ROW_REASONS = (
 
 def _record(method: str, alpha: float, code: int, k: int | None) -> EstimateRecord:
     return EstimateRecord(method, None if math.isnan(alpha) else alpha, code == _VALID, ROW_REASONS[code], k)
-
-
-def _row_arrays(scored) -> tuple[np.ndarray, np.ndarray]:
-    """A list of per-row (alpha, code) pairs as the float64 and int arrays of a row result."""
-    return (np.array([alpha for alpha, _ in scored], dtype=float),
-            np.array([code for _, code in scored], dtype=int))
-
-
-def _method_for(family: str, by_family: dict[str, str]) -> str:
-    method = by_family.get(family)
-    if method is None:
-        raise ValueError(f"family must be one of {FENCE_FAMILIES}, got {family!r}")
-    return method
 
 
 def _graded(alpha: float) -> tuple[float, int]:
@@ -147,6 +126,27 @@ def _quartile_row(family: str, q1: float, q3: float) -> tuple[float, int]:
     return _graded((_LOGLOG4 - _LOGLOG43) / spread)
 
 
+# Each fence/quartile method: the family it assumes and the inversion it runs.
+_INVERSIONS = {
+    "par_n": ("pareto", _fence_row),
+    "par_q": ("pareto", _quartile_row),
+    "fr_n": ("frechet", _fence_row),
+    "fr_q": ("frechet", _quartile_row),
+    "hh_n": ("hillhorror", _fence_row),
+    "hh_q": ("hillhorror", _quartile_row),
+}
+NEW_METHODS = tuple(_INVERSIONS)
+ALL_METHODS = NEW_METHODS + CLASSICAL_METHODS
+
+
+def _method_for(family: str, inversion) -> str:
+    for method, entry in _INVERSIONS.items():
+        if entry == (family, inversion):
+            return method
+    families = tuple(dict.fromkeys(assumed for assumed, _ in _INVERSIONS.values()))
+    raise ValueError(f"family must be one of {families}, got {family!r}")
+
+
 def alpha_from_fence_prob(family: str, p_eR: float, outer_high: float) -> EstimateRecord:
     """Invert the probability beyond the upper outer fence under the assumed family.
 
@@ -154,7 +154,7 @@ def alpha_from_fence_prob(family: str, p_eR: float, outer_high: float) -> Estima
     outer fence and that fence (``par_n``, ``fr_n``, ``hh_n``), or the
     family's own theoretical p_eR and fence, which give its alpha back.
     """
-    return _record(_method_for(family, _FENCE_METHOD_BY_FAMILY), *_fence_row(family, p_eR, outer_high), None)
+    return _record(_method_for(family, _fence_row), *_fence_row(family, p_eR, outer_high), None)
 
 
 def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
@@ -163,17 +163,17 @@ def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
     q1 and q3 are Python floats: a sample's type-6 quartiles, or the
     family's own, which give its alpha back.
     """
-    return _record(_method_for(family, _QUARTILE_METHOD_BY_FAMILY), *_quartile_row(family, q1, q3), None)
+    return _record(_method_for(family, _quartile_row), *_quartile_row(family, q1, q3), None)
 
 
 def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:
     """Invert a sample's outer-fence exceedance rate under the assumed family."""
-    return evaluate(_method_for(family, _FENCE_METHOD_BY_FAMILY), sample)
+    return evaluate(_method_for(family, _fence_row), sample)
 
 
 def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     """Invert the assumed family's quartile ratio at a sample's quartiles."""
-    return evaluate(_method_for(family, _QUARTILE_METHOD_BY_FAMILY), sample)
+    return evaluate(_method_for(family, _quartile_row), sample)
 
 
 def evaluate_rows(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -187,15 +187,15 @@ def evaluate_rows(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, np.n
     q1, q3, outer_high, above = (a.tolist() for a in row_fence_characteristics(rows))
     n = rows.shape[1]
     p_eR = [count / n for count in above]
+    columns = {_fence_row: (p_eR, outer_high), _quartile_row: (q1, q3)}
     scored = {}
     for method in methods:
-        if method in FENCE_METHODS:
-            pairs = map(_fence_row, repeat(FENCE_FAMILIES[FENCE_METHODS.index(method)]), p_eR, outer_high)
-        elif method in QUARTILE_METHODS:
-            pairs = map(_quartile_row, repeat(FENCE_FAMILIES[QUARTILE_METHODS.index(method)]), q1, q3)
-        else:
+        if method not in _INVERSIONS:
             raise ValueError(f"method {method!r} is not a fence/quartile method")
-        scored[method] = _row_arrays(list(pairs))
+        family, inversion = _INVERSIONS[method]
+        pairs = list(map(inversion, repeat(family), *columns[inversion]))
+        scored[method] = (np.array([alpha for alpha, _ in pairs], dtype=float),
+                          np.array([code for _, code in pairs], dtype=int))
     return scored
 
 
@@ -273,27 +273,22 @@ def _t_hill_rows(tail: np.ndarray, base: np.ndarray, code: np.ndarray, k: int):
     return alpha, code
 
 
-def _pickands_row(a: float, b: float, c: float) -> tuple[float, int]:
-    # Python floats: an overflowing spacing ratio becomes inf without a numpy warning
-    upper, lower = a - b, b - c
-    if upper == 0.0 or lower == 0.0:
-        return math.nan, _TIED
-    ratio = upper / lower
-    if not 0.0 < ratio < math.inf:
-        # the spacings are so far apart in scale that their ratio under- or overflows
-        return math.nan, _NON_FINITE
-    gamma = math.log(ratio) / _LOG2
-    if gamma == 0.0:
-        return math.nan, _ZERO_INDEX
-    return 1.0 / gamma, _VALID if gamma > 0.0 else _NON_HEAVY
-
-
 def _pickands_rows(rows: np.ndarray, k: int):
     n = rows.shape[1]
     if k < 1 or 4 * k > n:
         raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
-    return _row_arrays(list(map(_pickands_row, rows[:, n - k].tolist(), rows[:, n - 2 * k].tolist(),
-                                rows[:, n - 4 * k].tolist())))
+    with np.errstate(over="ignore"):  # as with Python floats: inf, marked below
+        lower, upper = np.diff(rows[:, [n - 4 * k, n - 2 * k, n - k]]).T  # the two spacings
+        code = np.where((upper == 0.0) | (lower == 0.0), _TIED, _VALID)
+        ratio = upper / np.where(code == _VALID, lower, 1.0)
+    # the spacings are so far apart in scale that their ratio under- or overflows
+    _mark(code, ~((ratio > 0.0) & (ratio < math.inf)), _NON_FINITE)
+    ratio[code != _VALID] = 1.0
+    # math.log, not np.log, whose SIMD kernels may differ from libm in the last bit
+    gamma = np.array(list(map(math.log, ratio.tolist()))) / _LOG2
+    _mark(code, gamma == 0.0, _ZERO_INDEX)
+    _mark(code, gamma < 0.0, _NON_HEAVY)
+    return _reciprocal_where((code == _VALID) | (code == _NON_HEAVY), gamma), code
 
 
 def _moment_rows(logs: np.ndarray, code: np.ndarray, k: int):

@@ -158,11 +158,10 @@ def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[Stud
         scored = evaluate_rows(point.methods, samples)
     else:
         scored = classical_rows(point.methods, samples, point.k)
-    valid_alphas = {method: alpha[code == 0].tolist() for method, (alpha, code) in scored.items()}
     rows = []
-    for method in point.methods:
-        values = valid_alphas[method]
-        if values:
+    for method, (alpha, code) in scored.items():
+        values = alpha[code == 0]
+        if values.size:
             mean, lo, hi = summarize_ci(values)
         else:
             mean = lo = hi = None
@@ -174,7 +173,7 @@ def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[Stud
                 mean_alpha=mean,
                 ci_low=lo,
                 ci_high=hi,
-                valid_fraction=len(values) / config.m,
+                valid_fraction=values.size / config.m,
             )
         )
     return rows

@@ -296,6 +296,17 @@ def test_load_sample_plain_and_header(tmp_path):
     assert list(tf.load_sample(csvfile).values) == [1.0, 2.0]
 
 
+def test_load_sample_strips_a_byte_order_mark(tmp_path):
+    # a BOM left on the first value made it fail float() and be dropped as a header
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n4.5\n")
+    assert list(tf.load_sample(bom).values) == [1.5, 2.5, 3.5, 4.5]
+
+    header = tmp_path / "bom_header.csv"
+    header.write_bytes(b"\xef\xbb\xbfvalue\n1.0\n2.0\n")
+    assert list(tf.load_sample(header).values) == [1.0, 2.0]
+
+
 def test_load_sample_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0\noops\n3.0\n")

@@ -753,3 +753,70 @@ def test_every_scorer_takes_a_matrix_of_no_rows():
         alpha, code = scored[method]
         assert (alpha.shape, alpha.dtype, code.shape, code.dtype) == ((0,), np.float64, (0,), np.int_), method
 
+
+
+# --- logs from libm ----------------------------------------------------------------
+#
+# np.log's SIMD kernels (AVX-512 among them) can differ from libm's log in the
+# last bit, so every log of a sample characteristic is taken with math.log and
+# the published bytes do not depend on the host's numpy build. Each test below
+# builds rows whose characteristic hits a value where the two logs differ, at
+# one math.log site of estimators, and pins the estimate to its math.log formula.
+
+def libm_differs(values):
+    """The values whose np.log differs from math.log; skips where there are none."""
+    values = np.asarray(values, dtype=float)
+    differs = values[np.log(values) != np.array([math.log(v) for v in values.tolist()])]
+    if differs.size == 0:
+        pytest.skip("np.log agrees with math.log on the whole grid on this host")
+    return differs
+
+
+def assert_libm_formula(alpha, args, formula):
+    """Each row's estimate is formula(math.log, *args) bit for bit, which np.log would change."""
+    libm = [formula(math.log, *a) for a in args]
+    assert [a.hex() for a in alpha.tolist()] == [a.hex() for a in libm]
+    assert libm != [formula(lambda v: float(np.log(v)), *a) for a in args]
+
+
+LIBM_GRID = np.random.default_rng(0).uniform(1.0, 50.0, 200_000)
+
+
+def test_pickands_takes_the_log_of_its_spacing_ratio_from_libm():
+    r = libm_differs(LIBM_GRID)
+    rows = np.column_stack([np.full(r.size, -1.0), np.zeros(r.size), np.zeros(r.size), r])  # ratio r at k=1
+    alpha, _ = estimators.classical_rows(("pickands",), rows, 1)["pickands"]
+    assert_libm_formula(alpha, [(v,) for v in r.tolist()], lambda log, v: 1.0 / (log(v) / math.log(2.0)))
+
+
+def test_fence_estimators_take_the_log_of_the_outer_fence_from_libm():
+    r = libm_differs(LIBM_GRID)
+    rows = np.array([[v] * 6 + [v + 1.0] for v in r.tolist()])  # q1 = q3 = outer fence = v, p_eR = 1/7
+    scored = estimators.evaluate_rows(("par_n", "fr_n"), rows)
+    args = [(v,) for v in r.tolist()]
+    assert_libm_formula(scored["par_n"][0], args, lambda log, v: -math.log(1 / 7) / log(v))
+    assert_libm_formula(scored["fr_n"][0], args, lambda log, v: -math.log(-math.log1p(-1 / 7)) / log(v))
+
+
+def test_fence_estimators_take_the_log_of_p_eR_from_libm():
+    # c points of n above an outer fence of 2, with q3 = 2: c <= n - ceil(3(n+1)/4)
+    counts = [(c, n) for n in range(7, 400) for c in range(1, n - math.ceil(0.75 * (n + 1)) + 1)]
+    differs = set(libm_differs([c / n for c, n in counts]).tolist())
+    counts = [(c, n) for c, n in counts if c / n in differs]
+    scored = [estimators.evaluate_rows(("par_n", "hh_n"), np.array([[2.0] * (n - c) + [3.0] * c]))
+              for c, n in counts]
+    args = [(c / n,) for c, n in counts]
+    for method, formula in (("par_n", lambda log, p: -log(p) / math.log(2.0)),
+                            ("hh_n", lambda log, p: log(p) / math.log(-log(p) / 2.0))):
+        assert_libm_formula(np.concatenate([s[method][0] for s in scored]), args, formula)
+
+
+def test_quartile_estimators_take_the_logs_of_the_quartiles_from_libm():
+    r = np.sort(libm_differs(LIBM_GRID))
+    pairs = list(zip(r[:-1].tolist(), r[1:].tolist()))
+    rows = np.array([[q1] * 3 + [q3] * 4 for q1, q3 in pairs])  # type-6 knots at n = 7: x[1] and x[5]
+    scored = estimators.evaluate_rows(("par_q", "fr_q", "hh_q"), rows)
+    assert_libm_formula(scored["par_q"][0], pairs, lambda log, q1, q3: LOG3 / (log(q3) - log(q1)))
+    assert_libm_formula(scored["fr_q"][0], pairs, lambda log, q1, q3: (LOGLOG4 - LOGLOG43) / (log(q3) - log(q1)))
+    assert_libm_formula(scored["hh_q"][0], pairs,
+                        lambda log, q1, q3: LOG3 / (log(q3) - log(q1) + LOGLOG43 - LOGLOG4))

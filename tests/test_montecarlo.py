@@ -142,12 +142,11 @@ def test_output_bytes_do_not_depend_on_cache_state_or_point_order(tmp_path):
         return {p.name: p.read_bytes() for p in tf.write_study_outputs(result, tmp_path / name)}
 
     def cold(config, name):
-        distributions._seed_pool.cache_clear()
         distributions._seed_block.cache_clear()
         return output_bytes(tf.run_study(config), name)
 
     first, other_first = cold(cfg, "cold"), cold(other, "other_cold")
-    # each study now runs right after the other seed's study filled the caches
+    # each study now runs right after the other seed's study filled the block cache
     assert output_bytes(tf.run_study(cfg), "warmed") == first
     assert output_bytes(tf.run_study(other), "other_warmed") == other_first
     points = montecarlo._grid_points(cfg)
