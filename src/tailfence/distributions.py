@@ -83,8 +83,6 @@ def checked_int(value, what: str) -> int:
 
     bool is refused: a flag passed as a count or a seed is a mistake.
     """
-    if type(value) is int:
-        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -154,11 +152,9 @@ class RngState:
     stream: int = 0
 
     def __post_init__(self):
-        seed, stream = self.seed, self.stream
-        if not (type(seed) is int and type(stream) is int):  # Python ints, the engine's case, skip this
-            seed, stream = checked_int(seed, "seed"), checked_int(stream, "stream")
-            object.__setattr__(self, "seed", seed)
-            object.__setattr__(self, "stream", stream)
+        seed, stream = checked_int(self.seed, "seed"), checked_int(self.stream, "stream")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream", stream)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         if stream < 0:

@@ -95,7 +95,8 @@ def _fence_row(family: str, p_eR: float, outer_high: float) -> tuple[float, int]
     if outer_high <= 0.0:
         return math.nan, _FENCE_NOT_POSITIVE
     if family == "hillhorror":
-        denom = math.log(-math.log(p_eR) / outer_high)
+        ratio = -math.log(p_eR) / outer_high
+        denom = math.log(ratio) if ratio else -math.inf  # an infinite fence, or a ratio that underflows
         if denom == 0.0:
             return math.nan, _FENCE_AT_LOG_P
         return _graded(math.log(p_eR) / denom)
@@ -153,17 +154,26 @@ def alpha_from_fence_prob(family: str, p_eR: float, outer_high: float) -> Estima
     p_eR and outer_high are Python floats: a sample's share above its upper
     outer fence and that fence (``par_n``, ``fr_n``, ``hh_n``), or the
     family's own theoretical p_eR and fence, which give its alpha back.
+    ValueError unless 0 <= p_eR < 1 and outer_high is not NaN.
     """
-    return _record(_method_for(family, _fence_row), *_fence_row(family, p_eR, outer_high), None)
+    method = _method_for(family, _fence_row)
+    if not 0.0 <= p_eR < 1.0 or math.isnan(outer_high):
+        raise ValueError(f"inversion needs 0 <= p_eR < 1 and a fence that is not NaN, "
+                         f"got p_eR={p_eR!r}, outer_high={outer_high!r}")
+    return _record(method, *_fence_row(family, p_eR, outer_high), None)
 
 
 def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
     """Invert the quartile ratio of the assumed family (``par_q``, ``fr_q``, ``hh_q``).
 
     q1 and q3 are Python floats: a sample's type-6 quartiles, or the
-    family's own, which give its alpha back.
+    family's own, which give its alpha back. ValueError unless q1 <= q3, as
+    for ``fences_from_quartiles``, neither of them NaN.
     """
-    return _record(_method_for(family, _quartile_row), *_quartile_row(family, q1, q3), None)
+    method = _method_for(family, _quartile_row)
+    if not q1 <= q3:
+        raise ValueError(f"inversion needs quartiles q1 <= q3, neither NaN, got q1={q1!r}, q3={q3!r}")
+    return _record(method, *_quartile_row(family, q1, q3), None)
 
 
 def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,7 +48,7 @@ class StudyConfig:
     seed: int
     m: int = 1000
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
-    k_grid: tuple[int, ...] | None = None  # default 2..fixed_n-1, fixed_n = max(n_grid)
+    k_grid: tuple[int, ...] | None = None  # None stores the default, 2..fixed_n-1
     methods: tuple[str, ...] = ALL_METHODS
 
     def __post_init__(self):
@@ -58,9 +57,12 @@ class StudyConfig:
         object.__setattr__(self, "seed", RngState(self.seed).seed)  # validates the seed range
         object.__setattr__(self, "m", checked_int(self.m, "m"))
         object.__setattr__(self, "n_grid", tuple(checked_int(n, "n_grid entry") for n in self.n_grid))
-        if self.k_grid is not None:
-            object.__setattr__(self, "k_grid", tuple(checked_int(k, "k_grid entry") for k in self.k_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))  # a list must not skip the pickands check
+        # a bad n_grid, which the default would come from, is refused below before the k_grid checks
+        object.__setattr__(self, "k_grid", tuple(range(2, max(self.n_grid, default=2))) if self.k_grid is None
+                           else tuple(checked_int(k, "k_grid entry") for k in self.k_grid))
+        if isinstance(self.methods, str):
+            raise ValueError(f"methods must be a sequence of method names, not the string {self.methods!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
         if not self.n_grid:
@@ -77,27 +79,19 @@ class StudyConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate methods")
         n_fixed = self.fixed_n
-        if self.k_grid is not None:
-            if not self.k_grid:
-                raise ValueError("k_grid must be nonempty when given")
-            if list(self.k_grid) != sorted(set(self.k_grid)):
-                raise ValueError("k_grid must be strictly ascending")
-            if any(not 1 <= k <= n_fixed - 1 for k in self.k_grid):
-                raise ValueError(f"k_grid must lie in [1, {n_fixed - 1}], got {self.k_grid}")
-        k_min = self.effective_k_grid[0]
-        if self.methods == ("pickands",) and 4 * k_min > n_fixed:
-            # _grid_points drops pickands wherever 4k > n: no row would be written
-            raise ValueError(f"pickands needs 4k <= n = {n_fixed}, but the smallest k is {k_min}")
+        if not self.k_grid:
+            raise ValueError("k_grid must be nonempty when given")
+        if list(self.k_grid) != sorted(set(self.k_grid)):
+            raise ValueError("k_grid must be strictly ascending")
+        if any(not 1 <= k <= n_fixed - 1 for k in self.k_grid):
+            raise ValueError(f"k_grid must lie in [1, {n_fixed - 1}], got {self.k_grid}")
+        if not any(point.methods for point in _grid_points(self)):
+            # only pickands alone can score nothing: _grid_points drops it wherever 4k > n
+            raise ValueError(f"pickands needs 4k <= n = {n_fixed}, but the smallest k is {self.k_grid[0]}")
 
     @property
     def fixed_n(self) -> int:
         return self.n_grid[-1]
-
-    @property
-    def effective_k_grid(self) -> tuple[int, ...]:
-        if self.k_grid is not None:
-            return self.k_grid
-        return tuple(range(2, self.fixed_n))
 
 
 @dataclass(frozen=True)
@@ -143,8 +137,9 @@ def _grid_points(config: StudyConfig) -> list[_GridPoint]:
             points.append(_GridPoint("n", n, n, None, new))
     if classical:
         n_fixed = config.fixed_n
-        for k in config.effective_k_grid:
-            usable = tuple(m for m in classical if m != "pickands" or 4 * k <= n_fixed)
+        without_pickands = tuple(m for m in classical if m != "pickands")
+        for k in config.k_grid:
+            usable = classical if 4 * k <= n_fixed else without_pickands
             points.append(_GridPoint("k", k, n_fixed, k, usable))
     return points
 
@@ -184,10 +179,6 @@ class StudyResult:
     config: StudyConfig
     rows: tuple[StudyRow, ...]
 
-    @cached_property
-    def _index(self) -> dict[tuple[str, int, str], StudyRow]:
-        return {(row.axis, row.value, row.method): row for row in self.rows}
-
     def axes(self) -> tuple[str, ...]:
         seen = []
         for row in self.rows:
@@ -199,10 +190,10 @@ class StudyResult:
         return tuple(row for row in self.rows if row.axis == axis)
 
     def row(self, axis: str, value: int, method: str) -> StudyRow:
-        try:
-            return self._index[(axis, value, method)]
-        except KeyError:
-            raise KeyError(f"no row for axis={axis!r} value={value} method={method!r}") from None
+        for row in self.rows:
+            if (row.axis, row.value, row.method) == (axis, value, method):
+                return row
+        raise KeyError(f"no row for axis={axis!r} value={value} method={method!r}")
 
     def csv_for_axis(self, axis: str) -> str:
         lines = ["axis,method,mean,ci_low,ci_high,valid_fraction,m,seed"]
@@ -274,7 +265,7 @@ def write_study_outputs(result: StudyResult, outdir) -> list[Path]:
         "seed": config.seed,
         "m": config.m,
         "n_grid": list(config.n_grid),
-        "k_grid": list(config.effective_k_grid),
+        "k_grid": list(config.k_grid),
         "n_for_k": config.fixed_n,
         "methods": list(config.methods),
         "files": [p.name for p in paths],

@@ -166,6 +166,56 @@ def test_inversions_return_alpha_from_theoretical_characteristics(family, form, 
         assert abs(record.alpha_hat - alpha) <= 4 * math.ulp(alpha), record
 
 
+FAMILIES = ("pareto", "frechet", "hillhorror")
+
+
+def test_fence_inversions_at_an_infinite_fence_are_a_family_mismatch():
+    # -log(p_eR) / inf is 0 for Hill-horror: the same limit as Pareto and Frechet reach
+    for family in FAMILIES:
+        rec = estimators.alpha_from_fence_prob(family, 0.5, math.inf)
+        assert (rec.alpha_hat, rec.valid, rec.reason) == (0.0, False, "family mismatch"), family
+
+
+def test_hillhorror_fence_inversion_when_its_ratio_underflows():
+    # -log(p_eR) ~ 1.1e-16 over a fence of 1e308 underflows to 0
+    rec = estimators.alpha_from_fence_prob("hillhorror", 1 - 2**-53, 1e308)
+    assert (rec.alpha_hat, rec.valid, rec.reason) == (0.0, False, "family mismatch")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("p_eR", [1.0, -0.1, 1.5, math.nan])
+def test_fence_inversion_refuses_p_eR_outside_its_domain(family, p_eR):
+    with pytest.raises(ValueError, match=r"inversion needs 0 <= p_eR < 1"):
+        estimators.alpha_from_fence_prob(family, p_eR, 10.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fence_inversion_refuses_a_nan_fence(family):
+    with pytest.raises(ValueError, match="fence that is not NaN"):
+        estimators.alpha_from_fence_prob(family, 0.01, math.nan)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(("q1", "q3"), [(1.0, -1.0), (2.0, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+def test_quartile_inversion_refuses_q3_below_q1_or_nan(family, q1, q3):
+    with pytest.raises(ValueError, match="inversion needs quartiles q1 <= q3"):
+        estimators.alpha_from_quartiles(family, q1, q3)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(family=st.sampled_from(FAMILIES), a=st.floats(), b=st.floats())
+def test_inversions_are_total_over_all_floats_property(family, a, b):
+    # every float pair, NaN and +-inf included: a record, or the one boundary error
+    for inversion in (estimators.alpha_from_fence_prob, estimators.alpha_from_quartiles):
+        try:
+            record = inversion(family, a, b)
+        except ValueError as error:
+            assert str(error).startswith("inversion needs"), error
+        else:
+            assert isinstance(record, estimators.EstimateRecord)
+            assert not record.valid or (math.isfinite(record.alpha_hat) and record.alpha_hat > 0)
+
+
 def test_hill_simple_cases():
     rec = tf.hill(tf.Sample([1.0, math.e, math.e, math.e]), 3)
     assert rec.valid and rec.alpha_hat == pytest.approx(1.0, abs=1e-15)

@@ -91,6 +91,21 @@ def test_config_methods_list_is_checked_like_a_tuple():
                        n_grid=(10,), k_grid=(3,), methods=["pickands"])
 
 
+def test_config_refuses_a_string_of_methods():
+    # a string is a sequence too, of one-letter "methods"
+    with pytest.raises(ValueError, match="methods must be a sequence of method names, not the string 'hill'"):
+        make_config(methods="hill")
+
+
+def test_config_without_a_k_grid_equals_its_default_grid_twin(tmp_path):
+    default = make_config(k_grid=None)
+    explicit = make_config(k_grid=tuple(range(2, 15)))
+    assert default == explicit
+    paths = tf.write_study_outputs(tf.run_study(default), tmp_path / "default")
+    expected = tf.write_study_outputs(tf.run_study(explicit), tmp_path / "explicit")
+    assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in expected]
+
+
 def test_config_methods_list_equals_its_tuple_twin(tmp_path):
     as_list = make_config(methods=["par_q", "hill"])
     assert as_list == make_config() and as_list.methods == ("par_q", "hill")
@@ -103,7 +118,7 @@ def test_default_grids():
     cfg = tf.StudyConfig(spec=tf.parse_spec("pareto(alpha=1,delta=1)"), seed=1, m=2,
                          n_grid=(10, 20), methods=("hill",))
     assert cfg.fixed_n == 20
-    assert cfg.effective_k_grid == tuple(range(2, 20))
+    assert cfg.k_grid == tuple(range(2, 20))
     assert tf.StudyConfig(spec=cfg.spec, seed=1).n_grid == tuple(range(10, 101, 5))
 
 
