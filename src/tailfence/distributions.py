@@ -96,19 +96,27 @@ class DistributionSpec:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        name = self.family.strip().lower()
+        name = self.family.strip().lower() if isinstance(self.family, str) else None
         name = _ALIASES.get(name, name)
         if name not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {self.family!r}")
         expected = FAMILY_PARAMS[name]
-        given = dict(self.params)
+        try:
+            given = dict(self.params)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name}: params must be a mapping of names to numbers, got {self.params!r}") from None
         for key in given:
             if key not in expected:
                 raise ValueError(f"unknown parameter {key!r} for family {name}")
         missing = [key for key in expected if key not in given]
         if missing:
             raise ValueError(f"{name}: missing parameter {missing[0]!r}")
-        params = {key: float(given[key]) for key in expected}
+        params = {}
+        for key in expected:
+            try:
+                params[key] = float(given[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"{name}: parameter {key} must be a number, got {given[key]!r}") from None
         _validate_params(name, params)
         object.__setattr__(self, "family", name)
         object.__setattr__(self, "params", params)
@@ -449,7 +457,7 @@ def _generator(words: np.ndarray) -> np.random.PCG64:
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _open_unit(raw: np.ndarray) -> np.ndarray:
+def _uniform_open(raw: np.ndarray) -> np.ndarray:
     """Raw 64-bit PCG64 words mapped to uniforms in [2^-54, 1 - 2^-53].
 
     (w >> 11) * 2^-53 is k / 2^53 with k the top 53 bits of the word: what
@@ -464,8 +472,21 @@ def _open_unit(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _uniform_open(bitgen: np.random.PCG64, count: int) -> np.ndarray:
-    return _open_unit(bitgen.random_raw(count))
+def _draw_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -> np.ndarray:
+    """``count`` draws per stream in draw order, as a (len(streams), count) matrix.
+
+    ``sample`` is its one-row case. Each row's raw PCG64 words come from its own
+    stream; the mapping to uniforms and the inverse transform run once over all rows.
+    """
+    count = checked_int(count, "count")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if not isinstance(streams, range):
+        raise ValueError(f"streams must be a range of consecutive streams, got {streams!r}")
+    RngState(seed, streams.start)  # validates the seed and the first stream
+    # one array per row, stacked once: cheaper than copying each into a row of the matrix
+    raw = np.array([_generator(words).random_raw(count) for words in _stream_words(seed, streams)], np.uint64)
+    return _quantile_array(spec, _uniform_open(raw.reshape(len(streams), count)))
 
 
 def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
@@ -477,31 +498,16 @@ def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
     order or process. The uniforms are the raw PCG64 words w mapped to
     [2^-54, 1 - 2^-53] as (w >> 11) * 2^-53 + 2^-54.
     """
-    count = checked_int(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    words = _stream_words(rng.seed, range(rng.stream, rng.stream + 1))[0]
-    u = _uniform_open(_generator(words), count)
-    return Sample(_quantile_array(spec, u))
+    return Sample(_draw_rows(spec, rng.seed, range(rng.stream, rng.stream + 1), count)[0])
 
 
 def sample_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -> np.ndarray:
     """One sorted sample of ``count`` draws per stream, as a (len(streams), count) matrix.
 
-    ``streams`` is a range of consecutive streams. Row i equals
-    ``sample(spec, RngState(seed, streams[i]), count).sorted`` bit for bit.
-    The streams' seed words are sliced out of their hash blocks once, each
-    row's raw PCG64 words are drawn from its own stream into one uint64
-    matrix, and the mapping to uniforms, the inverse transform and the sort
-    then run once over all rows.
+    ``streams`` is a range of consecutive streams. Row i is drawn by the same routine
+    as ``sample(spec, RngState(seed, streams[i]), count)``, and equals its ``sorted``.
     """
-    count = checked_int(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    RngState(seed, streams.start)  # validates the seed and the first stream
-    # one array per row, stacked once: cheaper than copying each into a row of the matrix
-    raw = np.array([_generator(words).random_raw(count) for words in _stream_words(seed, streams)], np.uint64)
-    rows = _quantile_array(spec, _open_unit(raw.reshape(len(streams), count)))
+    rows = _draw_rows(spec, seed, streams, count)
     rows.sort(axis=1)
     # NaN sorts last and -inf/+inf to the ends, as in Sample
     if not np.isfinite(rows[:, [0, -1]]).all():

@@ -40,6 +40,16 @@ from .estimators import (ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, _mean, cla
 DEFAULT_N_GRID = tuple(range(10, 101, 5))
 
 
+def _sequence(values, what: str, items: str) -> tuple:
+    """``values`` as a tuple; ValueError for a string, bytes or anything not iterable."""
+    if isinstance(values, (str, bytes)):  # a sequence too, of one-letter entries
+        raise ValueError(f"{what} must be a sequence of {items}, not the string {values!r}")
+    try:
+        return tuple(values)
+    except TypeError:  # an int, None, a 0-d array
+        raise ValueError(f"{what} must be a sequence of {items}, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Study definition; fully determines the output bytes."""
@@ -56,13 +66,13 @@ class StudyConfig:
         # than deep in the engine, and a numpy integer reaches the manifest as an int.
         object.__setattr__(self, "seed", RngState(self.seed).seed)  # validates the seed range
         object.__setattr__(self, "m", checked_int(self.m, "m"))
-        object.__setattr__(self, "n_grid", tuple(checked_int(n, "n_grid entry") for n in self.n_grid))
+        n_grid = _sequence(self.n_grid, "n_grid", "integers")
+        object.__setattr__(self, "n_grid", tuple(checked_int(n, "n_grid entry") for n in n_grid))
         # a bad n_grid, which the default would come from, is refused below before the k_grid checks
-        object.__setattr__(self, "k_grid", tuple(range(2, max(self.n_grid, default=2))) if self.k_grid is None
-                           else tuple(checked_int(k, "k_grid entry") for k in self.k_grid))
-        if isinstance(self.methods, str):
-            raise ValueError(f"methods must be a sequence of method names, not the string {self.methods!r}")
-        object.__setattr__(self, "methods", tuple(self.methods))
+        k_grid = (range(2, max(self.n_grid, default=2)) if self.k_grid is None
+                  else _sequence(self.k_grid, "k_grid", "integers"))
+        object.__setattr__(self, "k_grid", tuple(checked_int(k, "k_grid entry") for k in k_grid))
+        object.__setattr__(self, "methods", _sequence(self.methods, "methods", "method names"))
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
         if not self.n_grid:

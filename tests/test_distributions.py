@@ -48,6 +48,13 @@ ALL_SPECS = [
         ("hillhorror", {"alpha": 0.0}),
         ("normal", {"mu": math.nan, "sigma2": 1.0}),
         ("exponential", {"lambda": math.inf}),
+        # bad types: ValueError too, not an AttributeError or TypeError
+        (5, {}),
+        (None, {"alpha": 1.0}),
+        ("pareto", None),
+        ("pareto", 7),
+        ("pareto", {"alpha": None, "delta": 1}),
+        ("pareto", {"alpha": 1.0, "delta": [1, 2]}),
     ],
 )
 def test_invalid_parameters_rejected(family, params):
@@ -254,7 +261,7 @@ def test_t_quantile_matches_both_form_reference_bit_for_bit(df):
         assert tf.quantile(spec, u) == float(reference_t_ppf(df, u)), u
     assert math.copysign(1.0, tf.quantile(spec, 0.5)) == 1.0  # +0.0, as the reference
     for stream in range(1000):
-        u = _uniform_open(stream_generator(2024, stream), 40)
+        u = _uniform_open(stream_generator(2024, stream).random_raw(40))
         expected = reference_t_ppf(df, u)
         assert tf.sample(spec, tf.RngState(2024, stream), 40).values.tobytes() == expected.tobytes(), stream
 
@@ -380,7 +387,7 @@ def test_lower_tail_round_trip_property(spec, log2_u):
 
 
 # Windows of adjacent sampler uniforms, k * 2^-53 + 2^-54 clamped below 1 for
-# integer k < 2^53 (what _uniform_open draws), so an ulp-level drop shows.
+# integer k < 2^53 (what _uniform_open gives), so an ulp-level drop shows.
 _WINDOW = 100_000
 _LAST_FIRST = 2**53 - _WINDOW
 
@@ -514,7 +521,7 @@ def _top_draw_generator():
 
 def test_top_integer_draw_stays_below_one(monkeypatch):
     assert _top_draw_generator().random_raw(1)[0] == 2**64 - 1
-    assert _uniform_open(_top_draw_generator(), 1)[0] == 1.0 - 2.0**-53
+    assert _uniform_open(_top_draw_generator().random_raw(1))[0] == 1.0 - 2.0**-53
     monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     for text in ("pareto(alpha=1,delta=1)", "exp(lambda=1)", "hillhorror(alpha=0.5)",
                  "frechet(alpha=2,mu=0,sigma=1)"):
@@ -534,11 +541,11 @@ def test_uniform_open_matches_raw_word_formula_bit_for_bit():
     for word in [*edge_words, 2**64 - 1]:
         assert _pcg64_emitting(word).random_raw(1)[0] == word
         expected = _uniform_from_raw_words(np.array([word], dtype=np.uint64))
-        assert np.array_equal(_uniform_open(_pcg64_emitting(word), 1), expected)
+        assert np.array_equal(_uniform_open(_pcg64_emitting(word).random_raw(1)), expected)
     for stream in range(1200):
         count = 1 + stream % 130
         expected = _uniform_from_raw_words(stream_generator(99, stream).random_raw(count))
-        assert np.array_equal(_uniform_open(stream_generator(99, stream), count), expected)
+        assert np.array_equal(_uniform_open(stream_generator(99, stream).random_raw(count)), expected)
 
 
 def test_uniform_draw_matches_generator_integers():
@@ -548,7 +555,7 @@ def test_uniform_draw_matches_generator_integers():
         seq = np.random.SeedSequence(entropy=2024, spawn_key=(stream,))
         k = np.random.Generator(np.random.PCG64(seq)).integers(0, 2**53, size=64, dtype=np.int64)
         expected = np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
-        assert np.array_equal(_uniform_open(stream_generator(2024, stream), 64), expected)
+        assert np.array_equal(_uniform_open(stream_generator(2024, stream).random_raw(64)), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
@@ -622,6 +629,8 @@ def test_sample_rows_reject_bad_counts_and_non_finite_draws(monkeypatch):
         distributions.sample_rows(spec, 2**64, range(3), 2)
     with pytest.raises(ValueError, match="stream must be non-negative"):
         distributions.sample_rows(spec, 1, range(-1, 3), 2)
+    with pytest.raises(ValueError, match="streams must be a range"):
+        distributions.sample_rows(spec, 1, [0, 1], 4)
     monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     with pytest.raises(ValueError, match="NaN or infinite"):  # Q(1 - 2^-53) overflows
         distributions.sample_rows(spec, 1, range(3), 2)

@@ -97,6 +97,23 @@ def test_config_refuses_a_string_of_methods():
         make_config(methods="hill")
 
 
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"n_grid": 100}, "n_grid must be a sequence of integers, got 100"),
+        ({"n_grid": np.array(50)}, "n_grid must be a sequence of integers, got array"),
+        ({"n_grid": "10,15"}, "n_grid must be a sequence of integers, not the string"),
+        ({"k_grid": 5}, "k_grid must be a sequence of integers, got 5"),
+        ({"methods": None}, "methods must be a sequence of method names, got None"),
+        ({"methods": b"hill"}, "methods must be a sequence of method names, not the string b'hill'"),
+    ],
+)
+def test_config_refuses_a_grid_or_method_list_that_is_not_a_sequence(overrides, fragment):
+    # one ValueError each, not a TypeError from iterating a scalar or a bytes "method" 104
+    with pytest.raises(ValueError, match=fragment):
+        make_config(**overrides)
+
+
 def test_config_without_a_k_grid_equals_its_default_grid_twin(tmp_path):
     default = make_config(k_grid=None)
     explicit = make_config(k_grid=tuple(range(2, 15)))

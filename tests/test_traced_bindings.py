@@ -52,21 +52,30 @@ def test_run_study_takes_workers_one():
 
 
 def test_every_draw_builds_its_generator_through_the_traced_binding(monkeypatch):
-    # The tracer's distributions.rng_s wraps _generator: a grid point's rows and
-    # a single sample must each build their PCG64 there, one call per stream.
-    calls = []
-    original = distributions._generator
+    # The tracer's distributions.rng_s wraps _generator and _uniform_open: a grid
+    # point's rows and a single sample must each build their PCG64 there, one
+    # call per stream, and map their raw words there, once per matrix.
+    calls, mapped = [], []
+    original, original_map = distributions._generator, distributions._uniform_open
 
     def counting(words):
         calls.append(words.tolist())
         return original(words)
 
+    def counting_map(raw):
+        mapped.append(raw.shape)
+        return original_map(raw)
+
     monkeypatch.setattr(distributions, "_generator", counting)
+    monkeypatch.setattr(distributions, "_uniform_open", counting_map)
     spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
     rows = distributions.sample_rows(spec, 11, range(1020, 1030), 6)
     assert len(calls) == 10
     assert calls == distributions._stream_words(11, range(1020, 1030)).tolist()
+    assert mapped == [(10, 6)]
     calls.clear()
+    mapped.clear()
     smp = tf.sample(spec, tf.RngState(11, 1025), 6)
     assert calls == [distributions._stream_words(11, range(1025, 1026))[0].tolist()]
+    assert mapped == [(1, 6)]
     assert smp.sorted.tobytes() == rows[5].tobytes()
