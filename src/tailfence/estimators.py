@@ -13,6 +13,11 @@ forms from the literature, each written once as a row form that
 scored together share one block of top order statistics, and Hill and moment
 one set of log-excesses.
 
+Scoring runs in two stages. ``classical_statistics`` and ``fence_statistics``
+reduce a matrix to each method's per-row statistics at its k or n, and
+``finish_rows`` turns those into estimates elementwise, so statistics of
+several matrices, taken at different k or n, finish in one pass.
+
 All ten methods return one row result, ``{method: (alpha, code)}``: per row
 the estimate (NaN where there is none) and its reason's index in
 ``ROW_REASONS`` (0: valid), so data-dependent failures are codes, never
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -186,6 +192,39 @@ def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     return evaluate(_method_for(family, _quartile_row), sample)
 
 
+# --- two stages: per-row statistics, then an elementwise finishing pass --------
+#
+# Statistics of blocks taken at different k (or n), concatenated, finish in one
+# ``finish_rows`` pass to the rows each block gives alone: the study engine
+# finishes a chunk of grid points at once this way, and ``classical_rows`` and
+# ``evaluate_rows`` are the one-block case.
+
+
+def fence_statistics(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
+    """Per fence/quartile method, the per-row statistics ``finish_rows`` reads.
+
+    ``(above, outer_high)`` for a fence method (the count above the upper
+    outer fence, and that fence) and ``(q1, q3)`` for a quartile method. None
+    is a view of ``rows``, so holding them does not hold the matrix.
+    """
+    for method in methods:
+        if method not in _INVERSIONS:
+            raise ValueError(f"method {method!r} is not a fence/quartile method")
+    q1, q3, outer_high, above = row_fence_characteristics(rows)
+    # a quartile on a knot is a column of rows: copied
+    columns = {_fence_row: (above, outer_high), _quartile_row: (q1.copy(), q3.copy())}
+    return {method: columns[_INVERSIONS[method][1]] for method in methods}
+
+
+def _inversion_rows(method: str, n, first: np.ndarray, second: np.ndarray):
+    family, inversion = _INVERSIONS[method]
+    if inversion is _fence_row:
+        first = first / n  # p_eR, the share of the row above its outer fence
+    pairs = list(map(inversion, repeat(family), first.tolist(), second.tolist()))
+    return (np.array([alpha for alpha, _ in pairs], dtype=float),
+            np.array([code for _, code in pairs], dtype=int))
+
+
 def evaluate_rows(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Score fence/quartile methods on every row of a matrix of sorted samples.
 
@@ -194,31 +233,17 @@ def evaluate_rows(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, np.n
     inversion runs once per row on Python floats. ``evaluate`` scores a
     single sample here too, as a 1-row matrix.
     """
-    q1, q3, outer_high, above = (a.tolist() for a in row_fence_characteristics(rows))
-    n = rows.shape[1]
-    p_eR = [count / n for count in above]
-    columns = {_fence_row: (p_eR, outer_high), _quartile_row: (q1, q3)}
-    scored = {}
-    for method in methods:
-        if method not in _INVERSIONS:
-            raise ValueError(f"method {method!r} is not a fence/quartile method")
-        family, inversion = _INVERSIONS[method]
-        pairs = list(map(inversion, repeat(family), *columns[inversion]))
-        scored[method] = (np.array([alpha for alpha, _ in pairs], dtype=float),
-                          np.array([code for _, code in pairs], dtype=int))
-    return scored
-
-
-def _mean(values: np.ndarray) -> float:
-    # np.mean's sum and division without its per-call dispatch: same bits
-    return float(np.add.reduce(values)) / values.size
+    statistics = fence_statistics(methods, rows)
+    return {method: finish_rows(method, rows.shape[1], statistics[method]) for method in methods}
 
 
 # --- classical estimators, one row per sorted sample ---------------------------
 #
 # Each row form scores every row of a matrix of sorted samples at once. A row's
 # code is its first failing check. The rows that a check rules out are given
-# harmless values (ratios of 1) before any later step, so no step warns.
+# harmless values (ratios of 1) before any later step, so no step warns. The
+# finishing steps copy the codes they are given before marking them, so no
+# method's checks reach another's.
 
 
 def _mark(code: np.ndarray, failed: np.ndarray, reason: int) -> None:
@@ -257,6 +282,47 @@ def _log_excess_rows(tail: np.ndarray, base: np.ndarray, code: np.ndarray):
     return np.log(ratios), code
 
 
+def _pickands_spacings(rows: np.ndarray, k: int):
+    """The spacings X(n-2k+1) - X(n-4k+1) and X(n-k+1) - X(n-2k+1) of each row."""
+    n = rows.shape[1]
+    if k < 1 or 4 * k > n:
+        raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
+    with np.errstate(over="ignore"):  # as with Python floats: inf, marked by the finishing step
+        lower, upper = np.diff(rows[:, [n - 4 * k, n - 2 * k, n - k]]).T
+    return lower, upper
+
+
+def classical_statistics(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndarray, ...]]:
+    """Per classical method, the per-row statistics at k that ``finish_rows`` reads.
+
+    Hill reads ``(code, log_sum)``, moment ``(code, log_sum, log_square_sum)``
+    over the log-excesses log(tail / base), t-Hill ``(code, ratio_sum)`` over
+    base / tail, and Pickands its two spacings; a code is the row's first
+    failed check so far. The top k + 1 order statistics are taken once, and
+    Hill and moment share one set of log-excesses. None is a view of ``rows``.
+    """
+    for method in methods:
+        if method not in CLASSICAL_METHODS:
+            raise ValueError(f"method {method!r} is not a classical method")
+    wanted = set(methods)
+    if wanted - {"pickands"}:
+        tail, base, code = _tail_rows(rows, k)
+    if wanted & {"hill", "moment"}:
+        logs, log_code = _log_excess_rows(tail, base, code)
+        log_sum = np.add.reduce(logs, axis=1)
+    statistics = {}
+    for method in methods:
+        if method == "hill":
+            statistics[method] = (log_code, log_sum)
+        elif method == "thill":
+            statistics[method] = (code, np.add.reduce(base[:, None] / tail, axis=1))
+        elif method == "moment":
+            statistics[method] = (log_code, log_sum, np.add.reduce(logs * logs, axis=1))
+        else:
+            statistics[method] = _pickands_spacings(rows, k)
+    return statistics
+
+
 def _reciprocal_where(keep: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """1 / gamma where ``keep`` holds (gamma != 0 there), NaN elsewhere."""
     alpha = 1.0 / np.where(keep, gamma, 1.0)
@@ -264,17 +330,19 @@ def _reciprocal_where(keep: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _hill_rows(logs: np.ndarray, code: np.ndarray, k: int):
-    gamma = np.add.reduce(logs, axis=1) / k
+def _hill_rows(k, code: np.ndarray, log_sum: np.ndarray):
+    gamma = log_sum / k
+    code = code.copy()
     _mark(code, gamma == 0.0, _DEGENERATE)
     return _reciprocal_where(code == _VALID, gamma), code
 
 
-def _t_hill_rows(tail: np.ndarray, base: np.ndarray, code: np.ndarray, k: int):
+def _t_hill_rows(k, code: np.ndarray, ratio_sum: np.ndarray):
     # For a Pareto tail E[t/X | X > t] = alpha/(alpha+1), so alpha is recovered
     # as T/(1-T) from T = mean(base/tail). This is the single place encoding
     # that normalization, in case a different convention is ever preferred.
-    t = np.add.reduce(base[:, None] / tail, axis=1) / k
+    t = ratio_sum / k
+    code = code.copy()
     _mark(code, t == 0.0, _NON_FINITE)  # every ratio base / tail underflows, while t > 0 in exact arithmetic
     _mark(code, t >= 1.0, _DEGENERATE)
     valid = code == _VALID
@@ -283,13 +351,9 @@ def _t_hill_rows(tail: np.ndarray, base: np.ndarray, code: np.ndarray, k: int):
     return alpha, code
 
 
-def _pickands_rows(rows: np.ndarray, k: int):
-    n = rows.shape[1]
-    if k < 1 or 4 * k > n:
-        raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
+def _pickands_rows(k, lower: np.ndarray, upper: np.ndarray):
+    code = np.where((upper == 0.0) | (lower == 0.0), _TIED, _VALID)
     with np.errstate(over="ignore"):  # as with Python floats: inf, marked below
-        lower, upper = np.diff(rows[:, [n - 4 * k, n - 2 * k, n - k]]).T  # the two spacings
-        code = np.where((upper == 0.0) | (lower == 0.0), _TIED, _VALID)
         ratio = upper / np.where(code == _VALID, lower, 1.0)
     # the spacings are so far apart in scale that their ratio under- or overflows
     _mark(code, ~((ratio > 0.0) & (ratio < math.inf)), _NON_FINITE)
@@ -301,16 +365,32 @@ def _pickands_rows(rows: np.ndarray, k: int):
     return _reciprocal_where((code == _VALID) | (code == _NON_HEAVY), gamma), code
 
 
-def _moment_rows(logs: np.ndarray, code: np.ndarray, k: int):
-    m1 = np.add.reduce(logs, axis=1) / k
-    m2 = np.add.reduce(logs * logs, axis=1) / k
+def _moment_rows(k, code: np.ndarray, log_sum: np.ndarray, log_square_sum: np.ndarray):
+    m1 = log_sum / k
+    m2 = log_square_sum / k
     ratio = m1 * m1 / np.where(m2 == 0.0, 1.0, m2)
     gamma = m1 + 1.0 - 0.5 / np.where(ratio == 1.0, 1.0, 1.0 - ratio)
+    code = code.copy()
     _mark(code, m2 == 0.0, _DEGENERATE)
     _mark(code, ratio == 1.0, _DEGENERATE_RATIO)
     _mark(code, gamma <= 0.0, _NON_HEAVY)
     # a non-heavy tail keeps its negative estimate as evidence; gamma == 0 has none
     return _reciprocal_where((code == _VALID) | ((code == _NON_HEAVY) & (gamma != 0.0)), gamma), code
+
+
+_FINISHING = {"hill": _hill_rows, "thill": _t_hill_rows, "pickands": _pickands_rows, "moment": _moment_rows,
+              **{method: partial(_inversion_rows, method) for method in _INVERSIONS}}
+
+
+def finish_rows(method: str, size, statistics: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A method's ``(alpha, code)`` from its per-row statistics, elementwise.
+
+    ``statistics`` is the method's entry of ``classical_statistics`` or
+    ``fence_statistics``, or such entries concatenated row-wise; ``size`` is
+    the k (classical) or n (fence/quartile) the statistics were taken at, one
+    number or one per row. The statistics are not written.
+    """
+    return _FINISHING[method](size, *statistics)
 
 
 def classical_rows(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -322,25 +402,8 @@ def classical_rows(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndar
     the codes, so no method's checks reach another's.
     ``evaluate`` scores a single sample here too, as a 1-row matrix.
     """
-    for method in methods:
-        if method not in CLASSICAL_METHODS:
-            raise ValueError(f"method {method!r} is not a classical method")
-    wanted = set(methods)
-    if wanted - {"pickands"}:
-        tail, base, code = _tail_rows(rows, k)
-    if wanted & {"hill", "moment"}:
-        logs, log_code = _log_excess_rows(tail, base, code)
-    scored = {}
-    for method in methods:
-        if method == "hill":
-            scored[method] = _hill_rows(logs, log_code.copy(), k)
-        elif method == "thill":
-            scored[method] = _t_hill_rows(tail, base, code.copy(), k)
-        elif method == "moment":
-            scored[method] = _moment_rows(logs, log_code.copy(), k)
-        else:
-            scored[method] = _pickands_rows(rows, k)
-    return scored
+    statistics = classical_statistics(methods, rows, k)
+    return {method: finish_rows(method, k, statistics[method]) for method in methods}
 
 
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:

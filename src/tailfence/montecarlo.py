@@ -12,15 +12,20 @@ point's m replicates as one (m, n) matrix of sorted rows, row r equal to
 ``sample(spec, RngState(seed, g*m + r), n).sorted``: the m streams' PCG64
 seed words are sliced out of their hash blocks once, each row's raw words
 come from its own stream's PCG64, and the mapping to uniforms, the inverse
-transform and the sort run once over the matrix. At an n-point,
-``evaluate_rows`` scores the matrix: it computes every row's quartiles,
-upper outer fence and count above it at once, then runs each method's
-inversion once per row. At a k-point, one ``classical_rows`` call scores
-all its classical methods from one shared block of top order statistics
-(and one set of log-excesses for Hill and moment). Either way a row gets
-the estimate and reason code (into ``estimators.ROW_REASONS``) that
-``evaluate`` gives its sample, and the estimates with code 0 reach
-``summarize_ci`` in replicate order.
+transform and the sort run once over the matrix.
+
+Scoring runs in two stages. Each grid point's matrix is reduced to its
+methods' per-row statistics (``estimators.fence_statistics`` at an n-point,
+``estimators.classical_statistics`` at a k-point) and then freed.
+Consecutive points of one axis form a chunk of at most ``_CHUNK_REPLICATES``
+replicates; each method finishes the rows of the chunk's points in one
+elementwise ``estimators.finish_rows`` pass, with each row's k or n, and
+all the chunk's (point, method) rows are summarized in one batch. A row
+gets the estimate and reason code (into ``estimators.ROW_REASONS``) that
+``evaluate`` gives its sample, and each (point, method) row is summarized
+over its estimates with code 0 in replicate order, exactly as
+``summarize_ci`` summarizes them alone. So neither the chunk size nor the
+order in which chunks run changes a byte.
 """
 
 from __future__ import annotations
@@ -30,12 +35,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import distributions as dist
 from .distributions import DistributionSpec, RngState, checked_int
-from .empirical import Sample, empirical_quantile
+from .empirical import Sample, row_quantiles
 # evaluate is not called here; the benchmark's tracer wraps this binding
-from .estimators import (ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, _mean, classical_rows,  # noqa: F401
-                         evaluate, evaluate_rows)
+from .estimators import (ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, classical_statistics,  # noqa: F401
+                         evaluate, fence_statistics, finish_rows)
 
 DEFAULT_N_GRID = tuple(range(10, 101, 5))
 
@@ -125,17 +132,34 @@ class _GridPoint(NamedTuple):
     methods: tuple[str, ...]
 
 
+def _summarize_rows(values: np.ndarray, valid: np.ndarray) -> list[tuple]:
+    """Per row of ``values``: ``(mean, ci_low, ci_high, count)`` over its ``valid`` entries.
+
+    Row by row ``summarize_ci`` of the valid entries in order, and their
+    count; the three statistics are None for a row with none. Rows with the
+    same count are summarized together, compacted in order into one matrix.
+    """
+    counts = np.count_nonzero(valid, axis=1)
+    stats = np.empty((3, len(values)))
+    for count in set(counts.tolist()) - {0}:
+        at = counts == count
+        kept = values[at][valid[at]].reshape(-1, count)  # row-major: each row in replicate order
+        mean = np.add.reduce(kept, axis=1) / count
+        kept.sort(axis=1)
+        low = row_quantiles(kept, 0.025)
+        high = row_quantiles(kept, 0.975)
+        # keep mean == ci bounds exact for constant rows
+        constant = kept[:, 0] == kept[:, -1]
+        stats[:, at] = [np.where(constant, kept[:, 0], column) for column in (mean, low, high)]
+    return [(mean, low, high, count) if count else (None, None, None, 0)
+            for mean, low, high, count in zip(*stats.tolist(), counts.tolist())]
+
+
 def summarize_ci(values) -> tuple[float, float, float]:
     """Mean plus empirical 2.5%/97.5% type-6 quantiles (clamped at small m)."""
     smp = Sample(values)
-    if smp.sorted[0] == smp.sorted[-1]:
-        # keep mean == ci bounds exact for constant collections
-        return (float(smp.sorted[0]),) * 3
-    return (
-        _mean(smp.values),
-        empirical_quantile(smp, 0.025),
-        empirical_quantile(smp, 0.975),
-    )
+    mean, low, high, _ = _summarize_rows(smp.values[None, :], np.ones((1, smp.n), dtype=bool))[0]
+    return mean, low, high
 
 
 def _grid_points(config: StudyConfig) -> list[_GridPoint]:
@@ -154,33 +178,60 @@ def _grid_points(config: StudyConfig) -> list[_GridPoint]:
     return points
 
 
-def _evaluate_point(config: StudyConfig, g: int, point: _GridPoint) -> list[StudyRow]:
-    if not point.methods:
-        return []
+# At most this many replicates' per-row statistics are finished and summarized
+# together; a chunk is one grid point when m is larger.
+_CHUNK_REPLICATES = 2048
+
+
+def _chunks(config: StudyConfig) -> list[tuple[int, tuple[_GridPoint, ...]]]:
+    """Consecutive grid points of one axis, as (index of the first, points)."""
+    per_chunk = max(1, _CHUNK_REPLICATES // config.m)
+    chunks: list[tuple[int, list[_GridPoint]]] = []
+    for g, point in enumerate(_grid_points(config)):
+        if not chunks or len(chunks[-1][1]) == per_chunk or chunks[-1][1][0].axis != point.axis:
+            chunks.append((g, []))
+        chunks[-1][1].append(point)
+    return [(first, tuple(points)) for first, points in chunks]
+
+
+def _point_statistics(config: StudyConfig, g: int, point: _GridPoint) -> dict[str, tuple]:
+    """Per method of grid point g, its rows' statistics; the (m, n) matrix is freed on return."""
+    if not point.methods:  # pickands alone, beyond 4k <= n: nothing to draw for
+        return {}
     first = g * config.m
     samples = dist.sample_rows(config.spec, config.seed, range(first, first + config.m), point.n)
     if point.k is None:
-        scored = evaluate_rows(point.methods, samples)
-    else:
-        scored = classical_rows(point.methods, samples, point.k)
+        return fence_statistics(point.methods, samples)
+    return classical_statistics(point.methods, samples, point.k)
+
+
+def _evaluate_chunk(config: StudyConfig, first: int, points: tuple[_GridPoint, ...]) -> list[StudyRow]:
+    """The rows of grid points first, first + 1, ... in grid order.
+
+    Each point is drawn and reduced to its statistics on its own. Each method
+    then finishes the rows of every point that scores it in one pass, and
+    all (point, method) rows are summarized in one batch.
+    """
+    m = config.m
+    statistics = [_point_statistics(config, g, point) for g, point in enumerate(points, first)]
+    alphas, codes, owners = [], [], []
+    for method in dict.fromkeys(method for point in points for method in point.methods):
+        having = [i for i, point in enumerate(points) if method in point.methods]
+        size = np.repeat(np.array([points[i].value for i in having], dtype=float), m)  # the k or n of each row
+        columns = tuple(map(np.concatenate, zip(*(statistics[i][method] for i in having))))
+        alpha, code = finish_rows(method, size, columns)
+        alphas.append(alpha.reshape(len(having), m))
+        codes.append(code.reshape(len(having), m))
+        owners.extend((i, method) for i in having)
+    if not owners:
+        return []
+    summaries = dict(zip(owners, _summarize_rows(np.concatenate(alphas), np.concatenate(codes) == 0)))
     rows = []
-    for method, (alpha, code) in scored.items():
-        values = alpha[code == 0]
-        if values.size:
-            mean, lo, hi = summarize_ci(values)
-        else:
-            mean = lo = hi = None
-        rows.append(
-            StudyRow(
-                axis=point.axis,
-                value=point.value,
-                method=method,
-                mean_alpha=mean,
-                ci_low=lo,
-                ci_high=hi,
-                valid_fraction=values.size / config.m,
-            )
-        )
+    for i, point in enumerate(points):
+        for method in point.methods:
+            mean, low, high, count = summaries[i, method]
+            rows.append(StudyRow(axis=point.axis, value=point.value, method=method, mean_alpha=mean,
+                                 ci_low=low, ci_high=high, valid_fraction=count / m))
     return rows
 
 
@@ -233,25 +284,26 @@ def ProcessPoolExecutor(*args, **kwargs):
 def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     """Run the full study; deterministic CSV bytes for a given config.
 
-    Grid points run in this process by default (workers=None or 1). An
-    explicit workers > 1 spreads them over a process pool, which pays only on
-    large studies: on a 2-core x86 host, serial vs 2 workers took 0.057 s vs
-    0.081 s for the 98-point Pareto k-sweep at m=40, 0.013 s vs 0.031 s for
-    the 19-point t(4) n-sweep at m=8, and for a default `simulate` (117
-    points, m=1000) 1.26 s vs 0.70 s on Pareto(0.5, 1) and 8.8 s vs 4.3 s on
-    t(4) (medians of 9, 9, 3 and 3 interleaved runs). A one-point study
-    always runs in one process. Results are gathered by grid-point index,
+    Chunks of grid points run in this process by default (workers=None or
+    1). An explicit workers > 1 spreads them over a process pool, which pays
+    only on large studies, such as a default `simulate` (117 points at
+    m=1000) of a family with a costly inverse transform. A study of one
+    chunk always runs in one process. Results are gathered by chunk index,
     never by completion order, so the bytes do not depend on ``workers``.
+    ValueError unless ``workers`` is None or an integer >= 1.
     """
-    points = _grid_points(config)
-    if workers is not None and workers > 1 and len(points) > 1:
+    if workers is not None:
+        workers = checked_int(workers, "workers")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+    chunks = _chunks(config)
+    if workers is not None and workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_evaluate_point, [config] * len(points),
-                                   range(len(points)), points))
+            results = list(pool.map(_evaluate_chunk, [config] * len(chunks), *zip(*chunks)))
     else:
-        chunks = [_evaluate_point(config, g, point) for g, point in enumerate(points)]
+        results = [_evaluate_chunk(config, first, points) for first, points in chunks]
     rows: list[StudyRow] = []
-    for chunk in chunks:
+    for chunk in results:
         rows.extend(chunk)
     return StudyResult(config=config, rows=tuple(rows))
 

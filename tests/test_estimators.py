@@ -805,6 +805,84 @@ def test_every_scorer_takes_a_matrix_of_no_rows():
 
 
 
+def assert_stacked_finishing_equals_each_block(blocks):
+    """Blocks of sorted rows, each at its own k (None: its n), finish stacked as each block scores alone.
+
+    For every method usable on two or more blocks, the blocks' statistics are
+    concatenated and finished in one pass with a per-row k or n; the result
+    must equal the blocks' own ``classical_rows``/``evaluate_rows`` arrays bit
+    for bit, NaN positions included. Returns the codes reached.
+    """
+    reached = set()
+    for method in tf.ALL_METHODS:
+        classical = method in tf.CLASSICAL_METHODS
+        usable = [(rows, k) for rows, k in blocks if (k is not None) == classical
+                  and (method != "pickands" or 4 * k <= rows.shape[1])]
+        if not usable:
+            continue
+        statistics, sizes, expected_alpha, expected_code = [], [], [], []
+        for rows, k in usable:
+            if classical:
+                statistics.append(estimators.classical_statistics((method,), rows, k)[method])
+                alpha, code = estimators.classical_rows((method,), rows, k)[method]
+            else:
+                statistics.append(estimators.fence_statistics((method,), rows)[method])
+                alpha, code = estimators.evaluate_rows((method,), rows)[method]
+            sizes.append(np.full(len(rows), float(rows.shape[1] if k is None else k)))
+            expected_alpha.append(alpha)
+            expected_code.append(code)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, code = estimators.finish_rows(method, np.concatenate(sizes),
+                                                 tuple(map(np.concatenate, zip(*statistics))))
+        assert (alpha.dtype, code.dtype) == (np.float64, np.int_), method
+        assert alpha.tobytes() == np.concatenate(expected_alpha).tobytes(), method
+        assert code.tobytes() == np.concatenate(expected_code).tobytes(), method
+        reached.update(estimators.ROW_REASONS[c] for c in code.tolist())
+    return reached
+
+
+def test_stacked_finishing_equals_each_block_on_crafted_rows():
+    crafted = [(np.sort(np.array(values, dtype=float))[None, :], k) for _, values, k, _ in CRAFTED]
+    # each block alone, and its rows beside ordinary ones at another k or n
+    ordinary = distributions.sample_rows(tf.parse_spec("pareto(alpha=0.5,delta=1)"), 4, range(30), 40)
+    blocks = [block for pair in zip(crafted, [(ordinary[:5], 9), (ordinary[5:9], None)] * len(crafted))
+              for block in pair]
+    reached = assert_stacked_finishing_equals_each_block(blocks)
+    assert reached == set(estimators.ROW_REASONS)
+    # the classical reasons each have a crafted block: a non-positive base, an overflowing
+    # ratio, tied spacings, t >= 1 and m2 == 0 (the constant block [3, 3, 3, 3] at k = 2)
+    thill_moment = estimators.classical_rows(("thill", "moment"), np.full((1, 4), 3.0), 2)
+    assert [thill_moment[m][1].tolist() for m in ("thill", "moment")] == [[3], [3]]
+
+
+@st.composite
+def blocks_at_different_sizes(draw):
+    """Two to four sorted matrices, each at its own k or (None) its n."""
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        rows = draw(sorted_matrices())
+        n = rows.shape[1]
+        blocks.append((rows, draw(st.one_of(st.none(), st.integers(1, n - 1)))))
+    return blocks
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(blocks=blocks_at_different_sizes())
+def test_stacked_finishing_equals_each_block_property(blocks):
+    assert_stacked_finishing_equals_each_block(blocks)
+
+
+def test_statistics_do_not_hold_the_matrix():
+    # n = 15 puts both quartiles on knots, where they are columns of the matrix
+    rows = np.sort(np.random.default_rng(2).pareto(1.0, (6, 15)), axis=1)
+    held = [*estimators.fence_statistics(tf.NEW_METHODS, rows).values(),
+            *estimators.classical_statistics(tf.CLASSICAL_METHODS, rows, 3).values()]
+    for statistics in held:
+        for array in statistics:
+            assert not np.shares_memory(array, rows)
+
+
 # --- logs from libm ----------------------------------------------------------------
 #
 # np.log's SIMD kernels (AVX-512 among them) can differ from libm's log in the

@@ -165,27 +165,96 @@ def test_parallel_matches_serial(monkeypatch):
     assert serial.csv_for_axis("k") == parallel.csv_for_axis("k")
 
 
+def output_bytes(result, outdir):
+    return {p.name: p.read_bytes() for p in tf.write_study_outputs(result, outdir)}
+
+
 def test_output_bytes_do_not_depend_on_cache_state_or_point_order(tmp_path):
     # 4 points x m = 600 replicates: streams 0..2399 span three hash blocks
     cfg = make_config(m=600)
     other = replace(cfg, seed=cfg.seed + 1)
 
-    def output_bytes(result, name):
-        return {p.name: p.read_bytes() for p in tf.write_study_outputs(result, tmp_path / name)}
-
     def cold(config, name):
         distributions._seed_block.cache_clear()
-        return output_bytes(tf.run_study(config), name)
+        return output_bytes(tf.run_study(config), tmp_path / name)
 
     first, other_first = cold(cfg, "cold"), cold(other, "other_cold")
     # each study now runs right after the other seed's study filled the block cache
-    assert output_bytes(tf.run_study(cfg), "warmed") == first
-    assert output_bytes(tf.run_study(other), "other_warmed") == other_first
-    points = montecarlo._grid_points(cfg)
-    chunks = {g: montecarlo._evaluate_point(cfg, g, points[g]) for g in reversed(range(len(points)))}
-    rows = tuple(row for g in range(len(points)) for row in chunks[g])
-    assert output_bytes(montecarlo.StudyResult(cfg, rows), "reversed") == first
+    assert output_bytes(tf.run_study(cfg), tmp_path / "warmed") == first
+    assert output_bytes(tf.run_study(other), tmp_path / "other_warmed") == other_first
+    chunks = montecarlo._chunks(cfg)
+    assert [start for start, _ in chunks] == [0, 2]  # one chunk per axis
+    rows = {start: montecarlo._evaluate_chunk(cfg, start, points) for start, points in reversed(chunks)}
+    result = montecarlo.StudyResult(cfg, tuple(row for start, _ in chunks for row in rows[start]))
+    assert output_bytes(result, tmp_path / "reversed") == first
     assert len(first) == 3 and first["pareto_n.csv"] != other_first["pareto_n.csv"]
+
+
+def test_output_bytes_do_not_depend_on_chunking(tmp_path, monkeypatch):
+    # 5 n-points and 6 k-points of m = 100: streams 0..1099 cross the first 1024-stream hash block
+    cfg = make_config(m=100, n_grid=(10, 15, 20, 25, 30), k_grid=(2, 3, 5, 7, 9, 11),
+                      methods=("par_n", "hh_q", "hill", "pickands", "moment"))
+    assert [len(points) for _, points in montecarlo._chunks(cfg)] == [5, 6]
+    chunked = output_bytes(tf.run_study(cfg), tmp_path / "chunked")
+    monkeypatch.setattr(montecarlo, "_CHUNK_REPLICATES", 1)
+    assert [len(points) for _, points in montecarlo._chunks(cfg)] == [1] * 11
+    assert output_bytes(tf.run_study(cfg), tmp_path / "per_point") == chunked
+    assert set(chunked) == {"pareto_n.csv", "pareto_k.csv", "pareto_manifest.json"}
+
+
+@pytest.mark.parametrize("workers", ["2", 2.5, -3, 0, True, np.float64(2.0)])
+def test_run_study_refuses_a_bad_worker_count(workers):
+    # one ValueError each: neither a TypeError nor a quietly serial run
+    with pytest.raises(ValueError, match="workers must be"):
+        tf.run_study(make_config(), workers=workers)
+
+
+def test_run_study_takes_numpy_integer_workers():
+    cfg = make_config()
+    assert tf.run_study(cfg, workers=np.int64(1)) == tf.run_study(cfg)
+
+
+def summarize_ci_reference(values):
+    """The summary as one sample's statistics: its order-kept mean and type-6 quantiles."""
+    smp = tf.Sample(values)
+    if smp.sorted[0] == smp.sorted[-1]:
+        return (float(smp.sorted[0]),) * 3
+    mean = float(np.add.reduce(smp.values)) / smp.n
+    return mean, tf.empirical_quantile(smp, 0.025), tf.empirical_quantile(smp, 0.975)
+
+
+def test_batched_summary_equals_summarize_ci_row_by_row():
+    rng = np.random.default_rng(5)
+    checked = set()
+    for m in range(2, 41):  # the 2.5% quantile clamps below m = 39
+        values = 1.0 / rng.pareto(0.7, size=(12, m)) * rng.uniform(0.1, 10.0, size=(12, 1))
+        code = np.zeros((12, m), dtype=int)
+        code[1, :] = 8  # no valid value
+        code[2, 1:] = 3  # exactly one
+        code[3, rng.random(m) < 0.5] = 2  # a random share
+        code[4, rng.random(m) < 0.5] = 2  # the same count as row 3 or not
+        values[5] = 3.3  # constant, whose sum would round
+        values[6, ::2] = 0.1  # constant among its valid values
+        code[6, 1::2] = 3
+        values[7, ::3] *= -1.0  # non-heavy negative estimates, left out by their code
+        code[7, ::3] = 5
+        values[8, ::2] = np.nan  # no estimate
+        code[8, ::2] = 2
+        values[9] = values[10]  # two rows alike
+        summaries = montecarlo._summarize_rows(values, code == 0)
+        assert len(summaries) == 12
+        for row, valid, summary in zip(values, code == 0, summaries):
+            kept = row[valid]
+            checked.add(min(kept.size, 2))
+            if kept.size == 0:
+                assert summary == (None, None, None, 0)
+                continue
+            expected = summarize_ci_reference(kept)
+            assert summary[3] == kept.size
+            assert [v.hex() for v in summary[:3]] == [v.hex() for v in expected], (m, row, valid)
+            assert tf.summarize_ci(kept) == summary[:3]
+            assert all(type(v) is float for v in summary[:3])
+    assert checked == {0, 1, 2}
 
 
 def test_replicate_streams_match_documented_mapping():
@@ -227,7 +296,9 @@ def test_all_invalid_replicates_yield_empty_row():
     assert line == f"10,par_n,,,,0,{cfg.m},{cfg.seed}"
 
 
-def test_pickands_rows_respect_4k_limit():
+@pytest.mark.parametrize("chunk", [montecarlo._CHUNK_REPLICATES, 1])
+def test_pickands_rows_respect_4k_limit(chunk, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK_REPLICATES", chunk)
     cfg = tf.StudyConfig(spec=tf.parse_spec("pareto(alpha=1,delta=1)"), seed=2, m=10,
                          n_grid=(20,), k_grid=(2, 5, 6), methods=("pickands", "hill"))
     result = tf.run_study(cfg, workers=1)
@@ -235,6 +306,10 @@ def test_pickands_rows_respect_4k_limit():
     assert pk == [2, 5]  # 4*6 = 24 > 20 filtered out
     hill_rows = [row.value for row in result.rows if row.method == "hill"]
     assert hill_rows == [2, 5, 6]
+    # pickands alone: the k = 6 point scores nothing, in a chunk of its own or not
+    alone = tf.run_study(replace(cfg, methods=("pickands",)))
+    assert [(row.value, row.method) for row in alone.rows] == [(2, "pickands"), (5, "pickands")]
+    assert alone.rows == tuple(row for row in result.rows if row.method == "pickands")
 
 
 def test_ci_brackets_mean_and_covers_truth():
