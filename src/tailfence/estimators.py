@@ -5,18 +5,19 @@ quartile ratio of an assumed family (Pareto, Frechet, Hill-horror), using the
 type-6 empirical quartiles and the standard 3*IQR outer fence baked into
 their derivations. Each inversion is a function of characteristics,
 ``alpha_from_fence_prob(family, p_eR, outer_high)`` or
-``alpha_from_quartiles(family, q1, q3)``. ``evaluate_rows`` runs it on the
-characteristics of every row of a matrix of sorted samples. The classical
-comparators (Hill, t-Hill, Pickands, moment) use the usual upper-order-statistic
-forms from the literature, each written once as a row form that
-``classical_rows`` runs on every row of such a matrix at once; the methods
-scored together share one block of top order statistics, and Hill and moment
-one set of log-excesses.
+``alpha_from_quartiles(family, q1, q3)``, run once per row on Python floats.
+The classical comparators (Hill, t-Hill, Pickands, moment) use the usual
+upper-order-statistic forms from the literature, each written once as a row
+form that scores every row of a matrix of sorted samples at once.
 
-Scoring runs in two stages. ``classical_statistics`` and ``fence_statistics``
-reduce a matrix to each method's per-row statistics at its k or n, and
-``finish_rows`` turns those into estimates elementwise, so statistics of
-several matrices, taken at different k or n, finish in one pass.
+Scoring runs in two stages. ``row_statistics`` reduces a matrix of sorted
+samples to each method's per-row statistics, taken at the classical methods'
+k or at the rows' n: the quartiles, and the top order statistics, are taken
+once for all the methods, and Hill and moment share one mean log-excess.
+``finish_rows`` turns one method's statistics into estimates elementwise.
+Each statistic already carries its k or n, so statistics of several
+matrices, taken at different k or n, finish in one pass. ``score_rows`` is
+the one-matrix case.
 
 All ten methods return one row result, ``{method: (alpha, code)}``: per row
 the estimate (NaN where there is none) and its reason's index in
@@ -192,51 +193,6 @@ def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     return evaluate(_method_for(family, _quartile_row), sample)
 
 
-# --- two stages: per-row statistics, then an elementwise finishing pass --------
-#
-# Statistics of blocks taken at different k (or n), concatenated, finish in one
-# ``finish_rows`` pass to the rows each block gives alone: the study engine
-# finishes a chunk of grid points at once this way, and ``classical_rows`` and
-# ``evaluate_rows`` are the one-block case.
-
-
-def fence_statistics(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
-    """Per fence/quartile method, the per-row statistics ``finish_rows`` reads.
-
-    ``(above, outer_high)`` for a fence method (the count above the upper
-    outer fence, and that fence) and ``(q1, q3)`` for a quartile method. None
-    is a view of ``rows``, so holding them does not hold the matrix.
-    """
-    for method in methods:
-        if method not in _INVERSIONS:
-            raise ValueError(f"method {method!r} is not a fence/quartile method")
-    q1, q3, outer_high, above = row_fence_characteristics(rows)
-    # a quartile on a knot is a column of rows: copied
-    columns = {_fence_row: (above, outer_high), _quartile_row: (q1.copy(), q3.copy())}
-    return {method: columns[_INVERSIONS[method][1]] for method in methods}
-
-
-def _inversion_rows(method: str, n, first: np.ndarray, second: np.ndarray):
-    family, inversion = _INVERSIONS[method]
-    if inversion is _fence_row:
-        first = first / n  # p_eR, the share of the row above its outer fence
-    pairs = list(map(inversion, repeat(family), first.tolist(), second.tolist()))
-    return (np.array([alpha for alpha, _ in pairs], dtype=float),
-            np.array([code for _, code in pairs], dtype=int))
-
-
-def evaluate_rows(methods, rows: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Score fence/quartile methods on every row of a matrix of sorted samples.
-
-    Returns ``{method: (alpha, code)}``, as ``classical_rows`` does. The
-    characteristics of all rows are computed at once, then each method's
-    inversion runs once per row on Python floats. ``evaluate`` scores a
-    single sample here too, as a 1-row matrix.
-    """
-    statistics = fence_statistics(methods, rows)
-    return {method: finish_rows(method, rows.shape[1], statistics[method]) for method in methods}
-
-
 # --- classical estimators, one row per sorted sample ---------------------------
 #
 # Each row form scores every row of a matrix of sorted samples at once. A row's
@@ -287,37 +243,58 @@ def _pickands_spacings(rows: np.ndarray, k: int):
     n = rows.shape[1]
     if k < 1 or 4 * k > n:
         raise ValueError(f"k must satisfy 1 <= k and 4k <= n, got k={k}, n={n}")
+    low, mid, high = rows[:, n - 4 * k], rows[:, n - 2 * k], rows[:, n - k]
     with np.errstate(over="ignore"):  # as with Python floats: inf, marked by the finishing step
-        lower, upper = np.diff(rows[:, [n - 4 * k, n - 2 * k, n - k]]).T
-    return lower, upper
+        return mid - low, high - mid
 
 
-def classical_statistics(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndarray, ...]]:
-    """Per classical method, the per-row statistics at k that ``finish_rows`` reads.
+# --- two stages: per-row statistics, then an elementwise finishing pass --------
+#
+# Statistics of blocks taken at different k (or n), concatenated, finish in one
+# ``finish_rows`` pass to the rows each block gives alone: the study engine
+# finishes a chunk of grid points at once this way, and ``score_rows`` is the
+# one-block case.
 
-    Hill reads ``(code, log_sum)``, moment ``(code, log_sum, log_square_sum)``
-    over the log-excesses log(tail / base), t-Hill ``(code, ratio_sum)`` over
-    base / tail, and Pickands its two spacings; a code is the row's first
-    failed check so far. The top k + 1 order statistics are taken once, and
-    Hill and moment share one set of log-excesses. None is a view of ``rows``.
+
+def row_statistics(methods, rows: np.ndarray, k: int | None = None) -> dict[str, tuple[np.ndarray, ...]]:
+    """Per method, the per-row statistics ``finish_rows`` reads, at k or at the rows' n.
+
+    A fence method reads ``(p_eR, outer_high)``, the share of the row above
+    its upper outer fence and that fence, and a quartile method ``(q1, q3)``.
+    Over the log-excesses log(tail / base) of the top k order statistics,
+    Hill reads ``(code, M1)`` and moment ``(code, M1, M2)``, the means of the
+    log-excesses and of their squares; t-Hill reads ``(code, T)``, the mean
+    of base / tail, and Pickands its two spacings. A code is the row's first
+    failed check so far. The quartiles and the top k + 1 order statistics are
+    taken once, and Hill and moment share one M1. None is a view of ``rows``,
+    so holding them does not hold the matrix. ValueError for an unknown
+    method, or a classical one without k, before any work.
     """
     for method in methods:
-        if method not in CLASSICAL_METHODS:
-            raise ValueError(f"method {method!r} is not a classical method")
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        if k is None and method in CLASSICAL_METHODS:
+            raise ValueError(f"method {method!r} requires k")
     wanted = set(methods)
-    if wanted - {"pickands"}:
+    if wanted & _INVERSIONS.keys():
+        q1, q3, outer_high, above = row_fence_characteristics(rows)
+        # a quartile on a knot is a column of rows: copied
+        columns = {_fence_row: (above / rows.shape[1], outer_high), _quartile_row: (q1.copy(), q3.copy())}
+    if wanted & {"hill", "thill", "moment"}:
         tail, base, code = _tail_rows(rows, k)
     if wanted & {"hill", "moment"}:
         logs, log_code = _log_excess_rows(tail, base, code)
-        log_sum = np.add.reduce(logs, axis=1)
+        m1 = np.add.reduce(logs, axis=1) / k
     statistics = {}
     for method in methods:
-        if method == "hill":
-            statistics[method] = (log_code, log_sum)
+        if method in _INVERSIONS:
+            statistics[method] = columns[_INVERSIONS[method][1]]
+        elif method == "hill":
+            statistics[method] = (log_code, m1)
         elif method == "thill":
-            statistics[method] = (code, np.add.reduce(base[:, None] / tail, axis=1))
+            statistics[method] = (code, np.add.reduce(base[:, None] / tail, axis=1) / k)
         elif method == "moment":
-            statistics[method] = (log_code, log_sum, np.add.reduce(logs * logs, axis=1))
+            statistics[method] = (log_code, m1, np.add.reduce(logs * logs, axis=1) / k)
         else:
             statistics[method] = _pickands_spacings(rows, k)
     return statistics
@@ -330,18 +307,16 @@ def _reciprocal_where(keep: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _hill_rows(k, code: np.ndarray, log_sum: np.ndarray):
-    gamma = log_sum / k
+def _hill_rows(code: np.ndarray, m1: np.ndarray):
     code = code.copy()
-    _mark(code, gamma == 0.0, _DEGENERATE)
-    return _reciprocal_where(code == _VALID, gamma), code
+    _mark(code, m1 == 0.0, _DEGENERATE)
+    return _reciprocal_where(code == _VALID, m1), code
 
 
-def _t_hill_rows(k, code: np.ndarray, ratio_sum: np.ndarray):
+def _t_hill_rows(code: np.ndarray, t: np.ndarray):
     # For a Pareto tail E[t/X | X > t] = alpha/(alpha+1), so alpha is recovered
     # as T/(1-T) from T = mean(base/tail). This is the single place encoding
     # that normalization, in case a different convention is ever preferred.
-    t = ratio_sum / k
     code = code.copy()
     _mark(code, t == 0.0, _NON_FINITE)  # every ratio base / tail underflows, while t > 0 in exact arithmetic
     _mark(code, t >= 1.0, _DEGENERATE)
@@ -351,7 +326,7 @@ def _t_hill_rows(k, code: np.ndarray, ratio_sum: np.ndarray):
     return alpha, code
 
 
-def _pickands_rows(k, lower: np.ndarray, upper: np.ndarray):
+def _pickands_rows(lower: np.ndarray, upper: np.ndarray):
     code = np.where((upper == 0.0) | (lower == 0.0), _TIED, _VALID)
     with np.errstate(over="ignore"):  # as with Python floats: inf, marked below
         ratio = upper / np.where(code == _VALID, lower, 1.0)
@@ -365,9 +340,7 @@ def _pickands_rows(k, lower: np.ndarray, upper: np.ndarray):
     return _reciprocal_where((code == _VALID) | (code == _NON_HEAVY), gamma), code
 
 
-def _moment_rows(k, code: np.ndarray, log_sum: np.ndarray, log_square_sum: np.ndarray):
-    m1 = log_sum / k
-    m2 = log_square_sum / k
+def _moment_rows(code: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     ratio = m1 * m1 / np.where(m2 == 0.0, 1.0, m2)
     gamma = m1 + 1.0 - 0.5 / np.where(ratio == 1.0, 1.0, 1.0 - ratio)
     code = code.copy()
@@ -378,48 +351,46 @@ def _moment_rows(k, code: np.ndarray, log_sum: np.ndarray, log_square_sum: np.nd
     return _reciprocal_where((code == _VALID) | ((code == _NON_HEAVY) & (gamma != 0.0)), gamma), code
 
 
+def _inversion_rows(method: str, first: np.ndarray, second: np.ndarray):
+    family, inversion = _INVERSIONS[method]
+    pairs = list(map(inversion, repeat(family), first.tolist(), second.tolist()))
+    return (np.array([alpha for alpha, _ in pairs], dtype=float),
+            np.array([code for _, code in pairs], dtype=int))
+
+
 _FINISHING = {"hill": _hill_rows, "thill": _t_hill_rows, "pickands": _pickands_rows, "moment": _moment_rows,
               **{method: partial(_inversion_rows, method) for method in _INVERSIONS}}
 
 
-def finish_rows(method: str, size, statistics: tuple) -> tuple[np.ndarray, np.ndarray]:
+def finish_rows(method: str, statistics: tuple) -> tuple[np.ndarray, np.ndarray]:
     """A method's ``(alpha, code)`` from its per-row statistics, elementwise.
 
-    ``statistics`` is the method's entry of ``classical_statistics`` or
-    ``fence_statistics``, or such entries concatenated row-wise; ``size`` is
-    the k (classical) or n (fence/quartile) the statistics were taken at, one
-    number or one per row. The statistics are not written.
+    ``statistics`` is the method's entry of ``row_statistics``, or such
+    entries of blocks taken at different k or n, concatenated row-wise. The
+    statistics are not written.
     """
-    return _FINISHING[method](size, *statistics)
+    return _FINISHING[method](*statistics)
 
 
-def classical_rows(methods, rows: np.ndarray, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Score classical methods at k on every row of a matrix of sorted samples.
+def score_rows(methods, rows: np.ndarray, k: int | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Score methods on every row of a matrix of sorted samples, the classical ones at k.
 
-    Returns ``{method: (alpha, code)}``, as ``evaluate_rows`` does. The top
-    k + 1 order statistics are taken once, and Hill and the moment estimator
-    read one shared set of log-excesses; each method marks its own copy of
-    the codes, so no method's checks reach another's.
-    ``evaluate`` scores a single sample here too, as a 1-row matrix.
+    Returns ``{method: (alpha, code)}``: ``finish_rows`` of each method's
+    ``row_statistics``. ``evaluate`` scores a single sample here, as a 1-row
+    matrix.
     """
-    statistics = classical_statistics(methods, rows, k)
-    return {method: finish_rows(method, k, statistics[method]) for method in methods}
+    statistics = row_statistics(methods, rows, k)
+    return {method: finish_rows(method, statistics[method]) for method in methods}
 
 
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:
     """Dispatch by CLI method name; classical methods require an integer k."""
-    rows = sample.sorted[None, :]
-    if method in CLASSICAL_METHODS:
-        if k is None:
-            raise ValueError(f"method {method!r} requires k")
+    classical = method in CLASSICAL_METHODS
+    if classical and k is not None:
         k = checked_int(k, "k")
-        scored = classical_rows((method,), rows, k)
-    elif method in NEW_METHODS:
-        scored, k = evaluate_rows((method,), rows), None  # fence/quartile records carry no k
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    alpha, code = scored[method]
-    return _record(method, alpha.item(0), code.item(0), k)
+    alpha, code = score_rows((method,), sample.sorted[None, :], k)[method]
+    # fence/quartile records carry no k
+    return _record(method, alpha.item(0), code.item(0), k if classical else None)
 
 
 def hill(sample: Sample, k: int) -> EstimateRecord:

@@ -15,17 +15,16 @@ come from its own stream's PCG64, and the mapping to uniforms, the inverse
 transform and the sort run once over the matrix.
 
 Scoring runs in two stages. Each grid point's matrix is reduced to its
-methods' per-row statistics (``estimators.fence_statistics`` at an n-point,
-``estimators.classical_statistics`` at a k-point) and then freed.
-Consecutive points of one axis form a chunk of at most ``_CHUNK_REPLICATES``
-replicates; each method finishes the rows of the chunk's points in one
-elementwise ``estimators.finish_rows`` pass, with each row's k or n, and
-all the chunk's (point, method) rows are summarized in one batch. A row
-gets the estimate and reason code (into ``estimators.ROW_REASONS``) that
-``evaluate`` gives its sample, and each (point, method) row is summarized
-over its estimates with code 0 in replicate order, exactly as
-``summarize_ci`` summarizes them alone. So neither the chunk size nor the
-order in which chunks run changes a byte.
+methods' per-row statistics, taken at the point's k or n, by one
+``estimators.row_statistics`` call and then freed. Consecutive points of
+one axis form a chunk of at most ``_CHUNK_REPLICATES`` replicates; each
+method finishes the rows of the chunk's points in one elementwise
+``estimators.finish_rows`` pass, and all the chunk's (point, method) rows
+are summarized in one batch. A row gets the estimate and reason code (into
+``estimators.ROW_REASONS``) that ``evaluate`` gives its sample, and each
+(point, method) row is summarized over its estimates with code 0 in
+replicate order, exactly as ``summarize_ci`` summarizes them alone. So
+neither the chunk size nor the order in which chunks run changes a byte.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from . import distributions as dist
 from .distributions import DistributionSpec, RngState, checked_int
 from .empirical import Sample, row_quantiles
 # evaluate is not called here; the benchmark's tracer wraps this binding
-from .estimators import (ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, classical_statistics,  # noqa: F401
-                         evaluate, fence_statistics, finish_rows)
+from .estimators import (ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, evaluate, finish_rows,  # noqa: F401
+                         row_statistics)
 
 DEFAULT_N_GRID = tuple(range(10, 101, 5))
 
@@ -200,9 +199,7 @@ def _point_statistics(config: StudyConfig, g: int, point: _GridPoint) -> dict[st
         return {}
     first = g * config.m
     samples = dist.sample_rows(config.spec, config.seed, range(first, first + config.m), point.n)
-    if point.k is None:
-        return fence_statistics(point.methods, samples)
-    return classical_statistics(point.methods, samples, point.k)
+    return row_statistics(point.methods, samples, point.k)
 
 
 def _evaluate_chunk(config: StudyConfig, first: int, points: tuple[_GridPoint, ...]) -> list[StudyRow]:
@@ -217,9 +214,8 @@ def _evaluate_chunk(config: StudyConfig, first: int, points: tuple[_GridPoint, .
     alphas, codes, owners = [], [], []
     for method in dict.fromkeys(method for point in points for method in point.methods):
         having = [i for i, point in enumerate(points) if method in point.methods]
-        size = np.repeat(np.array([points[i].value for i in having], dtype=float), m)  # the k or n of each row
         columns = tuple(map(np.concatenate, zip(*(statistics[i][method] for i in having))))
-        alpha, code = finish_rows(method, size, columns)
+        alpha, code = finish_rows(method, columns)
         alphas.append(alpha.reshape(len(having), m))
         codes.append(code.reshape(len(having), m))
         owners.extend((i, method) for i in having)

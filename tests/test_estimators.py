@@ -541,10 +541,11 @@ def row_records(method, alpha, code, k):
 
 
 def row_form_records(method, rows, k):
-    """The records of every row of a matrix of sorted samples, from the method's row form."""
-    if method in tf.NEW_METHODS:  # fence/quartile records carry no k
-        return row_records(method, *estimators.evaluate_rows((method,), rows)[method], None)
-    return row_records(method, *estimators.classical_rows((method,), rows, k)[method], k)
+    """The records of every row of a matrix of sorted samples, from the method's row form.
+
+    k is None for a fence/quartile method, whose records carry no k.
+    """
+    return row_records(method, *estimators.score_rows((method,), rows, k)[method], k)
 
 
 @pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)"])
@@ -574,23 +575,28 @@ def test_row_forms_do_not_warn_and_keep_rows_apart():
         for method in ("hill", "thill", "moment"):
             for rows, ks in ((t4, range(1, 60)), (mixed, (1,))):
                 for k in ks:
-                    _, code = estimators.classical_rows((method,), rows, k)[method]
+                    _, code = estimators.score_rows((method,), rows, k)[method]
                     assert (code[rows[:, -k - 1] <= 0.0] == 1).all()
                     # a row scores as it does alone, as a 1-row matrix
                     assert row_form_records(method, rows, k) == [
                         tf.evaluate(method, tf.Sample(row), k) for row in rows]
 
 
-def test_classical_rows_scores_only_the_classical_methods():
-    with pytest.raises(ValueError, match="not a classical method"):
-        estimators.classical_rows(("par_n",), np.ones((2, 5)), 2)
-    with pytest.raises(ValueError, match="not a classical method"):  # before any method is scored
-        estimators.classical_rows(("hill", "par_n"), np.ones((2, 5)), 5)
+@pytest.mark.parametrize("scorer", [estimators.row_statistics, estimators.score_rows])
+def test_row_scoring_refuses_bad_input(scorer):
+    small = np.ones((2, 2))  # too small for quartile fences and for k = 5
+    # refused before any method is scored: scoring par_n or hill here raises otherwise
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        scorer(("par_n", "hill", "bogus"), small, 5)
+    with pytest.raises(ValueError, match="method 'hill' requires k"):
+        scorer(("par_n", "hill"), small)
     with pytest.raises(ValueError, match="k must satisfy"):
-        estimators.classical_rows(("hill",), np.ones((2, 5)), 5)
+        scorer(("hill",), np.ones((2, 5)), 5)
     with pytest.raises(ValueError, match="4k <= n"):
-        estimators.classical_rows(("pickands",), np.ones((2, 5)), 2)
-    assert estimators.classical_rows((), np.ones((2, 5)), 2) == {}
+        scorer(("pickands",), np.ones((2, 5)), 2)
+    with pytest.raises(ValueError, match="sample too small"):
+        scorer(("par_n",), small)
+    assert scorer((), np.ones((2, 5))) == {}
 
 
 def test_estimate_record_is_a_frozen_dataclass():
@@ -683,7 +689,7 @@ def bits(record):
 
 def assert_rows_match_samples(rows):
     q1, q3, outer_high, above = (a.tolist() for a in row_fence_characteristics(rows))
-    scored = estimators.evaluate_rows(tf.NEW_METHODS, rows)
+    scored = estimators.score_rows(tf.NEW_METHODS, rows)
     records = {method: row_records(method, *scored[method], None) for method in tf.NEW_METHODS}
     for method in tf.NEW_METHODS:  # scored together, each method gives its rows alone
         assert list(map(bits, records[method])) == list(map(bits, row_form_records(method, rows, None)))
@@ -742,41 +748,40 @@ def test_row_scoring_covers_the_crafted_samples():
     assert bits(tf.evaluate("hh_n", tf.Sample(zero))) == ("hh_n", "-0x0.0p+0", False, "family mismatch", None)
 
 
-def test_evaluate_rows_scores_only_the_new_methods():
-    with pytest.raises(ValueError, match="not a fence/quartile method"):
-        estimators.evaluate_rows(("hill",), np.ones((2, 5)))
-    with pytest.raises(ValueError, match="sample too small"):
-        estimators.evaluate_rows(("par_n",), np.ones((2, 2)))
-
-
 def assert_joint_scoring_equals_alone(rows, k):
-    """Every classical method usable at k, scored together, gives each method's arrays scored alone."""
-    methods = tuple(m for m in tf.CLASSICAL_METHODS if m != "pickands" or 4 * k <= rows.shape[1])
+    """Every method usable on the rows at k, scored together, gives each method's arrays scored alone.
+
+    Returns the methods scored: all ten where 4k <= n.
+    """
+    n = rows.shape[1]
+    methods = tuple(m for m in tf.ALL_METHODS
+                    if (m != "pickands" or 4 * k <= n) and (m not in tf.NEW_METHODS or n >= 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        joint = estimators.classical_rows(methods, rows, k)
+        joint = estimators.score_rows(methods, rows, k)
         assert list(joint) == list(methods)
         for method in methods:
             alpha, code = joint[method]
-            alone_alpha, alone_code = estimators.classical_rows((method,), rows, k)[method]
+            alone_alpha, alone_code = estimators.score_rows((method,), rows, k)[method]
             assert (alpha.dtype, code.dtype) == (alone_alpha.dtype, alone_code.dtype) == (np.float64, np.int_)
             assert alpha.tobytes() == alone_alpha.tobytes(), method
             assert code.tobytes() == alone_code.tobytes(), method
         # reversed order: no method's masking reaches a method scored after it
-        again = estimators.classical_rows(methods[::-1], rows, k)
+        again = estimators.score_rows(methods[::-1], rows, k)
         for method in methods:
             assert again[method][0].tobytes() == joint[method][0].tobytes(), method
             assert again[method][1].tobytes() == joint[method][1].tobytes(), method
+    return methods
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(rows=sorted_matrices(), k_share=st.floats(0.0, 1.0))
-def test_joint_classical_scoring_equals_each_method_alone_property(rows, k_share):
+def test_joint_scoring_equals_each_method_alone_property(rows, k_share):
     n = rows.shape[1]
     assert_joint_scoring_equals_alone(rows, 1 + int(k_share * (n - 2)))
 
 
-def test_joint_classical_scoring_equals_each_method_alone_on_crafted_rows():
+def test_joint_scoring_equals_each_method_alone_on_crafted_rows():
     crafted = [(values, k) for method, values, k, _ in CRAFTED if method in tf.CLASSICAL_METHODS]
     assert len(crafted) == 13
     for values, k in crafted:
@@ -784,34 +789,31 @@ def test_joint_classical_scoring_equals_each_method_alone_on_crafted_rows():
     # the 4-value rows as one matrix, where each row's failing check sits beside the others'
     stacked = np.sort(np.array([values for values, _ in crafted if len(values) == 4], dtype=float), axis=1)
     assert stacked.shape == (7, 4)
-    for k in (1, 2, 3):
-        assert_joint_scoring_equals_alone(stacked, k)
+    scored = [assert_joint_scoring_equals_alone(stacked, k) for k in (1, 2, 3)]
+    # at k = 1, 4k <= n: all ten methods score in one call, Hill and moment on one shared M1
+    assert scored[0] == tf.ALL_METHODS
 
 
 def test_every_scorer_takes_a_matrix_of_no_rows():
     empty = np.empty((0, 12))
-    scored = estimators.classical_rows(tf.CLASSICAL_METHODS, empty, 3)
-    for method in tf.CLASSICAL_METHODS:
+    scored = estimators.score_rows(tf.ALL_METHODS, empty, 3)
+    assert list(scored) == list(tf.ALL_METHODS)
+    for method in tf.ALL_METHODS:
         alpha, code = scored[method]
         assert (alpha.shape, alpha.dtype, code.shape, code.dtype) == ((0,), np.float64, (0,), np.int_), method
-        alone_alpha, alone_code = estimators.classical_rows((method,), empty, 3)[method]
+        alone_alpha, alone_code = estimators.score_rows((method,), empty, 3)[method]
         assert (alone_alpha.shape, alone_alpha.dtype) == ((0,), np.float64), method
         assert (alone_code.shape, alone_code.dtype) == ((0,), np.int_), method
-    scored = estimators.evaluate_rows(tf.NEW_METHODS, empty)
-    assert list(scored) == list(tf.NEW_METHODS)
-    for method in tf.NEW_METHODS:
-        alpha, code = scored[method]
-        assert (alpha.shape, alpha.dtype, code.shape, code.dtype) == ((0,), np.float64, (0,), np.int_), method
 
 
 
 def assert_stacked_finishing_equals_each_block(blocks):
     """Blocks of sorted rows, each at its own k (None: its n), finish stacked as each block scores alone.
 
-    For every method usable on two or more blocks, the blocks' statistics are
-    concatenated and finished in one pass with a per-row k or n; the result
-    must equal the blocks' own ``classical_rows``/``evaluate_rows`` arrays bit
-    for bit, NaN positions included. Returns the codes reached.
+    For every method usable on one or more blocks, the blocks' statistics are
+    concatenated and finished in one pass, given nothing of any block's k or
+    n; the result must equal the blocks' own ``score_rows`` arrays bit for
+    bit, NaN positions included. Returns the codes reached.
     """
     reached = set()
     for method in tf.ALL_METHODS:
@@ -820,21 +822,15 @@ def assert_stacked_finishing_equals_each_block(blocks):
                   and (method != "pickands" or 4 * k <= rows.shape[1])]
         if not usable:
             continue
-        statistics, sizes, expected_alpha, expected_code = [], [], [], []
+        statistics, expected_alpha, expected_code = [], [], []
         for rows, k in usable:
-            if classical:
-                statistics.append(estimators.classical_statistics((method,), rows, k)[method])
-                alpha, code = estimators.classical_rows((method,), rows, k)[method]
-            else:
-                statistics.append(estimators.fence_statistics((method,), rows)[method])
-                alpha, code = estimators.evaluate_rows((method,), rows)[method]
-            sizes.append(np.full(len(rows), float(rows.shape[1] if k is None else k)))
+            statistics.append(estimators.row_statistics((method,), rows, k)[method])
+            alpha, code = estimators.score_rows((method,), rows, k)[method]
             expected_alpha.append(alpha)
             expected_code.append(code)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alpha, code = estimators.finish_rows(method, np.concatenate(sizes),
-                                                 tuple(map(np.concatenate, zip(*statistics))))
+            alpha, code = estimators.finish_rows(method, tuple(map(np.concatenate, zip(*statistics))))
         assert (alpha.dtype, code.dtype) == (np.float64, np.int_), method
         assert alpha.tobytes() == np.concatenate(expected_alpha).tobytes(), method
         assert code.tobytes() == np.concatenate(expected_code).tobytes(), method
@@ -852,7 +848,7 @@ def test_stacked_finishing_equals_each_block_on_crafted_rows():
     assert reached == set(estimators.ROW_REASONS)
     # the classical reasons each have a crafted block: a non-positive base, an overflowing
     # ratio, tied spacings, t >= 1 and m2 == 0 (the constant block [3, 3, 3, 3] at k = 2)
-    thill_moment = estimators.classical_rows(("thill", "moment"), np.full((1, 4), 3.0), 2)
+    thill_moment = estimators.score_rows(("thill", "moment"), np.full((1, 4), 3.0), 2)
     assert [thill_moment[m][1].tolist() for m in ("thill", "moment")] == [[3], [3]]
 
 
@@ -876,10 +872,15 @@ def test_stacked_finishing_equals_each_block_property(blocks):
 def test_statistics_do_not_hold_the_matrix():
     # n = 15 puts both quartiles on knots, where they are columns of the matrix
     rows = np.sort(np.random.default_rng(2).pareto(1.0, (6, 15)), axis=1)
-    held = [*estimators.fence_statistics(tf.NEW_METHODS, rows).values(),
-            *estimators.classical_statistics(tf.CLASSICAL_METHODS, rows, 3).values()]
-    for statistics in held:
-        for array in statistics:
+    statistics = estimators.row_statistics(tf.ALL_METHODS, rows, 3)
+    assert list(statistics) == list(tf.ALL_METHODS)
+    for method, arrays in statistics.items():
+        # a code leads Hill's (code, M1), moment's (code, M1, M2) and t-Hill's (code, T); the
+        # rest, p_eR and the fence, the quartiles and the spacings, are float64 under any promotion
+        codes = 1 if method in ("hill", "thill", "moment") else 0
+        dtypes = [array.dtype for array in arrays]
+        assert dtypes == [np.int_] * codes + [np.float64] * (len(arrays) - codes), method
+        for array in arrays:
             assert not np.shares_memory(array, rows)
 
 
@@ -913,14 +914,14 @@ LIBM_GRID = np.random.default_rng(0).uniform(1.0, 50.0, 200_000)
 def test_pickands_takes_the_log_of_its_spacing_ratio_from_libm():
     r = libm_differs(LIBM_GRID)
     rows = np.column_stack([np.full(r.size, -1.0), np.zeros(r.size), np.zeros(r.size), r])  # ratio r at k=1
-    alpha, _ = estimators.classical_rows(("pickands",), rows, 1)["pickands"]
+    alpha, _ = estimators.score_rows(("pickands",), rows, 1)["pickands"]
     assert_libm_formula(alpha, [(v,) for v in r.tolist()], lambda log, v: 1.0 / (log(v) / math.log(2.0)))
 
 
 def test_fence_estimators_take_the_log_of_the_outer_fence_from_libm():
     r = libm_differs(LIBM_GRID)
     rows = np.array([[v] * 6 + [v + 1.0] for v in r.tolist()])  # q1 = q3 = outer fence = v, p_eR = 1/7
-    scored = estimators.evaluate_rows(("par_n", "fr_n"), rows)
+    scored = estimators.score_rows(("par_n", "fr_n"), rows)
     args = [(v,) for v in r.tolist()]
     assert_libm_formula(scored["par_n"][0], args, lambda log, v: -math.log(1 / 7) / log(v))
     assert_libm_formula(scored["fr_n"][0], args, lambda log, v: -math.log(-math.log1p(-1 / 7)) / log(v))
@@ -931,7 +932,7 @@ def test_fence_estimators_take_the_log_of_p_eR_from_libm():
     counts = [(c, n) for n in range(7, 400) for c in range(1, n - math.ceil(0.75 * (n + 1)) + 1)]
     differs = set(libm_differs([c / n for c, n in counts]).tolist())
     counts = [(c, n) for c, n in counts if c / n in differs]
-    scored = [estimators.evaluate_rows(("par_n", "hh_n"), np.array([[2.0] * (n - c) + [3.0] * c]))
+    scored = [estimators.score_rows(("par_n", "hh_n"), np.array([[2.0] * (n - c) + [3.0] * c]))
               for c, n in counts]
     args = [(c / n,) for c, n in counts]
     for method, formula in (("par_n", lambda log, p: -log(p) / math.log(2.0)),
@@ -943,7 +944,7 @@ def test_quartile_estimators_take_the_logs_of_the_quartiles_from_libm():
     r = np.sort(libm_differs(LIBM_GRID))
     pairs = list(zip(r[:-1].tolist(), r[1:].tolist()))
     rows = np.array([[q1] * 3 + [q3] * 4 for q1, q3 in pairs])  # type-6 knots at n = 7: x[1] and x[5]
-    scored = estimators.evaluate_rows(("par_q", "fr_q", "hh_q"), rows)
+    scored = estimators.score_rows(("par_q", "fr_q", "hh_q"), rows)
     assert_libm_formula(scored["par_q"][0], pairs, lambda log, q1, q3: LOG3 / (log(q3) - log(q1)))
     assert_libm_formula(scored["fr_q"][0], pairs, lambda log, q1, q3: (LOGLOG4 - LOGLOG43) / (log(q3) - log(q1)))
     assert_libm_formula(scored["hh_q"][0], pairs,
