@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .empirical import Sample
+from .empirical import Sample, sort_finite_rows
 
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "uniform": ("a", "b"),
@@ -74,8 +74,10 @@ def _validate_params(family: str, p: dict[str, float]) -> None:
             raise ValueError(f"{family}: requires {name} > 0, got {p[name]}")
     if family == "uniform" and not p["a"] < p["b"]:
         raise ValueError(f"uniform: requires a < b, got a={p['a']}, b={p['b']}")
-    if family == "studentt" and not (p["n"] >= 1 and p["n"] == int(p["n"])):
-        raise ValueError(f"studentt: requires integer n >= 1, got {p['n']}")
+    # Above n = 10^6 the t CDF drifts (relative error 3e-10 at 10^7 against
+    # mpmath; cdf(2) = 0.5 at 10^17); the normal family is the limit.
+    if family == "studentt" and not (1 <= p["n"] <= 10**6 and p["n"] == int(p["n"])):
+        raise ValueError(f"studentt: requires integer n with 1 <= n <= 10^6, got {p['n']}")
 
 
 def checked_int(value, what: str) -> int:
@@ -328,19 +330,20 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 # --- replicate streams ----------------------------------------------------------
 #
 # Stream (seed, stream) is PCG64 seeded by SeedSequence(seed, spawn_key=(stream,)).
-# Building numpy's SeedSequence costs ~20 us, mostly Python-level overhead and
-# as much as the rest of a replicate's draw, so its hash (numpy's
-# bit_generator.pyx) is computed here, for an aligned block of 1024 streams
-# at a time. Each block mixes the seed's pool itself, with Python ints: ~20 us
-# against ~230 us for the block's arrays, so it is not cached apart.
+# Building numpy's SeedSequence for each stream costs ~20 us, mostly
+# Python-level overhead and as much as the rest of a replicate's draw. So
+# numpy gives only the seed's pool (SeedSequence(seed).pool); the spawn-key
+# stage of the hash and generate_state (numpy's bit_generator.pyx) run here,
+# for an aligned block of 1024 streams at a time.
 # Within a block only the stream's low 32-bit word varies (1024 divides
 # 2^32), so the stream's word count, and with it every hash constant, is the
 # same for the whole block: the low word is a uint64 array of 1024 values,
 # the higher words are Python ints, and one pass of 32-bit arithmetic on
 # uint64 arrays gives the four 64-bit words that seed PCG64 for all 1024
 # streams. Every operand is a uint64 array or a non-negative Python int
-# below 2^64, which promotes to uint64 under both the legacy and the NEP 50
-# rules; a numpy uint64 scalar never meets a Python int. test_distributions
+# below 2^64 (the pool's words are converted to Python ints), which promotes
+# to uint64 under both the legacy and the NEP 50 rules; a numpy uint32 or
+# uint64 scalar never meets a Python int. test_distributions
 # pins the words to numpy's SeedSequence. A grid point slices its streams'
 # words out of the blocks once (_stream_words), and every PCG64, a grid
 # point's rows and a single sample's alike, is built from one stream's four
@@ -351,6 +354,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _BLOCK = 1024
+# the hash constant after the pool's 16 mixing steps, whatever the seed
+_SEEDED_A = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
 
 
 def _words32(value: int) -> list[int]:
@@ -381,19 +386,8 @@ def _mix(x, y):
 @functools.lru_cache(maxsize=4)
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """PCG64 seed words of streams block*1024 ... block*1024 + 1023: a read-only (1024, 4) array."""
-    # SeedSequence's 4-word pool after the seed's words
-    words = _words32(seed)  # at most two: RngState keeps seed < 2^64
-    words += [0] * (4 - len(words))  # padded to the pool size, as with a spawn key
-    pool = []
-    hash_const = _INIT_A
-    for word in words:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
+    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
+    hash_const = _SEEDED_A
     first = block * _BLOCK
     low = first & _MASK32
     words = [np.arange(low, low + _BLOCK, dtype=np.uint64), *_words32(first)[1:]]
@@ -507,9 +501,4 @@ def sample_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -
     ``streams`` is a range of consecutive streams. Row i is drawn by the same routine
     as ``sample(spec, RngState(seed, streams[i]), count)``, and equals its ``sorted``.
     """
-    rows = _draw_rows(spec, seed, streams, count)
-    rows.sort(axis=1)
-    # NaN sorts last and -inf/+inf to the ends, as in Sample
-    if not np.isfinite(rows[:, [0, -1]]).all():
-        raise ValueError("sample contains NaN or infinite values")
-    return rows
+    return sort_finite_rows(_draw_rows(spec, seed, streams, count))

@@ -9,9 +9,11 @@ A sample's fences are always the paper's standard Tukey fences (1.5*IQR and
 ``tail_chars`` take other multipliers. The four outlier rates are read off
 the band counts of ``outlier_band_counts``. ``row_quantiles`` and
 ``row_fence_characteristics`` do the same for every row of a matrix of
-sorted samples at once, in the same float steps as for one sample; the
-fence/quartile estimators read even a single sample's quartiles, fence and
-count through them, as a 1-row matrix.
+sorted samples at once. A single sample is their 1-row case
+``sorted[None, :]``: its type-6 quantile, and the quartiles, fence and count
+that the fence/quartile estimators read, all come from them. A Sample's
+values and the study engine's draws are sorted and checked by one routine,
+``sort_finite_rows``.
 """
 
 from __future__ import annotations
@@ -45,10 +47,7 @@ class Sample:
         if arr.size < 1:
             raise ValueError("sample must contain at least one observation")
         ordered = arr.copy()
-        ordered.sort()
-        # NaN sorts last and -inf/+inf to the ends, so the extremes decide.
-        if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
-            raise ValueError("sample contains NaN or infinite values")
+        sort_finite_rows(ordered[None, :])
         arr.flags.writeable = False
         ordered.flags.writeable = False
         self.values = arr
@@ -63,6 +62,18 @@ class Sample:
 
     def __repr__(self) -> str:
         return f"Sample(n={self.n}, min={self.sorted[0]:g}, max={self.sorted[-1]:g})"
+
+
+def sort_finite_rows(rows: np.ndarray) -> np.ndarray:
+    """Sort each row of a 2-D array in place and return it.
+
+    Raises ValueError when any row holds a NaN or an infinite value: NaN sorts
+    last and -inf/+inf to the ends, so each row's two extremes decide.
+    """
+    rows.sort(axis=1)
+    if not np.isfinite(rows[:, [0, -1]]).all():
+        raise ValueError("sample contains NaN or infinite values")
+    return rows
 
 
 def _type6_knot(n: int, p: float) -> tuple[int, float, bool]:
@@ -96,11 +107,8 @@ def empirical_quantile_flagged(sample: Sample, p: float) -> tuple[float, bool]:
     order statistic instead of raising, so small-sample pipelines degrade
     gracefully. NaN p raises ValueError.
     """
-    x = sample.sorted
-    i, g, clamped = _type6_knot(x.size, p)
-    if g == 0.0:
-        return float(x[i]), clamped
-    return float(x[i] + g * (x[i + 1] - x[i])), clamped
+    _, _, clamped = _type6_knot(sample.n, p)  # raises on a NaN p first
+    return row_quantiles(sample.sorted[None, :], p).item(), clamped
 
 
 def empirical_quantile(sample: Sample, p: float) -> float:

@@ -40,6 +40,8 @@ ALL_SPECS = [
         ("normal", {"mu": 0.0, "sigma2": 0.0}),
         ("studentt", {"n": 0}),
         ("studentt", {"n": 2.5}),
+        ("studentt", {"n": 10**6 + 1}),
+        ("studentt", {"n": 1e18}),
         ("pareto", {"alpha": -0.5, "delta": 1.0}),
         ("pareto", {"alpha": 1.0, "delta": 0.0}),
         ("frechet", {"alpha": 1.0, "mu": 0.0, "sigma": 0.0}),
@@ -186,6 +188,7 @@ def test_support_edges():
         ("gamma(alpha=0.3,beta=1)", stats.gamma(0.3)),
         ("t(n=1)", stats.t(1)),
         ("t(n=7)", stats.t(7)),
+        ("t(n=1000000)", stats.t(10**6)),
         ("normal(mu=1,sigma2=4)", stats.norm(1, 2)),
     ],
 )
@@ -603,6 +606,14 @@ def test_sample_rows_equal_stacked_samples_bit_for_bit(text, seed, streams):
     stacked = [tf.sample(spec, tf.RngState(seed, s), 33).sorted for s in streams]
     assert rows.shape == (len(streams), 33) and rows.flags.c_contiguous
     assert rows.tobytes() == b"".join(row.tobytes() for row in stacked)
+    # An oracle from numpy alone: Generator.integers draws the top 53 bits k of
+    # each word of SeedSequence(seed, spawn_key=(s,)), u = (k + 0.5) / 2^53 is
+    # kept below 1, then the inverse transform and a sort.
+    below_one = np.nextafter(1.0, 0.0)
+    for s, row in zip(streams, rows):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(s,))))
+        u = np.minimum((gen.integers(0, 2**53, 33) + 0.5) * 2.0**-53, below_one)
+        assert np.sort(distributions._quantile_array(spec, u)).tobytes() == row.tobytes(), s
 
 
 def test_stream_words_slice_each_block_once():
