@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from .distributions import DistributionSpec, parse_spec
 from .empirical import load_sample
 from .estimators import ALL_METHODS, CLASSICAL_METHODS, evaluate
 from .fences import DEFAULT_INNER, DEFAULT_OUTER
-from .montecarlo import StudyConfig, _fmt, run_study, write_study_outputs
+from .montecarlo import DEFAULT_N_GRID, StudyConfig, _fmt, run_study, write_study_outputs
 from .tail_chars import (
     characteristics,
     closed_form_p_eR,
@@ -204,6 +205,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process: main may run many times in one process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tailfence",
@@ -234,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="seeded estimator-comparison study")
     simulate.add_argument("--dist", required=True)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--m", type=int, default=1000)
-    simulate.add_argument("--n-grid", default="10:100:5")
+    simulate.add_argument("--m", type=int, default=StudyConfig.m)
+    simulate.add_argument("--n-grid", default=",".join(map(str, DEFAULT_N_GRID)))
     simulate.add_argument("--k-grid", default=None)
     simulate.add_argument("--methods", default=",".join(ALL_METHODS))
     simulate.add_argument("--out", required=True, help="output directory for CSVs + manifest")

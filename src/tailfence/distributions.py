@@ -51,17 +51,8 @@ _ALIASES = {
 }
 
 
-# Parameters that must be positive, per family.
-_POSITIVE: dict[str, tuple[str, ...]] = {
-    "exponential": ("lambda",),
-    "gamma": ("alpha", "beta"),
-    "normal": ("sigma2",),
-    "pareto": ("alpha", "delta"),
-    "frechet": ("alpha", "sigma"),
-    "negweibull": ("alpha", "sigma"),
-    "gumbel": ("gamma",),
-    "hillhorror": ("alpha",),
-}
+# Parameters that must be positive, in every family that has them.
+_POSITIVE = frozenset({"lambda", "alpha", "beta", "sigma2", "delta", "sigma", "gamma"})
 
 
 def _validate_params(family: str, p: dict[str, float]) -> None:
@@ -69,9 +60,9 @@ def _validate_params(family: str, p: dict[str, float]) -> None:
     for name, value in p.items():
         if not math.isfinite(value):
             raise ValueError(f"{family}: parameter {name} must be finite, got {value}")
-    for name in _POSITIVE.get(family, ()):
-        if not p[name] > 0:
-            raise ValueError(f"{family}: requires {name} > 0, got {p[name]}")
+    for name, value in p.items():
+        if name in _POSITIVE and not value > 0:
+            raise ValueError(f"{family}: requires {name} > 0, got {value}")
     if family == "uniform" and not p["a"] < p["b"]:
         raise ValueError(f"uniform: requires a < b, got a={p['a']}, b={p['b']}")
     # Above n = 10^6 the t CDF drifts (relative error 3e-10 at 10^7 against
@@ -116,6 +107,8 @@ class DistributionSpec:
         params = {}
         for key in expected:
             try:
+                if isinstance(given[key], (bool, np.bool_)):  # a flag given as a number is a mistake
+                    raise TypeError
                 params[key] = float(given[key])
             except (TypeError, ValueError):
                 raise ValueError(f"{name}: parameter {key} must be a number, got {given[key]!r}") from None

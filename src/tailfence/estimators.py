@@ -90,8 +90,7 @@ def _record(method: str, alpha: float, code: int, k: int | None) -> EstimateReco
 
 
 def _graded(alpha: float) -> tuple[float, int]:
-    if not math.isfinite(alpha):
-        return math.nan, _NON_FINITE
+    # alpha is finite: callers refuse a 0 denominator, and |numerator| <= ~745 over |denominator| >= ~1.1e-16
     # A non-positive estimate is surfaced, not clamped: diagnostic evidence of misclassified data.
     return alpha, _VALID if alpha > 0.0 else _MISMATCH
 
@@ -384,13 +383,14 @@ def score_rows(methods, rows: np.ndarray, k: int | None = None) -> dict[str, tup
 
 
 def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecord:
-    """Dispatch by CLI method name; classical methods require an integer k."""
-    classical = method in CLASSICAL_METHODS
-    if classical and k is not None:
-        k = checked_int(k, "k")
+    """Dispatch by CLI method name; classical methods require an integer k, the others take none."""
+    if k is not None:
+        if method in NEW_METHODS:
+            raise ValueError(f"method {method!r} takes no k")
+        if method in CLASSICAL_METHODS:
+            k = checked_int(k, "k")
     alpha, code = score_rows((method,), sample.sorted[None, :], k)[method]
-    # fence/quartile records carry no k
-    return _record(method, alpha.item(0), code.item(0), k if classical else None)
+    return _record(method, alpha.item(0), code.item(0), k)
 
 
 def hill(sample: Sample, k: int) -> EstimateRecord:

@@ -101,7 +101,7 @@ class StudyConfig:
             raise ValueError("k_grid must be strictly ascending")
         if any(not 1 <= k <= n_fixed - 1 for k in self.k_grid):
             raise ValueError(f"k_grid must lie in [1, {n_fixed - 1}], got {self.k_grid}")
-        if not any(point.methods for point in _grid_points(self)):
+        if not _grid_points(self):
             # only pickands alone can score nothing: _grid_points drops it wherever 4k > n
             raise ValueError(f"pickands needs 4k <= n = {n_fixed}, but the smallest k is {self.k_grid[0]}")
 
@@ -173,7 +173,8 @@ def _grid_points(config: StudyConfig) -> list[_GridPoint]:
         without_pickands = tuple(m for m in classical if m != "pickands")
         for k in config.k_grid:
             usable = classical if 4 * k <= n_fixed else without_pickands
-            points.append(_GridPoint("k", k, n_fixed, k, usable))
+            if usable:  # only pickands alone drops a point: the grid's tail, so no kept point's g moves
+                points.append(_GridPoint("k", k, n_fixed, k, usable))
     return points
 
 
@@ -195,8 +196,6 @@ def _chunks(config: StudyConfig) -> list[tuple[int, tuple[_GridPoint, ...]]]:
 
 def _point_statistics(config: StudyConfig, g: int, point: _GridPoint) -> dict[str, tuple]:
     """Per method of grid point g, its rows' statistics; the (m, n) matrix is freed on return."""
-    if not point.methods:  # pickands alone, beyond 4k <= n: nothing to draw for
-        return {}
     first = g * config.m
     samples = dist.sample_rows(config.spec, config.seed, range(first, first + config.m), point.n)
     return row_statistics(point.methods, samples, point.k)
@@ -219,8 +218,6 @@ def _evaluate_chunk(config: StudyConfig, first: int, points: tuple[_GridPoint, .
         alphas.append(alpha.reshape(len(having), m))
         codes.append(code.reshape(len(having), m))
         owners.extend((i, method) for i in having)
-    if not owners:
-        return []
     summaries = dict(zip(owners, _summarize_rows(np.concatenate(alphas), np.concatenate(codes) == 0)))
     rows = []
     for i, point in enumerate(points):

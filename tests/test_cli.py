@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tailfence import cli
 from tailfence.cli import main
 
 
@@ -115,6 +116,14 @@ def test_estimate_classical_requires_k(tmp_path, capsys):
     assert json.loads(err)["error"] == "method 'hill' requires --k"
 
 
+def test_estimate_fence_method_refuses_k(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("1\n2\n3\n4\n")
+    code, out, err = run_cli(["estimate", "--in", str(data), "--method", "par_q", "--k", "5"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "method 'par_q' takes no k"
+
+
 def test_bad_spec_is_machine_readable_error(capsys):
     code, out, err = run_cli(["chars", "--dist", "pareto(alpha=oops,delta=1)"], capsys)
     assert code == 1 and out == ""
@@ -175,6 +184,10 @@ def test_module_entry_point():
         ([], "the following arguments are required: command"),
         (["simulate", "--dist", "exp(lambda=1)", "--n-grid", "10:20:x", "--out", "x"],
          "invalid grid '10:20:x'; expected a:b:step"),
+        (["simulate", "--dist", "exp(lambda=1)", "--n-grid", "10:5:1", "--out", "x"],
+         "invalid grid '10:5:1'; need a <= b and step > 0"),
+        (["simulate", "--dist", "exp(lambda=1)", "--k-grid", "2,x", "--out", "x"],
+         "invalid grid '2,x'; expected a:b:step or comma-separated ints"),
     ],
 )
 def test_usage_errors_are_one_json_line(argv, message, capsys):
@@ -182,6 +195,15 @@ def test_usage_errors_are_one_json_line(argv, message, capsys):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert message in json.loads(err)["error"]
+
+
+def test_parser_is_built_once_and_reused_after_an_error(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, out, err = run_cli(["simulate", "--dist", "exp(lambda=1)", "--m", "abc", "--out", "x"], capsys)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    code, out, err = run_cli(["table1", "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 0 and err == ""
+    assert (tmp_path / "t.csv").read_text().startswith("n,p_eR\n1,")
 
 
 def test_help_still_prints_usage_and_exits_zero(capsys):

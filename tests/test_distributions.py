@@ -57,6 +57,8 @@ ALL_SPECS = [
         ("pareto", 7),
         ("pareto", {"alpha": None, "delta": 1}),
         ("pareto", {"alpha": 1.0, "delta": [1, 2]}),
+        ("pareto", {"alpha": True, "delta": 1}),  # a bool is not taken as 1
+        ("studentt", {"n": np.True_}),
     ],
 )
 def test_invalid_parameters_rejected(family, params):

@@ -38,6 +38,7 @@ def test_sample_is_immutable_and_sorted():
     assert source.flags.writeable  # the caller's array is left as it was
     assert not np.shares_memory(smp.values, smp.sorted)
     assert tf.Sample(2.5).n == 1
+    assert len(smp) == 3 and repr(smp) == "Sample(n=3, min=1, max=3)"
 
 
 def test_quantile_at_knots():
@@ -122,6 +123,8 @@ def test_fences_come_from_the_type6_quartiles():
     fen = tf.empirical_fences(smp)
     q1, q3 = tf.empirical_quantile(smp, 0.25), tf.empirical_quantile(smp, 0.75)
     assert fen == tf.fences_from_quartiles(q1, q3)
+    with pytest.raises(ValueError, match="q3 must not be below q1"):
+        tf.fences_from_quartiles(2.0, 1.0)
     assert tf.outlier_band_counts(smp)[4] == 1
 
 
@@ -316,3 +319,7 @@ def test_load_sample_errors(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError, match="no data"):
         tf.load_sample(empty)
+    header_only = tmp_path / "header_only.txt"
+    header_only.write_text("x\n")
+    with pytest.raises(ValueError, match="no data after header"):
+        tf.load_sample(header_only)

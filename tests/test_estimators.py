@@ -341,6 +341,10 @@ def test_evaluate_dispatch():
         tf.evaluate("hill", smp)
     with pytest.raises(ValueError, match="unknown method"):
         tf.evaluate("bogus", smp)
+    with pytest.raises(ValueError, match="method 'par_q' takes no k"):
+        tf.evaluate("par_q", smp, k="junk")
+    with pytest.raises(ValueError, match="unknown method"):
+        tf.evaluate("bogus", smp, k=5)
 
 
 NAMED_CLASSICAL = {"hill": tf.hill, "thill": tf.t_hill, "pickands": tf.pickands, "moment": tf.moment_dedh}

@@ -44,6 +44,8 @@ def test_summarize_ci_examples():
         {"methods": ("nope",)},
         {"k_grid": (0, 2)},
         {"k_grid": (2, 99)},  # beyond n_for_k - 1 = 14
+        {"k_grid": ()},
+        {"k_grid": (5, 3)},
         {"methods": ("pickands",), "k_grid": (4, 8)},  # 4k > n_for_k = 15 at every k: no row
         {"seed": -3},
     ],
