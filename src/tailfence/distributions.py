@@ -16,12 +16,20 @@ functions, not with this module: it is most of the package's import time and
 memory. In a fresh interpreter (2-core x86 VM) ``import tailfence`` takes
 0.31 s instead of 0.68 s, and a run that touches only closed-form families
 (Hill-horror sampling included) never loads it.
+
+Sampling runs the inverse transform once over a batch of draws. For gamma
+and Student-t, whose inversions are iterative and release the GIL, a batch
+of at least 2048 draws is split into contiguous blocks, one per CPU the
+process may use, transformed on threads; every step is elementwise, so the
+bytes do not depend on the split. ``concurrent.futures`` is imported on the
+first split, not with this module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -459,21 +467,82 @@ def _uniform_open(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _draw_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -> np.ndarray:
-    """``count`` draws per stream in draw order, as a (len(streams), count) matrix.
+# The families whose quantile is an iterative scipy.special inversion
+# (gammaincinv, betaincinv: ~0.4-0.8 us a draw, with the GIL released). A
+# closed form costs a few ns a draw, less than handing its block to a thread.
+_THREADED_FAMILIES = frozenset({"gamma", "studentt"})
+# fewest draws per thread: below it, starting a thread costs more than it saves
+_MIN_THREAD_DRAWS = 1024
 
-    ``sample`` is its one-row case. Each row's raw PCG64 words come from its own
-    stream; the mapping to uniforms and the inverse transform run once over all rows.
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
+    """``_quantile_array`` of a flat array of uniforms; split over threads for gamma and Student-t.
+
+    The split takes one contiguous block per usable CPU, with at least
+    ``_MIN_THREAD_DRAWS`` draws in each. The calling thread transforms the
+    first block, and a thread pool the others under the caller's numpy error
+    state. Every step of a quantile is elementwise, so no byte depends on the split.
     """
-    count = checked_int(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not isinstance(streams, range):
-        raise ValueError(f"streams must be a range of consecutive streams, got {streams!r}")
-    RngState(seed, streams.start)  # validates the seed and the first stream
-    # one array per row, stacked once: cheaper than copying each into a row of the matrix
-    raw = np.array([_generator(words).random_raw(count) for words in _stream_words(seed, streams)], np.uint64)
-    return _quantile_array(spec, _uniform_open(raw.reshape(len(streams), count)))
+    threads = 1
+    if spec.family in _THREADED_FAMILIES:
+        threads = min(_usable_cpus(), u.size // _MIN_THREAD_DRAWS)
+    if threads < 2:
+        return _quantile_array(spec, u)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [u.size * i // threads for i in range(threads + 1)]
+    blocks = [u[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    # numpy keeps its error state per thread (numpy 2: in a context variable),
+    # and a new thread starts from the defaults
+    errors, call = np.geterr(), np.geterrcall()
+
+    def worker(block):
+        with np.errstate(call=call, **errors):
+            return _quantile_array(spec, block)
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(worker, block) for block in blocks[1:]]
+        # the caller's block first: waiting on a future before it leaves the caller idle
+        parts = [_quantile_array(spec, blocks[0])]
+        parts += [future.result() for future in futures]
+    return np.concatenate(parts)
+
+
+def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
+    """Per ``(streams, count)`` block, ``count`` draws per stream in draw order, as a (len(streams), count) matrix.
+
+    ``sample`` and ``sample_rows`` are its one-block cases. Each row's raw PCG64
+    words come from its own stream, and each block's are mapped to uniforms in
+    one pass. The inverse transform then runs once over the uniforms of all
+    the blocks (``_transform``), and its result is split back into the blocks.
+    """
+    uniforms = []
+    for streams, count in blocks:
+        count = checked_int(count, "count")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if not isinstance(streams, range):
+            raise ValueError(f"streams must be a range of consecutive streams, got {streams!r}")
+        RngState(seed, streams.start)  # validates the seed and the first stream
+        # one array per row, stacked once: cheaper than copying each into a row of the matrix
+        raw = np.array([_generator(words).random_raw(count) for words in _stream_words(seed, streams)], np.uint64)
+        uniforms.append(_uniform_open(raw.reshape(len(streams), count)))
+    # one block needs no copy: its matrix is already one contiguous run of draws
+    flat = uniforms[0].reshape(-1) if len(uniforms) == 1 else np.concatenate(uniforms, axis=None)
+    draws = _transform(spec, flat)
+    matrices, start = [], 0
+    for u in uniforms:
+        matrices.append(draws[start : start + u.size].reshape(u.shape))
+        start += u.size
+    return matrices
 
 
 def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
@@ -485,7 +554,7 @@ def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
     order or process. The uniforms are the raw PCG64 words w mapped to
     [2^-54, 1 - 2^-53] as (w >> 11) * 2^-53 + 2^-54.
     """
-    return Sample(_draw_rows(spec, rng.seed, range(rng.stream, rng.stream + 1), count)[0])
+    return Sample(_draw_rows(spec, rng.seed, [(range(rng.stream, rng.stream + 1), count)])[0][0])
 
 
 def sample_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -> np.ndarray:
@@ -493,5 +562,16 @@ def sample_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -
 
     ``streams`` is a range of consecutive streams. Row i is drawn by the same routine
     as ``sample(spec, RngState(seed, streams[i]), count)``, and equals its ``sorted``.
+    It is the one-block case of ``sample_blocks``.
     """
-    return sort_finite_rows(_draw_rows(spec, seed, streams, count))
+    return sample_blocks(spec, seed, [(streams, count)])[0]
+
+
+def sample_blocks(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
+    """``sample_rows(spec, seed, streams, count)`` of each ``(streams, count)`` block, drawn as one batch.
+
+    The inverse transform runs once over all the blocks' draws, split over
+    threads for gamma and Student-t; each matrix equals its block's
+    ``sample_rows`` bit for bit.
+    """
+    return [sort_finite_rows(rows) for rows in _draw_rows(spec, seed, blocks)]

@@ -7,30 +7,35 @@ with empirical 95% bands over the valid replicates.
 
 Replicate r at grid point g always uses ``RngState(seed, stream=g*m + r)``,
 so results are bit-identical for identical configs no matter how many
-workers evaluate the grid. ``distributions.sample_rows`` draws a grid
-point's m replicates as one (m, n) matrix of sorted rows, row r equal to
-``sample(spec, RngState(seed, g*m + r), n).sorted``: the m streams' PCG64
+workers evaluate the grid. Consecutive points of one axis form a chunk of
+at most ``_CHUNK_REPLICATES`` replicates, and a chunk's points are drawn in
+batches of at most ``_BATCH_DRAWS`` draws (a larger point alone) by one
+``distributions.sample_blocks`` call each. It gives each point its m
+replicates as an (m, n) matrix of sorted rows, row r equal to
+``sample(spec, RngState(seed, g*m + r), n).sorted``: the streams' PCG64
 seed words are sliced out of their hash blocks once, each row's raw words
-come from its own stream's PCG64, and the mapping to uniforms, the inverse
-transform and the sort run once over the matrix.
+come from its own stream's PCG64, the mapping to uniforms runs once per
+block of consecutive points with the same n, and the inverse transform runs
+once over the batch (split over threads for gamma and Student-t).
 
 Scoring runs in two stages. Each grid point's matrix is reduced to its
 methods' per-row statistics, taken at the point's k or n, by one
-``estimators.row_statistics`` call and then freed. Consecutive points of
-one axis form a chunk of at most ``_CHUNK_REPLICATES`` replicates; each
-method finishes the rows of the chunk's points in one elementwise
-``estimators.finish_rows`` pass, and all the chunk's (point, method) rows
-are summarized in one batch. A row gets the estimate and reason code (into
-``estimators.ROW_REASONS``) that ``evaluate`` gives its sample, and each
-(point, method) row is summarized over its estimates with code 0 in
-replicate order, exactly as ``summarize_ci`` summarizes them alone. So
-neither the chunk size nor the order in which chunks run changes a byte.
+``estimators.row_statistics`` call, and each batch's draws are freed before
+the next batch is drawn. Each method finishes the rows of the chunk's points
+in one elementwise ``estimators.finish_rows`` pass, and all the chunk's
+(point, method) rows are summarized in one batch. A row gets the estimate
+and reason code (into ``estimators.ROW_REASONS``) that ``evaluate`` gives
+its sample, and each (point, method) row is summarized over its estimates
+with code 0 in replicate order, exactly as ``summarize_ci`` summarizes them
+alone. So neither the chunk size, the batch size, the thread count nor the
+order in which chunks run changes a byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -194,22 +199,59 @@ def _chunks(config: StudyConfig) -> list[tuple[int, tuple[_GridPoint, ...]]]:
     return [(first, tuple(points)) for first, points in chunks]
 
 
-def _point_statistics(config: StudyConfig, g: int, point: _GridPoint) -> dict[str, tuple]:
-    """Per method of grid point g, its rows' statistics; the (m, n) matrix is freed on return."""
-    first = g * config.m
-    samples = dist.sample_rows(config.spec, config.seed, range(first, first + config.m), point.n)
-    return row_statistics(point.methods, samples, point.k)
+# Consecutive points of a chunk are drawn as one batch of at most this many
+# draws, and a larger point alone. 2**14 float64 values are 128 KB, glibc's
+# mmap threshold: above it every temporary of the transform is mapped afresh,
+# and a Pareto transform costs twice as much per draw.
+_BATCH_DRAWS = 2**14
+
+
+def _batches(m: int, points: tuple[_GridPoint, ...]) -> list[list[_GridPoint]]:
+    """A chunk's points in consecutive runs of at most ``_BATCH_DRAWS`` draws, or of one point."""
+    batches: list[list[_GridPoint]] = []
+    size = 0
+    for point in points:
+        if not batches or size + m * point.n > _BATCH_DRAWS:
+            batches.append([])
+            size = 0
+        batches[-1].append(point)
+        size += m * point.n
+    return batches
+
+
+def _batch_statistics(config: StudyConfig, g: int, batch: list[_GridPoint]) -> list[dict[str, tuple]]:
+    """Per point of a batch of points g, g + 1, ..., its methods' rows' statistics.
+
+    Consecutive points with the same n draw consecutive streams, so they form
+    one block of the draw: every k-point's rows stack into one matrix. The
+    batch's draws are freed on return.
+    """
+    m = config.m
+    groups = [list(group) for _, group in groupby(batch, key=lambda point: point.n)]
+    blocks = []
+    for group in groups:
+        blocks.append((range(g * m, (g + len(group)) * m), group[0].n))
+        g += len(group)
+    statistics = []
+    for samples, group in zip(dist.sample_blocks(config.spec, config.seed, blocks), groups):
+        for i, point in enumerate(group):
+            statistics.append(row_statistics(point.methods, samples[i * m : (i + 1) * m], point.k))
+    return statistics
 
 
 def _evaluate_chunk(config: StudyConfig, first: int, points: tuple[_GridPoint, ...]) -> list[StudyRow]:
     """The rows of grid points first, first + 1, ... in grid order.
 
-    Each point is drawn and reduced to its statistics on its own. Each method
-    then finishes the rows of every point that scores it in one pass, and
-    all (point, method) rows are summarized in one batch.
+    The points are drawn in batches (``_batches``), and each batch is reduced
+    to its points' statistics before the next is drawn. Each method then
+    finishes the rows of every point that scores it in one pass, and all
+    (point, method) rows are summarized in one batch.
     """
     m = config.m
-    statistics = [_point_statistics(config, g, point) for g, point in enumerate(points, first)]
+    statistics = []
+    for batch in _batches(m, points):
+        # one entry per point drawn so far, so the batch starts at point first + len(statistics)
+        statistics += _batch_statistics(config, first + len(statistics), batch)
     alphas, codes, owners = [], [], []
     for method in dict.fromkeys(method for point in points for method in point.methods):
         having = [i for i, point in enumerate(points) if method in point.methods]
@@ -278,10 +320,11 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     """Run the full study; deterministic CSV bytes for a given config.
 
     Chunks of grid points run in this process by default (workers=None or
-    1). An explicit workers > 1 spreads them over a process pool, which pays
-    only on large studies, such as a default `simulate` (117 points at
-    m=1000) of a family with a costly inverse transform. A study of one
-    chunk always runs in one process. Results are gathered by chunk index,
+    1), where a gamma or Student-t inverse transform is still split over
+    threads. An explicit workers > 1 spreads the chunks over a process pool,
+    which pays only on large studies, such as a default `simulate` (117
+    points at m=1000) of a family with a costly inverse transform. A study
+    of one chunk always runs in one process. Results are gathered by chunk index,
     never by completion order, so the bytes do not depend on ``workers``.
     ValueError unless ``workers`` is None or an integer >= 1.
     """

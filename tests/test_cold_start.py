@@ -1,5 +1,6 @@
 """scipy.special loads on the first numeric-family call, never at import,
-and multiprocessing only when a study asks for a process pool.
+multiprocessing only when a study asks for a process pool, and the thread
+pool only when a gamma or Student-t transform is split over threads.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported scipy. The script prints one JSON line: the commands after
@@ -45,8 +46,9 @@ NUMERIC = [
 SMALL_STUDY = ["--seed", "3", "--m", "5", "--n-grid", "10,20", "--k-grid", "2,3"]
 
 # Runs (label, argv) pairs through cli.main and reports, after each, whether
-# scipy.special and multiprocessing are loaded and the sha256 of each file it
-# wrote or of its stdout.
+# scipy.special, multiprocessing, concurrent.futures and its thread pool are
+# loaded and the sha256 of each file it wrote or of its stdout. A second
+# argument, if given, is the number of CPUs the transform may split over.
 RUNNER = """
 import hashlib, io, json, sys, tempfile
 from contextlib import redirect_stdout
@@ -54,8 +56,12 @@ from pathlib import Path
 
 loaded = lambda: "scipy.special" in sys.modules
 pool_loaded = lambda: "multiprocessing" in sys.modules
+futures_loaded = lambda: "concurrent.futures" in sys.modules
+threads_loaded = lambda: "concurrent.futures.thread" in sys.modules
 import tailfence
-report = {"import": loaded(), "import_pool": pool_loaded(), "commands": {}}
+report = {"import": loaded(), "import_pool": pool_loaded(), "import_futures": futures_loaded(), "commands": {}}
+if len(sys.argv) > 2:
+    tailfence.distributions._usable_cpus = lambda: int(sys.argv[2])
 from tailfence.cli import main
 report["import_cli"] = loaded()
 with tempfile.TemporaryDirectory() as tmp:
@@ -67,17 +73,18 @@ with tempfile.TemporaryDirectory() as tmp:
         files = sorted(out.iterdir()) if out.is_dir() else []
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
         digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-        report["commands"][label] = {"code": code, "loaded": loaded(),
-                                     "pool_loaded": pool_loaded(), "digests": digests}
+        report["commands"][label] = {"code": code, "loaded": loaded(), "pool_loaded": pool_loaded(),
+                                     "futures_loaded": futures_loaded(), "threads_loaded": threads_loaded(),
+                                     "digests": digests}
 print(json.dumps(report))
 """
 
 
-def fresh_run(commands):
+def fresh_run(commands, cpus=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, check=True)
+    argv = [sys.executable, "-c", RUNNER, json.dumps(commands)] + ([] if cpus is None else [str(cpus)])
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
 
@@ -134,12 +141,16 @@ def test_numeric_families_load_scipy_special_on_first_use(spec, numeric_quantile
 
 
 def test_serial_studies_never_load_multiprocessing():
-    # the process pool is imported when run_study is asked for workers > 1, not before
-    study = ["simulate", "--dist", "t(n=4)", *SMALL_STUDY, "--out", "{out}"]
-    report = fresh_run([("simulate", study)])
-    assert report["import_pool"] is False
-    run = report["commands"]["simulate"]
-    assert run["code"] == 0 and run["pool_loaded"] is False
+    # The process pool is imported when run_study is asked for workers > 1, not
+    # before. The t(4) study's two n-points, one batch of 6000 draws, split their
+    # transform over two threads; a Pareto transform never splits, and loads no executor.
+    study = ["--seed", "3", "--m", "200", "--n-grid", "10,20", "--k-grid", "2,3", "--out", "{out}"]
+    report = fresh_run([("pareto", ["simulate", "--dist", "pareto(alpha=0.5,delta=1)", *study]),
+                        ("t4", ["simulate", "--dist", "t(n=4)", *study])], cpus=2)
+    assert report["import_pool"] is False and report["import_futures"] is False
+    pareto, t4 = report["commands"]["pareto"], report["commands"]["t4"]
+    assert pareto["code"] == 0 and pareto["futures_loaded"] is False and pareto["pool_loaded"] is False
+    assert t4["code"] == 0 and t4["threads_loaded"] is True and t4["pool_loaded"] is False
 
 
 def test_first_numeric_call_binds_no_module_global():

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -647,6 +648,79 @@ def test_sample_rows_reject_bad_counts_and_non_finite_draws(monkeypatch):
     monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     with pytest.raises(ValueError, match="NaN or infinite"):  # Q(1 - 2^-53) overflows
         distributions.sample_rows(spec, 1, range(3), 2)
+
+
+SPLIT_DRAWS = [1, 1023, 1024, 2047, 2048, 8360, 33333]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+@pytest.mark.parametrize("text", ALL_SPECS)
+def test_split_transform_changes_no_byte(text, threads, monkeypatch):
+    spec = tf.parse_spec(text)
+    original = distributions._quantile_array
+    blocks = []
+
+    def recording(spec, u):
+        blocks.append(u.size)
+        return original(spec, u)
+
+    monkeypatch.setattr(distributions, "_quantile_array", recording)
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: threads)
+    words = np.random.PCG64(threads).random_raw(max(SPLIT_DRAWS))
+    for size in SPLIT_DRAWS:
+        u = _uniform_open(words[:size])
+        u[-1] = 2.0**-54 if size % 2 else 1.0 - 2.0**-53  # the sampler's extremes, in the last block
+        blocks.clear()
+        split = distributions._transform(spec, u)
+        # one block per thread, each of at least 1024 draws, for the two iterative families only
+        expected = min(threads, size // 1024) if spec.family in ("gamma", "studentt") else 1
+        assert len(blocks) == max(expected, 1) and sum(blocks) == size, size
+        assert split.tobytes() == original(spec, u).tobytes(), size
+
+
+def test_worker_blocks_run_under_the_callers_error_state(monkeypatch):
+    original = distributions._quantile_array
+    seen = []
+
+    def recording(spec, u):
+        seen.append((threading.get_ident(), np.geterr(), np.geterrcall(), u.size))
+        return original(spec, u)
+
+    def handler(kind, flag):
+        raise AssertionError(f"floating-point {kind} in the transform")
+
+    monkeypatch.setattr(distributions, "_quantile_array", recording)
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    spec = tf.parse_spec("gamma(alpha=0.5,beta=1)")
+    u = np.linspace(0.001, 0.999, 4096)
+    with np.errstate(call=handler, divide="raise", invalid="call", under="ignore", over="print"):
+        caller = np.geterr()
+        split = distributions._transform(spec, u)
+    assert caller != np.geterr()  # not numpy's defaults
+    assert sorted(size for *_, size in seen) == [1365, 1365, 1366]
+    # the caller transforms one block, the pool the other two (on one thread or two)
+    assert sorted(ident == threading.get_ident() for ident, *_ in seen) == [False, False, True]
+    assert all(errors == caller and call is handler for _, errors, call, _ in seen)
+    assert split.tobytes() == original(spec, u).tobytes()
+
+
+def test_worker_exception_reaches_the_caller_and_no_thread_outlives_it(monkeypatch):
+    caller = threading.get_ident()
+    error = ArithmeticError("raised in a worker block")
+    original = distributions._quantile_array
+
+    def failing(spec, u):
+        if threading.get_ident() != caller:
+            raise error
+        return original(spec, u)
+
+    monkeypatch.setattr(distributions, "_quantile_array", failing)
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    baseline = threading.active_count()
+    with pytest.raises(ArithmeticError) as raised:
+        distributions._transform(tf.parse_spec("t(n=4)"), np.full(4096, 0.3))
+    assert raised.value is error
+    assert threading.active_count() == baseline
 
 
 def test_sampling_deterministic_in_seed_and_stream():

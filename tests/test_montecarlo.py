@@ -1,4 +1,6 @@
+import itertools
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -192,16 +194,40 @@ def test_output_bytes_do_not_depend_on_cache_state_or_point_order(tmp_path):
     assert len(first) == 3 and first["pareto_n.csv"] != other_first["pareto_n.csv"]
 
 
-def test_output_bytes_do_not_depend_on_chunking(tmp_path, monkeypatch):
+@pytest.mark.parametrize("text", ["pareto(alpha=1,delta=1)", "t(n=4)", "gamma(alpha=0.5,beta=1)"])
+def test_output_bytes_do_not_depend_on_chunking(text, tmp_path, monkeypatch):
     # 5 n-points and 6 k-points of m = 100: streams 0..1099 cross the first 1024-stream hash block
-    cfg = make_config(m=100, n_grid=(10, 15, 20, 25, 30), k_grid=(2, 3, 5, 7, 9, 11),
+    cfg = make_config(spec=tf.parse_spec(text), m=100, n_grid=(10, 15, 20, 25, 30), k_grid=(2, 3, 5, 7, 9, 11),
                       methods=("par_n", "hh_q", "hill", "pickands", "moment"))
-    assert [len(points) for _, points in montecarlo._chunks(cfg)] == [5, 6]
-    chunked = output_bytes(tf.run_study(cfg), tmp_path / "chunked")
-    monkeypatch.setattr(montecarlo, "_CHUNK_REPLICATES", 1)
-    assert [len(points) for _, points in montecarlo._chunks(cfg)] == [1] * 11
-    assert output_bytes(tf.run_study(cfg), tmp_path / "per_point") == chunked
-    assert set(chunked) == {"pareto_n.csv", "pareto_k.csv", "pareto_manifest.json"}
+    chunks = montecarlo._chunks(cfg)
+    assert [len(points) for _, points in chunks] == [5, 6]
+    # at the default cap: the n-points in one batch of 10000 draws, the k-points in 15000 + 3000
+    assert [len(batch) for _, points in chunks for batch in montecarlo._batches(cfg.m, points)] == [5, 5, 1]
+    original = distributions._quantile_array
+    worker_blocks = []
+
+    def recording(spec, u):
+        if threading.current_thread() is not threading.main_thread():
+            worker_blocks.append(u.size)
+        return original(spec, u)
+
+    monkeypatch.setattr(distributions, "_quantile_array", recording)
+    outputs = {}
+    # a cap of 1 draw makes every point a batch of its own: at 3 threads only points
+    # of 2048 draws and more split, so both split and unsplit points are drawn
+    settings = itertools.product((montecarlo._CHUNK_REPLICATES, 1), (montecarlo._BATCH_DRAWS, 1), (1, 3))
+    for chunk, cap, threads in settings:
+        monkeypatch.setattr(montecarlo, "_CHUNK_REPLICATES", chunk)
+        monkeypatch.setattr(montecarlo, "_BATCH_DRAWS", cap)
+        monkeypatch.setattr(distributions, "_usable_cpus", lambda: threads)
+        assert len(montecarlo._chunks(cfg)) == (2 if chunk > 1 else 11)
+        worker_blocks.clear()
+        outputs[chunk, cap, threads] = output_bytes(tf.run_study(cfg), tmp_path / f"{chunk}-{cap}-{threads}")
+        assert bool(worker_blocks) is (threads > 1 and cfg.spec.family != "pareto")
+    reference = outputs[montecarlo._CHUNK_REPLICATES, montecarlo._BATCH_DRAWS, 1]
+    assert [key for key, got in outputs.items() if got != reference] == []
+    family = cfg.spec.family
+    assert set(reference) == {f"{family}_n.csv", f"{family}_k.csv", f"{family}_manifest.json"}
 
 
 @pytest.mark.parametrize("workers", ["2", 2.5, -3, 0, True, np.float64(2.0)])
