@@ -3,12 +3,12 @@
 Six fence/quartile estimators invert the outer-fence exceedance rate or the
 quartile ratio of an assumed family (Pareto, Frechet, Hill-horror), using the
 type-6 empirical quartiles and the standard 3*IQR outer fence baked into
-their derivations. Each inversion is a function of characteristics,
-``alpha_from_fence_prob(family, p_eR, outer_high)`` or
-``alpha_from_quartiles(family, q1, q3)``, run once per row on Python floats.
-The classical comparators (Hill, t-Hill, Pickands, moment) use the usual
-upper-order-statistic forms from the literature, each written once as a row
-form that scores every row of a matrix of sorted samples at once.
+their derivations. Each inversion reads characteristics, ``(p_eR,
+outer_high)`` or ``(q1, q3)``; ``alpha_from_fence_prob(family, p_eR,
+outer_high)`` and ``alpha_from_quartiles(family, q1, q3)`` are its 1-row
+cases. The classical comparators (Hill, t-Hill, Pickands, moment) use the
+usual upper-order-statistic forms from the literature. Each method is
+written once, as a row form that scores every row at once.
 
 Scoring runs in two stages. ``row_statistics`` reduces a matrix of sorted
 samples to each method's per-row statistics, taken at the classical methods'
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -85,62 +83,93 @@ ROW_REASONS = (
  _EQUAL_QUARTILES, _MISMATCH) = range(len(ROW_REASONS))
 
 
-def _record(method: str, alpha: float, code: int, k: int | None) -> EstimateRecord:
+def _record(method: str, alpha: np.ndarray, code: np.ndarray, k: int | None) -> EstimateRecord:
+    alpha, code = alpha.item(0), code.item(0)
     return EstimateRecord(method, None if math.isnan(alpha) else alpha, code == _VALID, ROW_REASONS[code], k)
 
 
-def _graded(alpha: float) -> tuple[float, int]:
+# --- row forms: codes, checks and libm logs ------------------------------------
+#
+# Each row form scores every row of its statistics at once. A row's code is its
+# first failing check. The rows that a check rules out get harmless values
+# (ratios of 1), or are left out of every later log and quotient, so no step
+# warns. The finishing steps copy the codes they are given before marking them,
+# so no method's checks reach another's.
+
+
+def _mark(code: np.ndarray, failed: np.ndarray, reason: int) -> None:
+    """Give ``reason`` to the rows that fail this check after passing every earlier one."""
+    if np.count_nonzero(failed):  # most checks fail on no row
+        code[(code == _VALID) & failed] = reason
+
+
+def _libm(log, x: np.ndarray, rows: np.ndarray, fill: float = math.nan) -> np.ndarray:
+    """``log`` (``math.log`` or ``math.log1p``) of x on ``rows``, ``fill`` on the others.
+
+    libm on Python floats, not np.log, whose SIMD kernels may differ from libm
+    in the last bit: the estimates do not depend on the host's numpy build.
+    """
+    logs = np.full(x.shape, fill)
+    logs[rows] = list(map(log, x[rows].tolist()))
+    return logs
+
+
+def _quotient_where(keep: np.ndarray, numerator, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator where ``keep`` holds (denominator != 0 there), NaN elsewhere."""
+    alpha = numerator / np.where(keep, denominator, 1.0)
+    alpha[~keep] = math.nan
+    return alpha
+
+
+def _graded(code: np.ndarray, numerator, denominator: np.ndarray):
+    """numerator / denominator on the rows still valid, NaN on the others; ``code`` is marked."""
     # alpha is finite: callers refuse a 0 denominator, and |numerator| <= ~745 over |denominator| >= ~1.1e-16
     # A non-positive estimate is surfaced, not clamped: diagnostic evidence of misclassified data.
-    return alpha, _VALID if alpha > 0.0 else _MISMATCH
+    alpha = _quotient_where(code == _VALID, numerator, denominator)
+    _mark(code, ~(alpha > 0.0), _MISMATCH)
+    return alpha, code
 
 
-def _fence_row(family: str, p_eR: float, outer_high: float) -> tuple[float, int]:
-    if p_eR == 0.0:
-        return math.nan, _NO_OUTLIERS
-    if outer_high <= 0.0:
-        return math.nan, _FENCE_NOT_POSITIVE
+def _fence_rows(family: str, p_eR: np.ndarray, outer_high: np.ndarray):
+    code = np.where(p_eR == 0.0, _NO_OUTLIERS, _VALID)
+    _mark(code, outer_high <= 0.0, _FENCE_NOT_POSITIVE)
     if family == "hillhorror":
-        ratio = -math.log(p_eR) / outer_high
-        denom = math.log(ratio) if ratio else -math.inf  # an infinite fence, or a ratio that underflows
-        if denom == 0.0:
-            return math.nan, _FENCE_AT_LOG_P
-        return _graded(math.log(p_eR) / denom)
-    denom = math.log(outer_high)
-    if denom == 0.0:
-        return math.nan, _FENCE_AT_ONE
+        log_p = _libm(math.log, p_eR, code == _VALID)
+        with np.errstate(over="ignore"):  # as with Python floats: a subnormal fence gives inf
+            ratio = -log_p / np.where(code == _VALID, outer_high, 1.0)
+        # an infinite fence, or a ratio that underflows, has a log of -inf
+        denom = _libm(math.log, ratio, (code == _VALID) & (ratio != 0.0), -math.inf)
+        _mark(code, denom == 0.0, _FENCE_AT_LOG_P)
+        return _graded(code, log_p, denom)
+    denom = _libm(math.log, outer_high, code == _VALID)
+    _mark(code, denom == 0.0, _FENCE_AT_ONE)
     if family == "pareto":
-        return _graded(-math.log(p_eR) / denom)
-    return _graded(-math.log(-math.log1p(-p_eR)) / denom)
+        return _graded(code, -_libm(math.log, p_eR, code == _VALID), denom)
+    return _graded(code, -_libm(math.log, -_libm(math.log1p, -p_eR, code == _VALID), code == _VALID), denom)
 
 
-def _quartile_row(family: str, q1: float, q3: float) -> tuple[float, int]:
-    if q1 <= 0.0:
-        return math.nan, _QUARTILES_NOT_POSITIVE
-    if q1 == q3:
-        return math.nan, _EQUAL_QUARTILES
-    spread = math.log(q3) - math.log(q1)
+def _quartile_rows(family: str, q1: np.ndarray, q3: np.ndarray):
+    code = np.where(q1 <= 0.0, _QUARTILES_NOT_POSITIVE, _VALID)
+    _mark(code, q1 == q3, _EQUAL_QUARTILES)
+    spread = _libm(math.log, q3, code == _VALID) - _libm(math.log, q1, code == _VALID)
     if family == "hillhorror":
         # The denominator is never 0: that needs spread + loglog(4/3) to equal
         # loglog(4), so spread ~ 1.57 and the sum is an exact multiple of
         # 2^-52, which loglog(4) is not.
-        return _graded(_LOG3 / (spread + _LOGLOG43 - _LOGLOG4))
-    if spread == 0.0:
-        # q1 < q3 so close (e.g. adjacent floats near 1e300) that their logs agree
-        return math.nan, _NON_FINITE
-    if family == "pareto":
-        return _graded(_LOG3 / spread)
-    return _graded((_LOGLOG4 - _LOGLOG43) / spread)
+        return _graded(code, _LOG3, spread + _LOGLOG43 - _LOGLOG4)
+    # q1 < q3 so close (e.g. adjacent floats near 1e300) that their logs agree
+    _mark(code, spread == 0.0, _NON_FINITE)
+    return _graded(code, _LOG3 if family == "pareto" else _LOGLOG4 - _LOGLOG43, spread)
 
 
 # Each fence/quartile method: the family it assumes and the inversion it runs.
 _INVERSIONS = {
-    "par_n": ("pareto", _fence_row),
-    "par_q": ("pareto", _quartile_row),
-    "fr_n": ("frechet", _fence_row),
-    "fr_q": ("frechet", _quartile_row),
-    "hh_n": ("hillhorror", _fence_row),
-    "hh_q": ("hillhorror", _quartile_row),
+    "par_n": ("pareto", _fence_rows),
+    "par_q": ("pareto", _quartile_rows),
+    "fr_n": ("frechet", _fence_rows),
+    "fr_q": ("frechet", _quartile_rows),
+    "hh_n": ("hillhorror", _fence_rows),
+    "hh_q": ("hillhorror", _quartile_rows),
 }
 NEW_METHODS = tuple(_INVERSIONS)
 ALL_METHODS = NEW_METHODS + CLASSICAL_METHODS
@@ -162,11 +191,11 @@ def alpha_from_fence_prob(family: str, p_eR: float, outer_high: float) -> Estima
     family's own theoretical p_eR and fence, which give its alpha back.
     ValueError unless 0 <= p_eR < 1 and outer_high is not NaN.
     """
-    method = _method_for(family, _fence_row)
+    method = _method_for(family, _fence_rows)
     if not 0.0 <= p_eR < 1.0 or math.isnan(outer_high):
         raise ValueError(f"inversion needs 0 <= p_eR < 1 and a fence that is not NaN, "
                          f"got p_eR={p_eR!r}, outer_high={outer_high!r}")
-    return _record(method, *_fence_row(family, p_eR, outer_high), None)
+    return _record(method, *_fence_rows(family, *np.array([[p_eR], [outer_high]], dtype=float)), None)
 
 
 def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
@@ -176,35 +205,23 @@ def alpha_from_quartiles(family: str, q1: float, q3: float) -> EstimateRecord:
     family's own, which give its alpha back. ValueError unless q1 <= q3, as
     for ``fences_from_quartiles``, neither of them NaN.
     """
-    method = _method_for(family, _quartile_row)
+    method = _method_for(family, _quartile_rows)
     if not q1 <= q3:
         raise ValueError(f"inversion needs quartiles q1 <= q3, neither NaN, got q1={q1!r}, q3={q3!r}")
-    return _record(method, *_quartile_row(family, q1, q3), None)
+    return _record(method, *_quartile_rows(family, *np.array([[q1], [q3]], dtype=float)), None)
 
 
 def estimate_fence_prob(sample: Sample, family: str) -> EstimateRecord:
     """Invert a sample's outer-fence exceedance rate under the assumed family."""
-    return evaluate(_method_for(family, _fence_row), sample)
+    return evaluate(_method_for(family, _fence_rows), sample)
 
 
 def estimate_quartile_ratio(sample: Sample, family: str) -> EstimateRecord:
     """Invert the assumed family's quartile ratio at a sample's quartiles."""
-    return evaluate(_method_for(family, _quartile_row), sample)
+    return evaluate(_method_for(family, _quartile_rows), sample)
 
 
 # --- classical estimators, one row per sorted sample ---------------------------
-#
-# Each row form scores every row of a matrix of sorted samples at once. A row's
-# code is its first failing check. The rows that a check rules out are given
-# harmless values (ratios of 1) before any later step, so no step warns. The
-# finishing steps copy the codes they are given before marking them, so no
-# method's checks reach another's.
-
-
-def _mark(code: np.ndarray, failed: np.ndarray, reason: int) -> None:
-    """Give ``reason`` to the rows that fail this check after passing every earlier one."""
-    if np.count_nonzero(failed):  # most checks fail on no row
-        code[(code == _VALID) & failed] = reason
 
 
 def _tail_rows(rows: np.ndarray, k: int):
@@ -278,7 +295,7 @@ def row_statistics(methods, rows: np.ndarray, k: int | None = None) -> dict[str,
     if wanted & _INVERSIONS.keys():
         q1, q3, outer_high, above = row_fence_characteristics(rows)
         # a quartile on a knot is a column of rows: copied
-        columns = {_fence_row: (above / rows.shape[1], outer_high), _quartile_row: (q1.copy(), q3.copy())}
+        columns = {_fence_rows: (above / rows.shape[1], outer_high), _quartile_rows: (q1.copy(), q3.copy())}
     if wanted & {"hill", "thill", "moment"}:
         tail, base, code = _tail_rows(rows, k)
     if wanted & {"hill", "moment"}:
@@ -299,17 +316,10 @@ def row_statistics(methods, rows: np.ndarray, k: int | None = None) -> dict[str,
     return statistics
 
 
-def _reciprocal_where(keep: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """1 / gamma where ``keep`` holds (gamma != 0 there), NaN elsewhere."""
-    alpha = 1.0 / np.where(keep, gamma, 1.0)
-    alpha[~keep] = math.nan
-    return alpha
-
-
 def _hill_rows(code: np.ndarray, m1: np.ndarray):
     code = code.copy()
     _mark(code, m1 == 0.0, _DEGENERATE)
-    return _reciprocal_where(code == _VALID, m1), code
+    return _quotient_where(code == _VALID, 1.0, m1), code
 
 
 def _t_hill_rows(code: np.ndarray, t: np.ndarray):
@@ -319,10 +329,7 @@ def _t_hill_rows(code: np.ndarray, t: np.ndarray):
     code = code.copy()
     _mark(code, t == 0.0, _NON_FINITE)  # every ratio base / tail underflows, while t > 0 in exact arithmetic
     _mark(code, t >= 1.0, _DEGENERATE)
-    valid = code == _VALID
-    alpha = t / (1.0 - np.where(valid, t, 0.0))  # 0 < t < 1 on valid rows: finite and positive
-    alpha[~valid] = math.nan
-    return alpha, code
+    return _quotient_where(code == _VALID, t, 1.0 - t), code  # 0 < t < 1 on valid rows: finite and positive
 
 
 def _pickands_rows(lower: np.ndarray, upper: np.ndarray):
@@ -331,12 +338,10 @@ def _pickands_rows(lower: np.ndarray, upper: np.ndarray):
         ratio = upper / np.where(code == _VALID, lower, 1.0)
     # the spacings are so far apart in scale that their ratio under- or overflows
     _mark(code, ~((ratio > 0.0) & (ratio < math.inf)), _NON_FINITE)
-    ratio[code != _VALID] = 1.0
-    # math.log, not np.log, whose SIMD kernels may differ from libm in the last bit
-    gamma = np.array(list(map(math.log, ratio.tolist()))) / _LOG2
+    gamma = _libm(math.log, ratio, code == _VALID) / _LOG2
     _mark(code, gamma == 0.0, _ZERO_INDEX)
     _mark(code, gamma < 0.0, _NON_HEAVY)
-    return _reciprocal_where((code == _VALID) | (code == _NON_HEAVY), gamma), code
+    return _quotient_where((code == _VALID) | (code == _NON_HEAVY), 1.0, gamma), code
 
 
 def _moment_rows(code: np.ndarray, m1: np.ndarray, m2: np.ndarray):
@@ -347,18 +352,10 @@ def _moment_rows(code: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     _mark(code, ratio == 1.0, _DEGENERATE_RATIO)
     _mark(code, gamma <= 0.0, _NON_HEAVY)
     # a non-heavy tail keeps its negative estimate as evidence; gamma == 0 has none
-    return _reciprocal_where((code == _VALID) | ((code == _NON_HEAVY) & (gamma != 0.0)), gamma), code
+    return _quotient_where((code == _VALID) | ((code == _NON_HEAVY) & (gamma != 0.0)), 1.0, gamma), code
 
 
-def _inversion_rows(method: str, first: np.ndarray, second: np.ndarray):
-    family, inversion = _INVERSIONS[method]
-    pairs = list(map(inversion, repeat(family), first.tolist(), second.tolist()))
-    return (np.array([alpha for alpha, _ in pairs], dtype=float),
-            np.array([code for _, code in pairs], dtype=int))
-
-
-_FINISHING = {"hill": _hill_rows, "thill": _t_hill_rows, "pickands": _pickands_rows, "moment": _moment_rows,
-              **{method: partial(_inversion_rows, method) for method in _INVERSIONS}}
+_FINISHING = {"hill": _hill_rows, "thill": _t_hill_rows, "pickands": _pickands_rows, "moment": _moment_rows}
 
 
 def finish_rows(method: str, statistics: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -368,6 +365,9 @@ def finish_rows(method: str, statistics: tuple) -> tuple[np.ndarray, np.ndarray]
     entries of blocks taken at different k or n, concatenated row-wise. The
     statistics are not written.
     """
+    if method in _INVERSIONS:
+        family, inversion = _INVERSIONS[method]
+        return inversion(family, *statistics)
     return _FINISHING[method](*statistics)
 
 
@@ -389,8 +389,7 @@ def evaluate(method: str, sample: Sample, k: int | None = None) -> EstimateRecor
             raise ValueError(f"method {method!r} takes no k")
         if method in CLASSICAL_METHODS:
             k = checked_int(k, "k")
-    alpha, code = score_rows((method,), sample.sorted[None, :], k)[method]
-    return _record(method, alpha.item(0), code.item(0), k)
+    return _record(method, *score_rows((method,), sample.sorted[None, :], k)[method], k)
 
 
 def hill(sample: Sample, k: int) -> EstimateRecord:

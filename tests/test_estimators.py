@@ -537,6 +537,142 @@ def test_estimators_match_reference_on_many_samples():
         ]
 
 
+# --- the inversions as they were written per row ---------------------------------
+#
+# The six fence/quartile inversions as they stood while they ran once per row
+# on Python floats, copied verbatim: the array forms must give each row's
+# estimate and code bit for bit.
+
+_LOG3, _LOGLOG4, _LOGLOG43 = LOG3, LOGLOG4, LOGLOG43
+(_VALID, _NON_FINITE, _NO_OUTLIERS, _FENCE_NOT_POSITIVE, _FENCE_AT_LOG_P, _FENCE_AT_ONE, _QUARTILES_NOT_POSITIVE,
+ _EQUAL_QUARTILES, _MISMATCH) = map(estimators.ROW_REASONS.index, (
+    "", "non-finite estimate", "no extreme outliers observed", "outer fence not positive",
+    "outer fence equals -log(p_eR)", "outer fence equals 1", "needs positive quartiles", "equal quartiles",
+    "family mismatch"))
+
+
+def _graded(alpha: float) -> tuple[float, int]:
+    # alpha is finite: callers refuse a 0 denominator, and |numerator| <= ~745 over |denominator| >= ~1.1e-16
+    # A non-positive estimate is surfaced, not clamped: diagnostic evidence of misclassified data.
+    return alpha, _VALID if alpha > 0.0 else _MISMATCH
+
+
+def _fence_row(family: str, p_eR: float, outer_high: float) -> tuple[float, int]:
+    if p_eR == 0.0:
+        return math.nan, _NO_OUTLIERS
+    if outer_high <= 0.0:
+        return math.nan, _FENCE_NOT_POSITIVE
+    if family == "hillhorror":
+        ratio = -math.log(p_eR) / outer_high
+        denom = math.log(ratio) if ratio else -math.inf  # an infinite fence, or a ratio that underflows
+        if denom == 0.0:
+            return math.nan, _FENCE_AT_LOG_P
+        return _graded(math.log(p_eR) / denom)
+    denom = math.log(outer_high)
+    if denom == 0.0:
+        return math.nan, _FENCE_AT_ONE
+    if family == "pareto":
+        return _graded(-math.log(p_eR) / denom)
+    return _graded(-math.log(-math.log1p(-p_eR)) / denom)
+
+
+def _quartile_row(family: str, q1: float, q3: float) -> tuple[float, int]:
+    if q1 <= 0.0:
+        return math.nan, _QUARTILES_NOT_POSITIVE
+    if q1 == q3:
+        return math.nan, _EQUAL_QUARTILES
+    spread = math.log(q3) - math.log(q1)
+    if family == "hillhorror":
+        # The denominator is never 0: that needs spread + loglog(4/3) to equal
+        # loglog(4), so spread ~ 1.57 and the sum is an exact multiple of
+        # 2^-52, which loglog(4) is not.
+        return _graded(_LOG3 / (spread + _LOGLOG43 - _LOGLOG4))
+    if spread == 0.0:
+        # q1 < q3 so close (e.g. adjacent floats near 1e300) that their logs agree
+        return math.nan, _NON_FINITE
+    if family == "pareto":
+        return _graded(_LOG3 / spread)
+    return _graded((_LOGLOG4 - _LOGLOG43) / spread)
+
+
+PER_ROW_INVERSIONS = {
+    "par_n": ("pareto", _fence_row),
+    "par_q": ("pareto", _quartile_row),
+    "fr_n": ("frechet", _fence_row),
+    "fr_q": ("frechet", _quartile_row),
+    "hh_n": ("hillhorror", _fence_row),
+    "hh_q": ("hillhorror", _quartile_row),
+}
+
+
+def assert_inversions_equal_per_row(fence_pairs, quartile_pairs):
+    """finish_rows of each inversion over the pairs, stacked, equals the per-row code, by float.hex and code.
+
+    Under warnings as errors: no row warns, whatever its neighbours.
+    """
+    for method, (family, per_row) in PER_ROW_INVERSIONS.items():
+        pairs = fence_pairs if per_row is _fence_row else quartile_pairs
+        statistics = tuple(np.array(column, dtype=float) for column in zip(*pairs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, code = estimators.finish_rows(method, statistics)
+        assert (alpha.dtype, code.dtype) == (np.float64, np.int_)
+        expected = [per_row(family, *pair) for pair in pairs]
+        assert [a.hex() for a in alpha.tolist()] == [a.hex() for a, _ in expected], method
+        assert code.tolist() == [c for _, c in expected], method
+
+
+P_EDGES = [0.0, 1 / 7, 1 - 2**-53, 5e-324] + [c / 30 for c in range(1, 30)]
+FENCE_EDGES = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+               1 + 2**-52, 1 - 2**-53]
+QUARTILE_EDGES = FENCE_EDGES + [1e300, float(TOP), 1e-323]
+
+
+@st.composite
+def fence_pairs(draw):
+    """(p_eR, outer_high): 0 <= p_eR < 1 and a fence that is not NaN, edge values likely."""
+    p_eR = draw(st.one_of(st.sampled_from(P_EDGES), st.floats(0.0, 1.0, exclude_max=True)))
+    fence = draw(st.one_of(
+        st.sampled_from(FENCE_EDGES),
+        st.just(-math.log(p_eR) if p_eR else 0.0),  # the Hill-horror singularity
+        st.floats(-745.0, 709.0).map(math.exp),  # lognormal, subnormals and 1 +- ulp among them
+        st.floats(-10.0, 10.0),
+        st.floats(allow_nan=False),
+    ))
+    return p_eR, fence
+
+
+@st.composite
+def quartile_pairs(draw):
+    """(q1, q3) with q1 <= q3, neither NaN: equal and adjacent quartiles likely."""
+    quartile = st.one_of(st.sampled_from(QUARTILE_EDGES), st.floats(-745.0, 709.0).map(math.exp),
+                         st.floats(allow_nan=False))
+    q1 = draw(quartile)
+    q3 = draw(st.one_of(quartile, st.just(q1), st.just(math.nextafter(q1, math.inf))))
+    return min(q1, q3), max(q1, q3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fences=st.lists(fence_pairs(), min_size=1, max_size=40),
+       quartiles=st.lists(quartile_pairs(), min_size=1, max_size=40))
+def test_inversion_forms_equal_the_per_row_code_property(fences, quartiles):
+    assert_inversions_equal_per_row(fences, quartiles)
+
+
+def test_inversion_forms_equal_the_per_row_code_on_edge_pairs():
+    fences = [(p, fence) for p in P_EDGES for fence in FENCE_EDGES + [-math.log(p) if p else 0.0]]
+    quartiles = [(q1, q3) for q1 in QUARTILE_EDGES for q3 in QUARTILE_EDGES + [math.nextafter(q1, math.inf)]
+                 if q1 <= q3]
+    assert_inversions_equal_per_row(fences, quartiles)
+
+
+@pytest.mark.parametrize("values", [values for method, values, _, _ in CRAFTED if method in tf.NEW_METHODS])
+def test_inversion_forms_equal_the_per_row_code_on_crafted_rows(values):
+    statistics = estimators.row_statistics(tf.NEW_METHODS, np.sort(np.array(values, dtype=float))[None, :])
+    assert_inversions_equal_per_row([tuple(s.item(0) for s in statistics["par_n"])],
+                                    [tuple(s.item(0) for s in statistics["par_q"])])
+
+
 def row_records(method, alpha, code, k):
     """The records of a row result's arrays, one per row."""
     assert (alpha.dtype, code.dtype) == (np.float64, np.int_)
@@ -584,6 +720,20 @@ def test_row_forms_do_not_warn_and_keep_rows_apart():
                     # a row scores as it does alone, as a 1-row matrix
                     assert row_form_records(method, rows, k) == [
                         tf.evaluate(method, tf.Sample(row), k) for row in rows]
+        # the six inversions on the crafted samples and on outer fences at 0, 1, inf and
+        # subnormal values, their statistics stacked
+        samples = [values for method, values, _, _ in CRAFTED if method in tf.NEW_METHODS] + [
+            [0.0] * 6 + [1.0], [1.0] * 6 + [2.0], [5e-324] * 6 + [1.0], [-1e308] * 3 + [1e308] * 4]
+        pairs = {"_n": [(1 / 7, 0.0), (1 / 7, 1.0), (0.5, math.inf), (1 / 7, 5e-324), (1 - 2**-53, 1e308)],
+                 "_q": [(5e-324, 1e-323), (1.0, math.inf), (0.0, 1.0), (1e300, float(TOP))]}
+        for method in tf.NEW_METHODS:
+            blocks = [estimators.row_statistics((method,), np.sort(np.array(values, dtype=float))[None, :])[method]
+                      for values in samples] + [tuple(map(np.array, zip(*pairs[method[-2:]])))]
+            statistics = tuple(map(np.concatenate, zip(*blocks)))
+            alpha, code = estimators.finish_rows(method, statistics)
+            for r in range(len(alpha)):
+                alone_alpha, alone_code = estimators.finish_rows(method, tuple(s[r : r + 1] for s in statistics))
+                assert (alpha[r : r + 1].tobytes(), code[r]) == (alone_alpha.tobytes(), alone_code[0]), (method, r)
 
 
 @pytest.mark.parametrize("scorer", [estimators.row_statistics, estimators.score_rows])
@@ -896,20 +1046,23 @@ def test_statistics_do_not_hold_the_matrix():
 # builds rows whose characteristic hits a value where the two logs differ, at
 # one math.log site of estimators, and pins the estimate to its math.log formula.
 
-def libm_differs(values):
-    """The values whose np.log differs from math.log; skips where there are none."""
+def libm_differs(values, libm=math.log, numpy=np.log):
+    """The values whose numpy log (np.log, or np.log1p) differs from libm's; skips where there are none."""
     values = np.asarray(values, dtype=float)
-    differs = values[np.log(values) != np.array([math.log(v) for v in values.tolist()])]
+    differs = values[numpy(values) != np.array([libm(v) for v in values.tolist()])]
     if differs.size == 0:
-        pytest.skip("np.log agrees with math.log on the whole grid on this host")
+        pytest.skip(f"{numpy.__name__} agrees with {libm.__name__} on the whole grid on this host")
     return differs
 
 
-def assert_libm_formula(alpha, args, formula):
-    """Each row's estimate is formula(math.log, *args) bit for bit, which np.log would change."""
-    libm = [formula(math.log, *a) for a in args]
-    assert [a.hex() for a in alpha.tolist()] == [a.hex() for a in libm]
-    assert libm != [formula(lambda v: float(np.log(v)), *a) for a in args]
+def assert_libm_formula(alpha, args, formula, libm=math.log, numpy=np.log):
+    """Each row's estimate is formula(math.log, *args) bit for bit, which np.log would change.
+
+    ``libm`` and ``numpy`` name another pair, such as math.log1p and np.log1p.
+    """
+    libm_alpha = [formula(libm, *a) for a in args]
+    assert [a.hex() for a in alpha.tolist()] == [a.hex() for a in libm_alpha]
+    assert libm_alpha != [formula(lambda v: float(numpy(v)), *a) for a in args]
 
 
 LIBM_GRID = np.random.default_rng(0).uniform(1.0, 50.0, 200_000)
@@ -953,3 +1106,32 @@ def test_quartile_estimators_take_the_logs_of_the_quartiles_from_libm():
     assert_libm_formula(scored["fr_q"][0], pairs, lambda log, q1, q3: (LOGLOG4 - LOGLOG43) / (log(q3) - log(q1)))
     assert_libm_formula(scored["hh_q"][0], pairs,
                         lambda log, q1, q3: LOG3 / (log(q3) - log(q1) + LOGLOG43 - LOGLOG4))
+
+
+def test_hillhorror_fence_estimator_takes_the_log_of_its_ratio_from_libm():
+    # q1 = q3 = outer fence = v and p_eR = 1/7, so the ratio is -log(1/7) / v
+    fences = LIBM_GRID.tolist()
+    differs = set(libm_differs([-math.log(1 / 7) / v for v in fences]).tolist())
+    fences = [v for v in fences if -math.log(1 / 7) / v in differs]
+    alpha, _ = estimators.score_rows(("hh_n",), np.array([[v] * 6 + [v + 1.0] for v in fences]))["hh_n"]
+    assert_libm_formula(alpha, [(v,) for v in fences], lambda log, v: math.log(1 / 7) / log(-math.log(1 / 7) / v))
+
+
+def test_frechet_fence_estimator_takes_its_double_log_of_p_eR_from_libm():
+    # c points of n above an outer fence of 2, as for the log of p_eR: p_eR = c / n
+    counts = [(c, n) for n in range(7, 400) for c in range(1, n - math.ceil(0.75 * (n + 1)) + 1)]
+
+    def fr_n(counts):
+        """The fr_n estimates of the counts' rows, and each row's p_eR."""
+        alpha = [estimators.score_rows(("fr_n",), np.array([[2.0] * (n - c) + [3.0] * c]))["fr_n"][0]
+                 for c, n in counts]
+        return np.concatenate(alpha), [(c / n,) for c, n in counts]
+
+    # log1p(-p_eR), from libm
+    differs = set(libm_differs([-c / n for c, n in counts], math.log1p, np.log1p).tolist())
+    alpha, args = fr_n([(c, n) for c, n in counts if -c / n in differs])
+    assert_libm_formula(alpha, args, lambda log1p, p: -math.log(-log1p(-p)) / math.log(2.0), math.log1p, np.log1p)
+    # the log of -log1p(-p_eR), from libm
+    differs = set(libm_differs([-math.log1p(-c / n) for c, n in counts]).tolist())
+    alpha, args = fr_n([(c, n) for c, n in counts if -math.log1p(-c / n) in differs])
+    assert_libm_formula(alpha, args, lambda log, p: -log(-math.log1p(-p)) / math.log(2.0))
