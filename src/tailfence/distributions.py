@@ -115,7 +115,8 @@ class DistributionSpec:
         params = {}
         for key in expected:
             try:
-                if isinstance(given[key], (bool, np.bool_)):  # a flag given as a number is a mistake
+                # a flag given as a number is a mistake, and float() would parse text
+                if isinstance(given[key], (bool, np.bool_, str, bytes, bytearray, memoryview)):
                     raise TypeError
                 params[key] = float(given[key])
             except (TypeError, ValueError):
@@ -519,12 +520,12 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
 def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
     """Per ``(streams, count)`` block, ``count`` draws per stream in draw order, as a (len(streams), count) matrix.
 
-    ``sample`` and ``sample_rows`` are its one-block cases. Each row's raw PCG64
-    words come from its own stream, and each block's are mapped to uniforms in
-    one pass. The inverse transform then runs once over the uniforms of all
-    the blocks (``_transform``), and its result is split back into the blocks.
+    ``sample`` is its one-block case. Each row's raw PCG64 words come from its
+    own stream, and the words of all the blocks' rows form one flat run: it is
+    mapped to uniforms once and inverse-transformed once (``_transform``), and
+    each block's matrix is its slice of the result.
     """
-    uniforms = []
+    raw, shapes = [], []
     for streams, count in blocks:
         count = checked_int(count, "count")
         if count < 1:
@@ -532,16 +533,14 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
         if not isinstance(streams, range):
             raise ValueError(f"streams must be a range of consecutive streams, got {streams!r}")
         RngState(seed, streams.start)  # validates the seed and the first stream
-        # one array per row, stacked once: cheaper than copying each into a row of the matrix
-        raw = np.array([_generator(words).random_raw(count) for words in _stream_words(seed, streams)], np.uint64)
-        uniforms.append(_uniform_open(raw.reshape(len(streams), count)))
-    # one block needs no copy: its matrix is already one contiguous run of draws
-    flat = uniforms[0].reshape(-1) if len(uniforms) == 1 else np.concatenate(uniforms, axis=None)
-    draws = _transform(spec, flat)
+        # one array per row, joined once below: cheaper than copying each into a preallocated run
+        raw += [_generator(words).random_raw(count) for words in _stream_words(seed, streams)]
+        shapes.append((len(streams), count))
+    draws = _transform(spec, _uniform_open(np.concatenate(raw) if raw else np.empty(0, np.uint64)))
     matrices, start = [], 0
-    for u in uniforms:
-        matrices.append(draws[start : start + u.size].reshape(u.shape))
-        start += u.size
+    for rows, count in shapes:
+        matrices.append(draws[start : start + rows * count].reshape(rows, count))
+        start += rows * count
     return matrices
 
 
@@ -557,21 +556,14 @@ def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
     return Sample(_draw_rows(spec, rng.seed, [(range(rng.stream, rng.stream + 1), count)])[0][0])
 
 
-def sample_rows(spec: DistributionSpec, seed: int, streams: range, count: int) -> np.ndarray:
-    """One sorted sample of ``count`` draws per stream, as a (len(streams), count) matrix.
-
-    ``streams`` is a range of consecutive streams. Row i is drawn by the same routine
-    as ``sample(spec, RngState(seed, streams[i]), count)``, and equals its ``sorted``.
-    It is the one-block case of ``sample_blocks``.
-    """
-    return sample_blocks(spec, seed, [(streams, count)])[0]
-
-
 def sample_blocks(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
-    """``sample_rows(spec, seed, streams, count)`` of each ``(streams, count)`` block, drawn as one batch.
+    """One sorted sample of ``count`` draws per stream of each ``(streams, count)`` block, drawn as one batch.
 
-    The inverse transform runs once over all the blocks' draws, split over
-    threads for gamma and Student-t; each matrix equals its block's
-    ``sample_rows`` bit for bit.
+    ``streams`` is a range of consecutive streams, and a block's matrix has
+    shape (len(streams), count). Its row i equals the ``sorted`` of
+    ``sample(spec, RngState(seed, streams[i]), count)`` bit for bit, whatever
+    the other blocks: the inverse transform runs once over all the blocks'
+    draws, split over threads for gamma and Student-t, and every step is
+    elementwise or per row.
     """
     return [sort_finite_rows(rows) for rows in _draw_rows(spec, seed, blocks)]

@@ -14,9 +14,9 @@ batches of at most ``_BATCH_DRAWS`` draws (a larger point alone) by one
 replicates as an (m, n) matrix of sorted rows, row r equal to
 ``sample(spec, RngState(seed, g*m + r), n).sorted``: the streams' PCG64
 seed words are sliced out of their hash blocks once, each row's raw words
-come from its own stream's PCG64, the mapping to uniforms runs once per
-block of consecutive points with the same n, and the inverse transform runs
-once over the batch (split over threads for gamma and Student-t).
+come from its own stream's PCG64, and the batch's words are mapped to
+uniforms and inverse-transformed in one pass (split over threads for gamma
+and Student-t).
 
 Scoring runs in two stages. Each grid point's matrix is reduced to its
 methods' per-row statistics, taken at the point's k or n, by one
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -222,21 +221,13 @@ def _batches(m: int, points: tuple[_GridPoint, ...]) -> list[list[_GridPoint]]:
 def _batch_statistics(config: StudyConfig, g: int, batch: list[_GridPoint]) -> list[dict[str, tuple]]:
     """Per point of a batch of points g, g + 1, ..., its methods' rows' statistics.
 
-    Consecutive points with the same n draw consecutive streams, so they form
-    one block of the draw: every k-point's rows stack into one matrix. The
-    batch's draws are freed on return.
+    Point g + i is one block of the draw, of streams (g + i)*m up to
+    (g + i + 1)*m. The batch's draws are freed on return.
     """
     m = config.m
-    groups = [list(group) for _, group in groupby(batch, key=lambda point: point.n)]
-    blocks = []
-    for group in groups:
-        blocks.append((range(g * m, (g + len(group)) * m), group[0].n))
-        g += len(group)
-    statistics = []
-    for samples, group in zip(dist.sample_blocks(config.spec, config.seed, blocks), groups):
-        for i, point in enumerate(group):
-            statistics.append(row_statistics(point.methods, samples[i * m : (i + 1) * m], point.k))
-    return statistics
+    blocks = [(range((g + i) * m, (g + i + 1) * m), point.n) for i, point in enumerate(batch)]
+    samples = dist.sample_blocks(config.spec, config.seed, blocks)
+    return [row_statistics(point.methods, rows, point.k) for rows, point in zip(samples, batch)]
 
 
 def _evaluate_chunk(config: StudyConfig, first: int, points: tuple[_GridPoint, ...]) -> list[StudyRow]:

@@ -1,5 +1,6 @@
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ ALL_SPECS = [
         ("pareto", {"alpha": 1.0, "delta": [1, 2]}),
         ("pareto", {"alpha": True, "delta": 1}),  # a bool is not taken as 1
         ("studentt", {"n": np.True_}),
+        # text is not taken as the number it spells
+        ("pareto", {"alpha": "0.5", "delta": 1}),
+        ("pareto", {"alpha": 0.5, "delta": b"1"}),
+        ("studentt", {"n": np.str_("2")}),
+        ("studentt", {"n": np.bytes_(b"2")}),
+        ("pareto", {"alpha": bytearray(b"0.5"), "delta": 1}),
+        ("pareto", {"alpha": memoryview(b"0.5"), "delta": 1}),
     ],
 )
 def test_invalid_parameters_rejected(family, params):
@@ -603,9 +611,9 @@ SAMPLE_ROW_STREAMS = [
 @pytest.mark.parametrize("streams", SAMPLE_ROW_STREAMS, ids=str)
 @pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)", "gamma(alpha=0.5,beta=1)"])
 @pytest.mark.parametrize("seed", [7, 2**40 + 1])
-def test_sample_rows_equal_stacked_samples_bit_for_bit(text, seed, streams):
+def test_sample_blocks_equal_stacked_samples_bit_for_bit(text, seed, streams):
     spec = tf.parse_spec(text)
-    rows = distributions.sample_rows(spec, seed, streams, 33)
+    rows = distributions.sample_blocks(spec, seed, [(streams, 33)])[0]
     stacked = [tf.sample(spec, tf.RngState(seed, s), 33).sorted for s in streams]
     assert rows.shape == (len(streams), 33) and rows.flags.c_contiguous
     assert rows.tobytes() == b"".join(row.tobytes() for row in stacked)
@@ -633,21 +641,73 @@ def test_stream_words_slice_each_block_once():
         distributions._stream_words(1, range(0, 10, 2))
 
 
-def test_sample_rows_reject_bad_counts_and_non_finite_draws(monkeypatch):
+def test_sample_blocks_reject_bad_counts_and_non_finite_draws(monkeypatch):
     spec = tf.parse_spec("hillhorror(alpha=0.01)")
     with pytest.raises(ValueError, match="count must be >= 1"):
-        distributions.sample_rows(spec, 1, range(3), 0)
+        distributions.sample_blocks(spec, 1, [(range(3), 0)])
     with pytest.raises(ValueError, match="count must be an integer"):
-        distributions.sample_rows(spec, 1, range(3), 2.0)
+        distributions.sample_blocks(spec, 1, [(range(3), 2.0)])
     with pytest.raises(ValueError, match="seed must be a 64-bit"):
-        distributions.sample_rows(spec, 2**64, range(3), 2)
+        distributions.sample_blocks(spec, 2**64, [(range(3), 2)])
     with pytest.raises(ValueError, match="stream must be non-negative"):
-        distributions.sample_rows(spec, 1, range(-1, 3), 2)
+        distributions.sample_blocks(spec, 1, [(range(-1, 3), 2)])
     with pytest.raises(ValueError, match="streams must be a range"):
-        distributions.sample_rows(spec, 1, [0, 1], 4)
+        distributions.sample_blocks(spec, 1, [(range(3), 2), ([0, 1], 4)])
     monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     with pytest.raises(ValueError, match="NaN or infinite"):  # Q(1 - 2^-53) overflows
-        distributions.sample_rows(spec, 1, range(3), 2)
+        distributions.sample_blocks(spec, 1, [(range(3), 2)])
+
+
+def test_sample_blocks_of_no_blocks_is_empty():
+    for text in ("pareto(alpha=0.5,delta=1)", "t(n=4)"):
+        assert distributions.sample_blocks(tf.parse_spec(text), 7, []) == []
+
+
+@st.composite
+def stream_blocks(draw, rows, counts):
+    """Three blocks of different counts, the second right after the first and
+    the third after a gap, plus an empty range, in any order."""
+    first = draw(st.integers(0, 5000))
+    sizes = [draw(rows) for _ in range(3)]
+    gap = draw(st.integers(1, 3000))
+    starts = [first, first + sizes[0], first + sizes[0] + sizes[1] + gap]
+    count = draw(st.lists(counts, min_size=4, max_size=4, unique=True))
+    blocks = [(range(start, start + size), n) for start, size, n in zip(starts, sizes, count)]
+    empty = draw(st.integers(0, 6000))
+    blocks.append((range(empty, empty), count[3]))
+    return draw(st.permutations(blocks))
+
+
+# Each t(4) block holds at least 30 * 70 = 2100 draws, so with two usable CPUs
+# (pretended, as on one CPU nothing is split) the batch's transform and each
+# block's alone are split over threads, and each sample's is not.
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("text, rows, counts", [
+    ("pareto(alpha=0.5,delta=1)", st.integers(1, 40), st.integers(1, 60)),
+    ("t(n=4)", st.integers(30, 50), st.integers(70, 90)),
+], ids=["pareto", "t4"])
+def test_sample_blocks_equal_each_block_and_each_sample(text, rows, counts, data):
+    spec = tf.parse_spec(text)
+    blocks = data.draw(stream_blocks(rows, counts))
+    seed = data.draw(st.sampled_from([3, 2**40 + 1]))
+    transform, calls = distributions._transform, []
+
+    def counting(spec, u):
+        calls.append(u.size)
+        return transform(spec, u)
+
+    with mock.patch.object(distributions, "_usable_cpus", lambda: 2), \
+            mock.patch.object(distributions, "_transform", counting):
+        matrices = distributions.sample_blocks(spec, seed, blocks)
+        assert calls == [sum(len(streams) * count for streams, count in blocks)]
+        assert len(matrices) == len(blocks)
+        for (streams, count), matrix in zip(blocks, matrices):
+            assert matrix.shape == (len(streams), count)
+            alone = distributions.sample_blocks(spec, seed, [(streams, count)])[0]
+            assert alone.tobytes() == matrix.tobytes()
+            for s, row in zip(streams, matrix):
+                assert tf.sample(spec, tf.RngState(seed, s), count).sorted.tobytes() == row.tobytes(), s
 
 
 SPLIT_DRAWS = [1, 1023, 1024, 2047, 2048, 8360, 33333]

@@ -691,7 +691,7 @@ def row_form_records(method, rows, k):
 @pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)"])
 def test_row_forms_match_reference_on_every_k(text):
     n = 100
-    rows = distributions.sample_rows(tf.parse_spec(text), 21, range(20), n)
+    rows = distributions.sample_blocks(tf.parse_spec(text), 21, [(range(20), n)])[0]
     samples = [tf.Sample(row) for row in rows]
     reasons = set()
     for method in tf.CLASSICAL_METHODS:
@@ -705,7 +705,7 @@ def test_row_forms_match_reference_on_every_k(text):
 
 def test_row_forms_do_not_warn_and_keep_rows_apart():
     # t(4) rows whose base is 0 or negative, some with a 0 among the top k
-    t4 = distributions.sample_rows(tf.parse_spec("t(n=4)"), 5, range(200), 60)
+    t4 = distributions.sample_blocks(tf.parse_spec("t(n=4)"), 5, [(range(200), 60)])[0]
     t4[:3, 25:35] = 0.0
     t4.sort(axis=1)
     # overflowing and underflowing excess ratios beside ordinary rows
@@ -995,7 +995,7 @@ def assert_stacked_finishing_equals_each_block(blocks):
 def test_stacked_finishing_equals_each_block_on_crafted_rows():
     crafted = [(np.sort(np.array(values, dtype=float))[None, :], k) for _, values, k, _ in CRAFTED]
     # each block alone, and its rows beside ordinary ones at another k or n
-    ordinary = distributions.sample_rows(tf.parse_spec("pareto(alpha=0.5,delta=1)"), 4, range(30), 40)
+    ordinary = distributions.sample_blocks(tf.parse_spec("pareto(alpha=0.5,delta=1)"), 4, [(range(30), 40)])[0]
     blocks = [block for pair in zip(crafted, [(ordinary[:5], 9), (ordinary[5:9], None)] * len(crafted))
               for block in pair]
     reached = assert_stacked_finishing_equals_each_block(blocks)
