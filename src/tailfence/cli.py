@@ -255,8 +255,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a grid too large to draw can raise a MemoryError without a message
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 1
 
 

@@ -5,12 +5,14 @@ order-statistic count k for the classical ones, at the largest n of the n
 grid, drawing m replicates per grid point and reporting the mean estimate
 with empirical 95% bands over the valid replicates.
 
-Replicate r at grid point g always uses ``RngState(seed, stream=g*m + r)``,
-so results are bit-identical for identical configs no matter how many
-workers evaluate the grid. Consecutive points of one axis form a chunk of
-at most ``_CHUNK_REPLICATES`` replicates, and a chunk's points are drawn in
-batches of at most ``_BATCH_DRAWS`` draws (a larger point alone) by one
-``distributions.sample_blocks`` call each. It gives each point its m
+Each grid point carries its index g in the grid, and its replicate r
+always uses ``RngState(seed, stream=g*m + r)``, so results are
+bit-identical for identical configs no matter how many workers evaluate the
+grid. Chunks and batches are cut by one rule with two bounds (``_runs``):
+consecutive points of one axis whose sizes sum to at most the bound, or a
+larger point alone. A chunk holds at most ``_CHUNK_REPLICATES`` replicates,
+and its points are drawn in batches of at most ``_BATCH_DRAWS`` draws, by
+one ``distributions.sample_blocks`` call each. It gives each point its m
 replicates as an (m, n) matrix of sorted rows, row r equal to
 ``sample(spec, RngState(seed, g*m + r), n).sorted``: the streams' PCG64
 seed words are sliced out of their hash blocks once, each row's raw words
@@ -128,6 +130,7 @@ class StudyRow:
 
 
 class _GridPoint(NamedTuple):
+    g: int  # index in the grid: replicate r uses stream g*m + r
     axis: str
     value: int
     n: int
@@ -171,32 +174,20 @@ def _grid_points(config: StudyConfig) -> list[_GridPoint]:
     points: list[_GridPoint] = []
     if new:
         for n in config.n_grid:
-            points.append(_GridPoint("n", n, n, None, new))
+            points.append(_GridPoint(len(points), "n", n, n, None, new))
     if classical:
         n_fixed = config.fixed_n
         without_pickands = tuple(m for m in classical if m != "pickands")
         for k in config.k_grid:
             usable = classical if 4 * k <= n_fixed else without_pickands
             if usable:  # only pickands alone drops a point: the grid's tail, so no kept point's g moves
-                points.append(_GridPoint("k", k, n_fixed, k, usable))
+                points.append(_GridPoint(len(points), "k", k, n_fixed, k, usable))
     return points
 
 
 # At most this many replicates' per-row statistics are finished and summarized
 # together; a chunk is one grid point when m is larger.
 _CHUNK_REPLICATES = 2048
-
-
-def _chunks(config: StudyConfig) -> list[tuple[int, tuple[_GridPoint, ...]]]:
-    """Consecutive grid points of one axis, as (index of the first, points)."""
-    per_chunk = max(1, _CHUNK_REPLICATES // config.m)
-    chunks: list[tuple[int, list[_GridPoint]]] = []
-    for g, point in enumerate(_grid_points(config)):
-        if not chunks or len(chunks[-1][1]) == per_chunk or chunks[-1][1][0].axis != point.axis:
-            chunks.append((g, []))
-        chunks[-1][1].append(point)
-    return [(first, tuple(points)) for first, points in chunks]
-
 
 # Consecutive points of a chunk are drawn as one batch of at most this many
 # draws, and a larger point alone. 2**14 float64 values are 128 KB, glibc's
@@ -205,44 +196,49 @@ def _chunks(config: StudyConfig) -> list[tuple[int, tuple[_GridPoint, ...]]]:
 _BATCH_DRAWS = 2**14
 
 
-def _batches(m: int, points: tuple[_GridPoint, ...]) -> list[list[_GridPoint]]:
-    """A chunk's points in consecutive runs of at most ``_BATCH_DRAWS`` draws, or of one point."""
-    batches: list[list[_GridPoint]] = []
-    size = 0
+def _runs(points, size, limit: int) -> list[tuple[_GridPoint, ...]]:
+    """Consecutive points of one axis in runs whose ``size`` sums to at most ``limit``, or of one point."""
+    runs: list[list[_GridPoint]] = []
+    total = 0
     for point in points:
-        if not batches or size + m * point.n > _BATCH_DRAWS:
-            batches.append([])
-            size = 0
-        batches[-1].append(point)
-        size += m * point.n
-    return batches
+        if not runs or runs[-1][-1].axis != point.axis or total + size(point) > limit:
+            runs.append([])
+            total = 0
+        runs[-1].append(point)
+        total += size(point)
+    return [tuple(run) for run in runs]
 
 
-def _batch_statistics(config: StudyConfig, g: int, batch: list[_GridPoint]) -> list[dict[str, tuple]]:
-    """Per point of a batch of points g, g + 1, ..., its methods' rows' statistics.
+def _chunks(config: StudyConfig) -> list[tuple[_GridPoint, ...]]:
+    """The grid in runs of at most ``_CHUNK_REPLICATES`` replicates, or of one point."""
+    return _runs(_grid_points(config), lambda point: config.m, _CHUNK_REPLICATES)
 
-    Point g + i is one block of the draw, of streams (g + i)*m up to
-    (g + i + 1)*m. The batch's draws are freed on return.
+
+def _batch_statistics(config: StudyConfig, batch: tuple[_GridPoint, ...]) -> list[dict[str, tuple]]:
+    """Per point of a batch, its methods' rows' statistics.
+
+    Point g is one block of the draw, of streams g*m up to (g + 1)*m. The
+    batch's draws are freed on return.
     """
     m = config.m
-    blocks = [(range((g + i) * m, (g + i + 1) * m), point.n) for i, point in enumerate(batch)]
+    blocks = [(range(point.g * m, (point.g + 1) * m), point.n) for point in batch]
     samples = dist.sample_blocks(config.spec, config.seed, blocks)
     return [row_statistics(point.methods, rows, point.k) for rows, point in zip(samples, batch)]
 
 
-def _evaluate_chunk(config: StudyConfig, first: int, points: tuple[_GridPoint, ...]) -> list[StudyRow]:
-    """The rows of grid points first, first + 1, ... in grid order.
+def _evaluate_chunk(config: StudyConfig, points: tuple[_GridPoint, ...]) -> list[StudyRow]:
+    """The rows of a chunk's points in grid order.
 
-    The points are drawn in batches (``_batches``), and each batch is reduced
-    to its points' statistics before the next is drawn. Each method then
-    finishes the rows of every point that scores it in one pass, and all
-    (point, method) rows are summarized in one batch.
+    The points are drawn in runs of at most ``_BATCH_DRAWS`` draws, the
+    chunks' rule with a second bound, and each batch is reduced to its
+    points' statistics before the next is drawn. Each method then finishes
+    the rows of every point that scores it in one pass, and all (point,
+    method) rows are summarized in one batch.
     """
     m = config.m
     statistics = []
-    for batch in _batches(m, points):
-        # one entry per point drawn so far, so the batch starts at point first + len(statistics)
-        statistics += _batch_statistics(config, first + len(statistics), batch)
+    for batch in _runs(points, lambda point: m * point.n, _BATCH_DRAWS):
+        statistics += _batch_statistics(config, batch)
     alphas, codes, owners = [], [], []
     for method in dict.fromkeys(method for point in points for method in point.methods):
         having = [i for i, point in enumerate(points) if method in point.methods]
@@ -310,13 +306,14 @@ def ProcessPoolExecutor(*args, **kwargs):
 def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     """Run the full study; deterministic CSV bytes for a given config.
 
-    Chunks of grid points run in this process by default (workers=None or
-    1), where a gamma or Student-t inverse transform is still split over
-    threads. An explicit workers > 1 spreads the chunks over a process pool,
-    which pays only on large studies, such as a default `simulate` (117
-    points at m=1000) of a family with a costly inverse transform. A study
-    of one chunk always runs in one process. Results are gathered by chunk index,
-    never by completion order, so the bytes do not depend on ``workers``.
+    Chunks of grid points (``_chunks``) run in this process by default
+    (workers=None or 1), where a gamma or Student-t inverse transform is
+    still split over threads. An explicit workers > 1 spreads the chunks over
+    a process pool, which pays only on large studies, such as a default
+    `simulate` (117 points at m=1000) of a family with a costly inverse
+    transform. A study of one chunk always runs in one process. A point's
+    grid index g fixes its streams, and results are gathered in chunk order,
+    so the bytes do not depend on ``workers``.
     ValueError unless ``workers`` is None or an integer >= 1.
     """
     if workers is not None:
@@ -326,9 +323,9 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     chunks = _chunks(config)
     if workers is not None and workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_chunk, [config] * len(chunks), *zip(*chunks)))
+            results = list(pool.map(_evaluate_chunk, [config] * len(chunks), chunks))
     else:
-        results = [_evaluate_chunk(config, first, points) for first, points in chunks]
+        results = [_evaluate_chunk(config, points) for points in chunks]
     rows: list[StudyRow] = []
     for chunk in results:
         rows.extend(chunk)

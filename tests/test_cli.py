@@ -197,6 +197,22 @@ def test_usage_errors_are_one_json_line(argv, message, capsys):
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 72.8 TiB")])
+def test_out_of_memory_is_one_json_line(error, tmp_path, capsys, monkeypatch):
+    # a huge grid raises MemoryError (numpy's carries a message, a bare one none) deep in the engine
+    def exhausted(config):
+        raise error
+
+    monkeypatch.setattr(cli, "run_study", exhausted)
+    argv = ["simulate", "--dist", "pareto(alpha=0.5,delta=1)", "--m", "2", "--n-grid", "10000000000000",
+            "--k-grid", "2", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == (str(error) or "MemoryError")
+    assert not (tmp_path / "out").exists()
+
+
 def test_parser_is_built_once_and_reused_after_an_error(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
     code, out, err = run_cli(["simulate", "--dist", "exp(lambda=1)", "--m", "abc", "--out", "x"], capsys)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import tailfence as tf
 from tailfence import distributions, montecarlo
@@ -187,11 +189,67 @@ def test_output_bytes_do_not_depend_on_cache_state_or_point_order(tmp_path):
     assert output_bytes(tf.run_study(cfg), tmp_path / "warmed") == first
     assert output_bytes(tf.run_study(other), tmp_path / "other_warmed") == other_first
     chunks = montecarlo._chunks(cfg)
-    assert [start for start, _ in chunks] == [0, 2]  # one chunk per axis
-    rows = {start: montecarlo._evaluate_chunk(cfg, start, points) for start, points in reversed(chunks)}
-    result = montecarlo.StudyResult(cfg, tuple(row for start, _ in chunks for row in rows[start]))
+    assert [points[0].g for points in chunks] == [0, 2]  # one chunk per axis
+    rows = {points[0].g: montecarlo._evaluate_chunk(cfg, points) for points in reversed(chunks)}
+    result = montecarlo.StudyResult(cfg, tuple(row for points in chunks for row in rows[points[0].g]))
     assert output_bytes(result, tmp_path / "reversed") == first
     assert len(first) == 3 and first["pareto_n.csv"] != other_first["pareto_n.csv"]
+
+
+def engine_batches(points, m):
+    """A chunk's batches as ``_evaluate_chunk`` cuts them: the chunks' rule with the draw bound."""
+    return montecarlo._runs(points, lambda point: m * point.n, montecarlo._BATCH_DRAWS)
+
+
+def oracle_chunks(points, m):
+    # a count of points per chunk, cut again at each change of axis
+    per_chunk = max(1, 2048 // m)
+    chunks = []
+    for point in points:
+        if not chunks or len(chunks[-1]) == per_chunk or chunks[-1][0].axis != point.axis:
+            chunks.append([])
+        chunks[-1].append(point)
+    return [tuple(chunk) for chunk in chunks]
+
+
+def oracle_batches(points, m):
+    # a running sum of draws
+    batches, size = [], 0
+    for point in points:
+        if not batches or size + m * point.n > 2**14:
+            batches.append([])
+            size = 0
+        batches[-1].append(point)
+        size += m * point.n
+    return [tuple(batch) for batch in batches]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.one_of(st.sampled_from([2, 3, 39, 40, 41, 100, 600, 1000, 1024, 2047, 2048, 2049, 5000]),
+                   st.integers(2, 5000)),
+       n_grid=st.lists(st.integers(5, 400), min_size=1, max_size=8, unique=True).map(sorted),
+       ks=st.lists(st.integers(1, 399), min_size=1, max_size=40, unique=True),
+       methods=st.lists(st.sampled_from(tf.ALL_METHODS), min_size=1, unique=True))
+# m*n exactly at, just below and just above 2**14, and m at 2048 +- 1
+@example(m=1024, n_grid=[15, 16, 17], ks=[3, 4], methods=["par_q", "hill"])
+@example(m=2048, n_grid=[8], ks=[1, 2, 7], methods=["fr_n", "pickands"])
+@example(m=2049, n_grid=[5, 6], ks=[1, 2], methods=["hh_q", "moment"])
+@example(m=2047, n_grid=[8, 9], ks=[1, 2], methods=["thill"])
+def test_chunks_and_batches_keep_their_bounds_property(m, n_grid, ks, methods):
+    k_grid = sorted({min(k, n_grid[-1] - 1) for k in ks})
+    assume(methods != ["pickands"] or 4 * k_grid[0] <= n_grid[-1])
+    cfg = make_config(m=m, n_grid=tuple(n_grid), k_grid=tuple(k_grid), methods=tuple(methods))
+    grid = montecarlo._grid_points(cfg)
+    chunks = montecarlo._chunks(cfg)
+    assert [point for chunk in chunks for point in chunk] == grid
+    assert [point.g for point in grid] == list(range(len(grid)))
+    for chunk in chunks:
+        assert len({point.axis for point in chunk}) == 1
+        assert len(chunk) * m <= 2048 or len(chunk) == 1
+        for batch in engine_batches(chunk, m):
+            assert sum(m * point.n for point in batch) <= 2**14 or len(batch) == 1
+    assert chunks == oracle_chunks(grid, m)
+    assert [engine_batches(chunk, m) for chunk in chunks] == [oracle_batches(chunk, m) for chunk in chunks]
 
 
 @pytest.mark.parametrize("text", ["pareto(alpha=1,delta=1)", "t(n=4)", "gamma(alpha=0.5,beta=1)"])
@@ -200,18 +258,24 @@ def test_output_bytes_do_not_depend_on_chunking(text, tmp_path, monkeypatch):
     cfg = make_config(spec=tf.parse_spec(text), m=100, n_grid=(10, 15, 20, 25, 30), k_grid=(2, 3, 5, 7, 9, 11),
                       methods=("par_n", "hh_q", "hill", "pickands", "moment"))
     chunks = montecarlo._chunks(cfg)
-    assert [len(points) for _, points in chunks] == [5, 6]
+    assert [len(points) for points in chunks] == [5, 6]
     # at the default cap: the n-points in one batch of 10000 draws, the k-points in 15000 + 3000
-    assert [len(batch) for _, points in chunks for batch in montecarlo._batches(cfg.m, points)] == [5, 5, 1]
+    assert [len(batch) for points in chunks for batch in engine_batches(points, cfg.m)] == [5, 5, 1]
     original = distributions._quantile_array
-    worker_blocks = []
+    original_batch = montecarlo._batch_statistics
+    worker_blocks, batches = [], []
 
     def recording(spec, u):
         if threading.current_thread() is not threading.main_thread():
             worker_blocks.append(u.size)
         return original(spec, u)
 
+    def recording_batch(config, batch):
+        batches.append([point.g for point in batch])
+        return original_batch(config, batch)
+
     monkeypatch.setattr(distributions, "_quantile_array", recording)
+    monkeypatch.setattr(montecarlo, "_batch_statistics", recording_batch)
     outputs = {}
     # a cap of 1 draw makes every point a batch of its own: at 3 threads only points
     # of 2048 draws and more split, so both split and unsplit points are drawn
@@ -222,8 +286,12 @@ def test_output_bytes_do_not_depend_on_chunking(text, tmp_path, monkeypatch):
         monkeypatch.setattr(distributions, "_usable_cpus", lambda: threads)
         assert len(montecarlo._chunks(cfg)) == (2 if chunk > 1 else 11)
         worker_blocks.clear()
+        batches.clear()
         outputs[chunk, cap, threads] = output_bytes(tf.run_study(cfg), tmp_path / f"{chunk}-{cap}-{threads}")
         assert bool(worker_blocks) is (threads > 1 and cfg.spec.family != "pareto")
+        # the engine draws the helper's batches, each point once and in grid order
+        grouped = chunk > 1 and cap > 1
+        assert batches == ([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10]] if grouped else [[g] for g in range(11)])
     reference = outputs[montecarlo._CHUNK_REPLICATES, montecarlo._BATCH_DRAWS, 1]
     assert [key for key, got in outputs.items() if got != reference] == []
     family = cfg.spec.family
