@@ -24,6 +24,7 @@ from .fences import DEFAULT_INNER, DEFAULT_OUTER
 from .montecarlo import DEFAULT_N_GRID, StudyConfig, _fmt, run_study, write_study_outputs
 from .tail_chars import (
     characteristics,
+    characteristics_table,
     closed_form_p_eR,
     frechet_left_tail_threshold,
 )
@@ -72,13 +73,13 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 def cmd_chars(args) -> int:
     # Every row is computed before the output is opened, so bad input leaves
     # no partial CSV behind.
+    specs = [parse_spec(text) for text in args.dist]
+    table = characteristics_table(specs, inner=args.inner_fence, outer=args.outer_fence)
     rows = []
-    for spec in [parse_spec(text) for text in args.dist]:
-        chars = characteristics(spec, inner=args.inner_fence, outer=args.outer_fence)
+    for spec, chars in zip(specs, table):
         fen = chars.fences
-        params = ",".join(f"{k}={v:.12g}" for k, v in spec.params.items())
         rows.append(
-            [spec.family, params]
+            [spec.family, spec.param_text()]
             + [_fmt(v) for v in (fen.q1, fen.q3, fen.iqr, fen.outer_low, fen.outer_high)]
             + [_fmt(v) for v in (chars.p_eL, chars.p_eR, chars.p_e2,
                                  chars.p_mL, chars.p_mR, chars.p_m2)]
@@ -90,13 +91,17 @@ def cmd_chars(args) -> int:
     return 0
 
 
+def _t_table():
+    """Characteristics of t(1), ..., t(10): the rows of table 1."""
+    return characteristics_table(DistributionSpec("studentt", {"n": n}) for n in range(1, 11))
+
+
 def cmd_table1(args) -> int:
     with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "p_eR"])
-        for n in range(1, 11):
-            spec = DistributionSpec("studentt", {"n": n})
-            writer.writerow([n, _fmt(characteristics(spec).p_eR)])
+        for n, chars in enumerate(_t_table(), start=1):
+            writer.writerow([n, _fmt(chars.p_eR)])
     return 0
 
 
@@ -136,8 +141,8 @@ def cmd_simulate(args) -> int:
 
 
 def _selftest_checks():
-    for n, reference in enumerate(REFERENCE_T_TAIL_TABLE, start=1):
-        computed = characteristics(DistributionSpec("studentt", {"n": n})).p_eR
+    for n, (reference, chars) in enumerate(zip(REFERENCE_T_TAIL_TABLE, _t_table()), start=1):
+        computed = chars.p_eR
         yield (
             f"t-table n={n}",
             abs(computed - reference) <= 5e-5,

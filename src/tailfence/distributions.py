@@ -1,7 +1,11 @@
 """Catalog of ten distribution families: CDF, quantile, inverse-transform sampling.
 
-Every family is driven by a :class:`DistributionSpec` value. Closed-form
-families evaluate their textbook formulas. The numeric families each use
+Every family is driven by a :class:`DistributionSpec` value. The CDF and
+quantile formulas take either a spec, whose parameters are floats, or a
+:class:`FamilyColumns`, which holds the specs of one family with each
+parameter as a per-spec column, so a family's specs are evaluated in one
+call; row i of a column call equals spec i's own call bit for bit.
+Closed-form families evaluate their textbook formulas. The numeric families each use
 one scipy.special pair: gamma the regularized incomplete gamma function
 (``gammainc``/``gammaincinv``), normal ``ndtr``/``ndtri``, and Student-t
 the regularized incomplete beta function (``betainc``/``betaincinv``) in a
@@ -125,9 +129,33 @@ class DistributionSpec:
         object.__setattr__(self, "family", name)
         object.__setattr__(self, "params", params)
 
+    def param_text(self) -> str:
+        """The parameters as ``name=value,...``, each value to 12 significant digits."""
+        return ",".join(f"{k}={v:.12g}" for k, v in self.params.items())
+
     def __str__(self) -> str:
-        inner = ",".join(f"{k}={v:.12g}" for k, v in self.params.items())
-        return f"{self.family}({inner})"
+        return f"{self.family}({self.param_text()})"
+
+
+@dataclass(frozen=True)
+class FamilyColumns:
+    """Specs of one family with each parameter as an (n, 1) column.
+
+    The CDF and quantile formulas take it in place of a spec: a column
+    broadcasts against an (n, m) or (m,) argument, so row i of the result is
+    spec i's, bit for bit.
+    """
+
+    family: str
+    params: dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, specs: list[DistributionSpec]) -> FamilyColumns:
+        """The columns of ``specs``, which must all be of one family."""
+        family = specs[0].family
+        names = FAMILY_PARAMS[family]
+        values = np.array([[spec.params[name] for name in names] for spec in specs])
+        return cls(family, {name: values[:, j : j + 1] for j, name in enumerate(names)})
 
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*$")
@@ -171,6 +199,17 @@ class RngState:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         if stream < 0:
             raise ValueError(f"stream must be non-negative, got {stream}")
+
+
+def _libm(log, x: np.ndarray, rows: np.ndarray, fill: float = math.nan) -> np.ndarray:
+    """``log`` (``math.log`` or ``math.log1p``) of x on ``rows``, ``fill`` on the others.
+
+    libm on Python floats, not np.log, whose SIMD kernels may differ from libm
+    in the last bit: the results do not depend on the host's numpy build.
+    """
+    logs = np.full(x.shape, fill)
+    logs[rows] = list(map(log, x[rows].tolist()))
+    return logs
 
 
 # --- numeric families ---------------------------------------------------------
@@ -226,13 +265,16 @@ def _t_ppf(df, p):
     den = np.where(central, v, w)
     # Only t(1) and t(2) reach a subnormal or 0 tail-form w: below p ~ 5e-155
     # and ~ 5e-309 (t(3) keeps w > 1e-216 down to p = 5e-324). The df test
-    # spares the sampler's other t-families the array check.
-    if df < 3 and (tiny := den < 2.0**-1022).any():
+    # (a bool for a float df, a bool column for a df column) spares the
+    # sampler's other t-families the array check.
+    small = df < 3
+    if (small if isinstance(small, bool) else small.any()) and (tiny := (den < 2.0**-1022) & small).any():
         # There df * (1 - w) / w overflows or divides by 0. x comes from the
         # leading tail term instead, min(p, 1 - p) = w^(df/2) / (df * B(df/2, 1/2))
         # with x^2 = df / w, exact to a relative O(w).
-        half_log_w = (math.log(df) + _special().betaln(half, 0.5) + np.log(smaller)) / df
-        x = np.where(tiny, math.sqrt(df) * np.exp(-half_log_w), np.sqrt(df * num / np.where(tiny, 1.0, den)))
+        log_df = _libm(math.log, np.broadcast_to(df, tiny.shape), tiny)
+        half_log_w = (log_df + _special().betaln(half, 0.5) + np.log(smaller)) / df
+        x = np.where(tiny, np.sqrt(df) * np.exp(-half_log_w), np.sqrt(df * num / np.where(tiny, 1.0, den)))
     else:
         x = np.sqrt(df * num / den)
     return np.copysign(x, d)  # d < 0 iff p < 1/2; +0.0 at 1/2
@@ -240,21 +282,40 @@ def _t_ppf(df, p):
 
 # --- vectorized CDF / quantile dispatch --------------------------------------
 
+def _power(x, exponent):
+    """``np.power(x, exponent)`` for a float exponent or an (n, 1) exponent column.
+
+    A float exponent of -1, 0.5 or 2 takes a fast path in np.power (1/x,
+    sqrt(x) and x*x in numpy 2), whose last bit may differ from that of the
+    pow kernel that a column takes on every row. So the rows of a column
+    with one of those exponents are raised again with a float exponent: row
+    i of the result is what np.power gives for row i's float exponent.
+    """
+    out = np.power(x, exponent)
+    if isinstance(exponent, float):
+        return out
+    for i, value in enumerate(exponent[:, 0].tolist()):
+        if value in (-1.0, 0.5, 2.0):
+            out[i] = np.power(np.broadcast_to(x, out.shape)[i], value)
+    return out
+
+
 def _power_in_sigma_units(dx, sigma, power):
     # max(dx / sigma, 0) ** power. Where dx / sigma overflows (sigma < 1, dx
     # finite), it is dx ** power * sigma ** -power, evaluated through logs.
+    # With sigma >= 1, z overflows only where dx does, and out is already right.
     z = np.maximum(dx / sigma, 0.0)
-    out = np.power(z, power)
-    if sigma < 1.0:  # else z overflows only where dx does, and out is already right
-        over = z == math.inf
-        if np.count_nonzero(over):  # cheaper than over.any() on a numpy scalar
-            out = np.where(over, np.exp(power * (np.log(dx) - math.log(sigma))), out)
+    out = _power(z, power)
+    over = (z == math.inf) & (sigma < 1.0)
+    if np.count_nonzero(over):  # cheaper than over.any() on a numpy scalar
+        log_sigma = _libm(math.log, np.broadcast_to(sigma, over.shape), over)
+        out = np.where(over, np.exp(power * (np.log(dx) - log_sigma)), out)
     return out
 
 
 # np.errstate as a decorator costs about half of a `with` block per call
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
+def _cdf_array(spec: DistributionSpec | FamilyColumns, x) -> np.ndarray:
     x = np.asarray(x, float)
     p = spec.params
     family = spec.family
@@ -265,7 +326,7 @@ def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
     if family == "gamma":
         return _special().gammainc(p["alpha"], p["beta"] * np.maximum(x, 0.0))
     if family == "normal":
-        return _special().ndtr((x - p["mu"]) / math.sqrt(p["sigma2"]))
+        return _special().ndtr((x - p["mu"]) / np.sqrt(p["sigma2"]))
     if family == "studentt":
         return _t_cdf(p["n"], x)
     if family == "pareto":
@@ -287,7 +348,7 @@ def _cdf_array(spec: DistributionSpec, x) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def _quantile_array(spec: DistributionSpec, prob) -> np.ndarray:
+def _quantile_array(spec: DistributionSpec | FamilyColumns, prob) -> np.ndarray:
     prob = np.asarray(prob, float)
     p = spec.params
     family = spec.family
@@ -298,20 +359,20 @@ def _quantile_array(spec: DistributionSpec, prob) -> np.ndarray:
     if family == "gamma":
         return _special().gammaincinv(p["alpha"], prob) / p["beta"]
     if family == "normal":
-        return p["mu"] + math.sqrt(p["sigma2"]) * _special().ndtri(prob)
+        return p["mu"] + np.sqrt(p["sigma2"]) * _special().ndtri(prob)
     if family == "studentt":
         return _t_ppf(p["n"], prob)
     if family == "pareto":
         # log1p(-p) / -alpha is -(log1p(-p) / alpha) bit for bit, one ufunc fewer
         return p["delta"] * np.exp(np.log1p(-prob) / -p["alpha"])
     if family == "frechet":
-        return p["mu"] + p["sigma"] * np.power(-np.log(prob), -1.0 / p["alpha"])
+        return p["mu"] + p["sigma"] * _power(-np.log(prob), -1.0 / p["alpha"])
     if family == "negweibull":
-        return p["mu"] - p["sigma"] * np.power(-np.log(prob), 1.0 / p["alpha"])
+        return p["mu"] - p["sigma"] * _power(-np.log(prob), 1.0 / p["alpha"])
     if family == "gumbel":
         return p["mu"] - p["gamma"] * np.log(-np.log(prob))
     if family == "hillhorror":
-        return np.power(1.0 - prob, -1.0 / p["alpha"]) * (-np.log1p(-prob))
+        return _power(1.0 - prob, -1.0 / p["alpha"]) * (-np.log1p(-prob))
     raise AssertionError(f"unhandled family {family}")
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import checked_int
+from .distributions import _libm, checked_int
 from .empirical import Sample, row_fence_characteristics
 
 _LOG2 = math.log(2.0)
@@ -101,17 +101,6 @@ def _mark(code: np.ndarray, failed: np.ndarray, reason: int) -> None:
     """Give ``reason`` to the rows that fail this check after passing every earlier one."""
     if np.count_nonzero(failed):  # most checks fail on no row
         code[(code == _VALID) & failed] = reason
-
-
-def _libm(log, x: np.ndarray, rows: np.ndarray, fill: float = math.nan) -> np.ndarray:
-    """``log`` (``math.log`` or ``math.log1p``) of x on ``rows``, ``fill`` on the others.
-
-    libm on Python floats, not np.log, whose SIMD kernels may differ from libm
-    in the last bit: the estimates do not depend on the host's numpy build.
-    """
-    logs = np.full(x.shape, fill)
-    logs[rows] = list(map(log, x[rows].tolist()))
-    return logs
 
 
 def _quotient_where(keep: np.ndarray, numerator, denominator: np.ndarray) -> np.ndarray:

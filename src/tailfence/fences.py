@@ -33,7 +33,7 @@ def fences_from_quartiles(
     The multipliers must be finite and satisfy 0 < inner <= outer so that
     outer_low <= inner_low <= q1 <= q3 <= inner_high <= outer_high.
     """
-    if not (0.0 < inner <= outer < math.inf):
+    if not valid_multipliers(inner, outer):
         raise ValueError(
             f"fence multipliers must be finite with 0 < inner <= outer, got {inner}, {outer}"
         )
@@ -52,11 +52,16 @@ def fences_from_quartiles(
     )
 
 
-def fence_pair(q1, q3, multiplier: float):
+def valid_multipliers(inner: float, outer: float) -> bool:
+    """Whether fence multipliers are finite with 0 < inner <= outer."""
+    return 0.0 < inner <= outer < math.inf
+
+
+def fence_pair(q1, q3, multiplier):
     """The fences ``(q1 - multiplier*iqr, q3 + multiplier*iqr)``, unchecked.
 
     Takes floats or arrays alike, so a matrix of quartiles gets the same
-    float steps as one sample's.
+    float steps as one sample's; an array of multipliers broadcasts too.
     """
     iqr = q3 - q1
     return q1 - multiplier * iqr, q3 + multiplier * iqr

@@ -6,7 +6,9 @@ CHANGES.md, and only then are these digests re-recorded.
 
 Each `simulate` config runs all ten methods at seed 42 and m = 30 over the
 default grids (n = 10..100 step 5, k = 2..99 at n = 100). `chars` runs one
-fixed spec list, every family at several shapes, at three multiplier pairs.
+fixed spec list, every family at several shapes, at three multiplier pairs,
+and a second list in which the families interleave, so rows out of input order
+would show.
 """
 
 import hashlib
@@ -80,6 +82,44 @@ GOLDEN_CHARS = {
     (2.0, 6.0): "99813b9bfd23675b7208351d7185924760413e292ea27670e793cb65ad8a2bc3",
 }
 
+# Families interleaved, two specs given twice (t(n=3) and
+# pareto(alpha=0.5,delta=2)), and gumbel, alone in its family, between two
+# runs of Pareto specs. A chars that returned its rows grouped by family would pass
+# GOLDEN_CHARS, whose families are contiguous, but not these.
+INTERLEAVED_CHARS_SPECS = [
+    "pareto(alpha=0.5,delta=2)",
+    "pareto(alpha=2.5,delta=1)",
+    "gumbel(mu=0,gamma=1)",
+    "pareto(alpha=10,delta=3)",
+    "pareto(alpha=100,delta=1)",
+    "t(n=3)",
+    "normal(mu=0,sigma2=1)",
+    "t(n=1)",
+    "exp(lambda=2)",
+    "t(n=3)",
+    "frechet(alpha=2,mu=0,sigma=0.5)",
+    "gamma(alpha=0.3,beta=1)",
+    "uniform(a=0,b=1)",
+    "negweibull(alpha=3,mu=0,sigma=2)",
+    "frechet(alpha=8,mu=1,sigma=2)",
+    "hillhorror(alpha=0.5)",
+    "gamma(alpha=5,beta=0.5)",
+    "pareto(alpha=0.5,delta=2)",
+    "hillhorror(alpha=100)",
+    "exp(lambda=0.01)",
+    "negweibull(alpha=10,mu=-1,sigma=0.5)",
+    "normal(mu=3,sigma2=0.25)",
+    "t(n=40)",
+    "uniform(a=-3,b=2.5)",
+    "frechet(alpha=0.2,mu=-1,sigma=3)",
+]
+
+GOLDEN_INTERLEAVED_CHARS = {
+    (1.5, 3.0): "e2e26b63e072a2150264371ceea3abdd89a3e84574fbb8562f034350c4bdd396",
+    (0.2, 0.25): "cf4184d7c304a69b0a5ee65fe053fbb358a6e88ad71ef9363d5dcf161188dfe9",
+    (2.0, 6.0): "2c543b1f9e23f70b7bdcccf2a3cf8e195530e8343d8e0852f356dccb53e232bb",
+}
+
 GOLDEN_TABLE1 = "35ee26d8891b8d6145eaf5715d19ab974eb2c4d95e521aa80daa919208261ade"
 
 
@@ -89,12 +129,22 @@ def _digest(argv, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _chars_digest(specs, inner, outer, path):
+    argv = ["chars", "--inner-fence", str(inner), "--outer-fence", str(outer)]
+    for spec in specs:
+        argv += ["--dist", spec]
+    return _digest(argv, path)
+
+
 @pytest.mark.parametrize(("inner", "outer"), list(GOLDEN_CHARS))
 def test_chars_output_bytes(inner, outer, tmp_path):
-    argv = ["chars", "--inner-fence", str(inner), "--outer-fence", str(outer)]
-    for spec in CHARS_SPECS:
-        argv += ["--dist", spec]
-    assert _digest(argv, tmp_path / "chars.csv") == GOLDEN_CHARS[inner, outer]
+    assert _chars_digest(CHARS_SPECS, inner, outer, tmp_path / "chars.csv") == GOLDEN_CHARS[inner, outer]
+
+
+@pytest.mark.parametrize(("inner", "outer"), list(GOLDEN_INTERLEAVED_CHARS))
+def test_interleaved_chars_output_bytes(inner, outer, tmp_path):
+    digest = _chars_digest(INTERLEAVED_CHARS_SPECS, inner, outer, tmp_path / "chars.csv")
+    assert digest == GOLDEN_INTERLEAVED_CHARS[inner, outer]
 
 
 def test_table1_output_bytes(tmp_path):

@@ -1,4 +1,11 @@
+import dataclasses
+import io
+import json
 import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +14,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import tailfence as tf
+from tailfence.cli import main
+from tailfence.tail_chars import characteristics_table
 
 LOG3 = math.log(3.0)
 LOG4 = math.log(4.0)
@@ -291,3 +300,136 @@ def test_gamma_left_tail_zero():
 def test_fence_overflowing_in_sigma_units(text, outer, side, exact, closed):
     got = chars(text, outer=outer, use_closed_forms=closed)
     assert getattr(got, side) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+# --- the batch route ------------------------------------------------------------
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+def _shapes(low, high):
+    # np.power takes a fast path at a float exponent of -1, 0.5 or 2, which
+    # the exponents 1/alpha, -1/alpha and +-alpha hit at some of these shapes
+    return st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]), _log_uniform(low, high))
+
+
+# Every family over wide shapes and scales, heavy and light tails alike.
+ANY_SPEC = st.one_of(
+    st.builds(lambda a, w: tf.DistributionSpec("uniform", {"a": a, "b": a + w}),
+              st.floats(-100.0, 100.0), _log_uniform(-3, 3)),
+    st.builds(lambda lam: tf.DistributionSpec("exponential", {"lambda": lam}), _log_uniform(-3, 3)),
+    st.builds(lambda a, b: tf.DistributionSpec("gamma", {"alpha": a, "beta": b}),
+              _shapes(-1.5, 2), _log_uniform(-2, 2)),
+    st.builds(lambda mu, s2: tf.DistributionSpec("normal", {"mu": mu, "sigma2": s2}),
+              st.floats(-100.0, 100.0), _log_uniform(-4, 4)),
+    st.builds(lambda n: tf.DistributionSpec("studentt", {"n": n}),
+              st.one_of(st.integers(1, 60), st.just(10**6))),
+    st.builds(lambda a, d: tf.DistributionSpec("pareto", {"alpha": a, "delta": d}),
+              _shapes(-1.2, 3), _log_uniform(-3, 3)),
+    *[st.builds(lambda a, mu, s, family=family:
+                tf.DistributionSpec(family, {"alpha": a, "mu": mu, "sigma": s}),
+                _shapes(-1.2, 2.5), st.floats(-10.0, 10.0), _log_uniform(-3, 3))
+      for family in ("frechet", "negweibull")],
+    st.builds(lambda mu, g: tf.DistributionSpec("gumbel", {"mu": mu, "gamma": g}),
+              st.floats(-10.0, 10.0), _log_uniform(-3, 3)),
+    st.builds(lambda a: tf.DistributionSpec("hillhorror", {"alpha": a}), _shapes(-1.2, 2.5)),
+)
+
+# Specs that fences rejects: quartiles not finite (one or both; fence
+# arithmetic on two infinite quartiles warns on inf - inf), quartiles equal,
+# and (at outer multipliers near 3 and above) outer fences not finite.
+BAD_SPECS = [tf.parse_spec(text) for text in (
+    "pareto(alpha=0.001,delta=1)",
+    "pareto(alpha=1e-4,delta=1)",
+    "pareto(alpha=7e28,delta=1)",
+    "pareto(alpha=0.001955,delta=1)",
+    "negweibull(alpha=1e30,mu=0,sigma=1)",
+)]
+
+
+@st.composite
+def spec_lists(draw):
+    """Specs of random families in random order, some given more than once, some rejected."""
+    specs = draw(st.lists(ANY_SPEC, min_size=1, max_size=16))
+    specs += draw(st.lists(st.sampled_from(specs), max_size=4))
+    specs = draw(st.permutations(specs))
+    for bad in draw(st.lists(st.sampled_from(BAD_SPECS), max_size=3)):
+        specs.insert(draw(st.integers(0, len(specs))), bad)
+    return specs
+
+
+def _hex(chars):
+    return [float.hex(v) for v in (chars.p_eL, chars.p_eR, chars.p_e2, chars.p_mL, chars.p_mR,
+                                   chars.p_m2, *dataclasses.astuple(chars.fences))]
+
+
+def _spec_text(spec):
+    """Spec text that parses back to ``spec`` exactly (str(spec) rounds to 12 digits)."""
+    return f"{spec.family}({','.join(f'{k}={v!r}' for k, v in spec.params.items())})"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    specs=spec_lists(),
+    multipliers=st.one_of(
+        st.sampled_from([(1.5, 3.0), (0.2, 0.25), (2.0, 6.0)]),
+        st.tuples(st.floats(0.05, 4.0), st.floats(1.0, 3.0)).map(lambda t: (t[0], t[0] * t[1])),
+    ),
+    closed=st.booleans(),
+)
+def test_batch_rows_equal_per_spec_results(specs, multipliers, closed):
+    inner, outer = multipliers
+    with warnings.catch_warnings():
+        # the batch must not warn where the per-spec route raises first
+        warnings.simplefilter("error")
+        expected, error = [], None
+        for spec in specs:
+            try:
+                expected.append(tf.characteristics(spec, inner, outer, closed))
+            except ValueError as exc:
+                error = str(exc)
+                break
+        if error is None:
+            rows = characteristics_table(specs, inner, outer, closed)
+            assert [_hex(row) for row in rows] == [_hex(row) for row in expected]
+            return
+        with pytest.raises(ValueError) as info:
+            characteristics_table(specs, inner, outer, closed)
+        assert str(info.value) == error
+        if not closed:
+            return  # chars always uses the closed forms
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "chars.csv"
+            argv = ["chars", "--inner-fence", repr(inner), "--outer-fence", repr(outer), "--out", str(out)]
+            for spec in specs:
+                argv += ["--dist", _spec_text(spec)]
+            stderr = io.StringIO()
+            with redirect_stderr(stderr):
+                assert main(argv) == 1
+            assert json.loads(stderr.getvalue()) == {"error": error}
+            assert not out.exists()
+
+
+def test_batch_reports_bad_multipliers_where_a_loop_would():
+    good, bad = tf.parse_spec("exp(lambda=1)"), BAD_SPECS[0]
+    with pytest.raises(ValueError, match="quartiles not finite"):
+        characteristics_table([bad, good], outer=-1.0)
+    with pytest.raises(ValueError, match="fence multipliers must be finite"):
+        characteristics_table([good, bad], outer=-1.0)
+    assert characteristics_table([], outer=-1.0) == []
+
+
+def test_batch_takes_the_overflow_branch_on_its_rows_only():
+    # The frechet and negweibull CDFs read a fence that overflows in sigma
+    # units through logs (libm for log(sigma)); in a family column that holds
+    # such a spec next to ordinary ones, each row still equals its 1-spec result.
+    specs = [tf.parse_spec(text) for text in (
+        "frechet(alpha=0.002,mu=0,sigma=0.001)", "frechet(alpha=2,mu=1,sigma=0.5)",
+        "negweibull(alpha=0.002,mu=0,sigma=0.001)", "negweibull(alpha=3,mu=0,sigma=2)",
+    )]
+    for closed in (True, False):
+        rows = characteristics_table(specs, outer=1e39, use_closed_forms=closed)
+        one_by_one = [tf.characteristics(s, outer=1e39, use_closed_forms=closed) for s in specs]
+        assert [_hex(row) for row in rows] == [_hex(row) for row in one_by_one]
+    assert rows[0].p_eR == pytest.approx(0.213677297655676, rel=1e-9)
