@@ -256,9 +256,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_chars_dists(argv):
+    """Take the repeated ``--dist`` values of a ``chars`` argv out in one pass.
+
+    argparse's option loop scans every option index once per option, which is
+    quadratic in the number of ``--dist`` flags on Python 3.10-3.12. Returns
+    the argv left for argparse and every ``--dist`` value in argv order, or
+    None if argparse must read argv as it is: it is not a ``chars`` argv, or
+    before a ``--`` it spells ``--dist`` some other way than ``--dist VALUE``
+    (VALUE not starting with '-') or ``--dist=VALUE``, such as ``--di`` or a
+    ``--dist`` whose value looks like an option. Taking only some spellings
+    out would reorder the specs.
+
+    The first ``--dist`` stays in argv, so argparse still runs its required
+    check and reports every other error itself. A later one is taken out only
+    if it directly follows another: argparse reads ``--dist VALUE`` as a whole,
+    so closing the gap changes nothing around it, while one that follows, say,
+    a bare ``--out`` must stay, or ``--out`` would take the token after it.
+    """
+    if not argv or argv[0] != "chars":
+        return None
+    kept, values = ["chars"], []
+    last_end = None  # index of the last token of the latest --dist
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            kept += argv[i:]
+            break
+        if token == "--dist":
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            values.append(argv[i + 1])
+            end = i + 1
+        elif token.startswith("--dist="):
+            values.append(token[len("--dist="):])
+            end = i
+        else:
+            head = token.partition("=")[0]
+            if len(head) > 2 and "--dist".startswith(head):
+                return None  # an abbreviation of --dist
+            kept.append(token)
+            i += 1
+            continue
+        if last_end != i - 1:
+            kept += argv[i:end + 1]
+        last_end = end
+        i = end + 1
+    return kept, values
+
+
+def _parse_args(argv):
+    """``parse_args``, with a ``chars`` argv's ``--dist`` values read in linear time."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    split = _split_chars_dists(argv)
+    if split is None:
+        return _build_parser().parse_args(argv)
+    kept, values = split
+    args = _build_parser().parse_args(kept)
+    args.dist = values
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         # a grid too large to draw can raise a MemoryError without a message

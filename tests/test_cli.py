@@ -188,6 +188,12 @@ def test_module_entry_point():
          "invalid grid '10:5:1'; need a <= b and step > 0"),
         (["simulate", "--dist", "exp(lambda=1)", "--k-grid", "2,x", "--out", "x"],
          "invalid grid '2,x'; expected a:b:step or comma-separated ints"),
+        (["chars"], "the following arguments are required: --dist"),
+        (["chars", "--dist", "A", "--dist"], "argument --dist: expected one argument"),
+        (["chars", "--dist", "A", "--dist", "B", "--bogus"], "unrecognized arguments: --bogus"),
+        (["chars", "--dist", "A", "--out", "--dist", "B", "C"], "argument --out: expected one argument"),
+        (["chars", "--dist", "A", "--dist", "B", "--", "--dist", "C"], "unrecognized arguments:"),
+        (["chars", "--dist", "A", "--dist", "B", "--o", "x"], "ambiguous option: --o could match"),
     ],
 )
 def test_usage_errors_are_one_json_line(argv, message, capsys):
@@ -332,3 +338,92 @@ def test_chars_equal_quartiles_is_one_error_line(tmp_path, capsys):
     out_path = tmp_path / "chars.csv"
     code, _, _ = run_cli(argv + ["--out", str(out_path)], capsys)
     assert code == 1 and not out_path.exists()
+
+
+# Tokens of a chars argv, every spelling that argparse maps to --dist among them.
+ARGV_TOKENS = [
+    "chars", "--dist", "--dist=X", "--d", "--di=X", "--dis", "--dist=",
+    "-1", "-.5", "-x", " -x", "A B", "--", "--out", "--o", "--ou",
+    "--inner-fence", "--outer-fence", "-h", "--bogus", "exp(lambda=1)", "t(n=4)", "2.5",
+]
+
+
+def parse_outcome(parse, argv):
+    """What parsing argv gives: the namespace, the usage error, or the exit and its stdout."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "args", vars(parse(argv))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def assert_parses_as_argparse(argv):
+    assert parse_outcome(cli._parse_args, argv) == \
+        parse_outcome(cli._build_parser().parse_args, argv), argv
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(
+    # --dist and its values drawn more often, so that runs of them meet every
+    # other token, a bare --out or --inner-fence among them
+    tokens=st.lists(st.sampled_from(ARGV_TOKENS) | st.sampled_from(["--dist", "--dist=X", "A"]),
+                    max_size=12),
+    after_chars=st.booleans(),
+    as_tuple=st.booleans(),
+)
+def test_chars_dist_scan_parses_as_argparse(tokens, after_chars, as_tuple):
+    argv = ["chars", *tokens] if after_chars else tokens
+    assert_parses_as_argparse(tuple(argv) if as_tuple else argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chars", "--dist", "A", "--out", "o", "--dist=B", "--inner-fence", "2",
+         "--dist", "C", "--dist=D", "--outer-fence", "4", "--dist", "E"],
+        ("chars", "--dist=A", "--dist", "B", "--dist=", "--dist", "A B"),
+        ["chars", "--dist", "A", "--di", "B", "--dist", "C"],
+        ["chars", "--dist", "A", "--dist=B", "--dis=C", "--dist", "D"],
+        ["chars", "--dist", "A", "--dist", "-1", "--dist", "-.5"],
+        ["chars", "--dist", "A", "--out", "--dist", "B", "C"],
+        ["chars", "--dist", "A", "--out", "--dist=B", "C"],
+        ["chars", "--inner-fence", "--dist", "A", "--dist", "B", "2"],
+        ["chars", "--dist", "A", "--dist", "B", "--", "--dist", "C"],
+        ["chars", "--dist", "A", "--dist", "B", "--bogus", "--dist", "C", "-h"],
+        ["chars", "--dist", "A", "--dist"],
+    ],
+)
+def test_chars_dist_scan_parses_as_argparse_interleaved(argv):
+    assert_parses_as_argparse(argv)
+
+
+def test_chars_hands_argparse_one_dist_for_any_number(tmp_path, monkeypatch):
+    # No timing: argparse's cost grows with the options it is given, and it is
+    # given one --dist however many there are.
+    pool = [form.format(s=s, t=t, n=n) for form in CHARS_FORMS
+            for s, t, n in (("0.5", "1", 1), ("2", "3", 4), ("3.7", "0.2", 30))]
+    specs = [pool[(7 * i) % len(pool)] for i in range(2000)]
+    parser = cli._build_parser()
+    parse = parser.parse_args
+    seen = []
+
+    def spy(args=None, namespace=None):
+        seen.append(list(args))
+        return parse(args, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    argv = ["chars"]
+    for spec in specs:
+        argv += ["--dist", spec]
+    out_path = tmp_path / "chars.csv"
+    assert main(argv + ["--out", str(out_path)]) == 0
+    (parsed,) = seen
+    assert parsed.count("--dist") == 1
+    alone = {}
+    for spec in pool:
+        assert main(["chars", "--dist", spec, "--out", str(out_path.with_suffix(".one"))]) == 0
+        alone[spec] = out_path.with_suffix(".one").read_text().splitlines()[1]
+    assert out_path.read_text().splitlines()[1:] == [alone[spec] for spec in specs]
