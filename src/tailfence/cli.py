@@ -309,12 +309,10 @@ def _split_chars_dists(argv):
 def _parse_args(argv):
     """``parse_args``, with a ``chars`` argv's ``--dist`` values read in linear time."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    split = _split_chars_dists(argv)
-    if split is None:
-        return _build_parser().parse_args(argv)
-    kept, values = split
+    kept, values = _split_chars_dists(argv) or (argv, None)
     args = _build_parser().parse_args(kept)
-    args.dist = values
+    if values:
+        args.dist = values
     return args
 
 
