@@ -1,4 +1,5 @@
-"""Byte oracle: sha256 of the `simulate`, `chars` and `table1` outputs.
+"""Byte oracle: sha256 of the `simulate`, `chars` and `table1` outputs, and
+the exact `estimate` lines.
 
 Every CSV and manifest byte must stay the same across engine changes. A
 deliberate byte change is versioned in the manifest and announced in
@@ -8,7 +9,8 @@ Each `simulate` config runs all ten methods at seed 42 and m = 30 over the
 default grids (n = 10..100 step 5, k = 2..99 at n = 100). `chars` runs one
 fixed spec list, every family at several shapes, at three multiplier pairs,
 and a second list in which the families interleave, so rows out of input order
-would show.
+would show. `estimate` runs each of the ten methods on one data file that the
+test writes itself: a header and 200 Pareto(1.5) quantiles, in a scrambled order.
 """
 
 import hashlib
@@ -149,3 +151,34 @@ def test_interleaved_chars_output_bytes(inner, outer, tmp_path):
 
 def test_table1_output_bytes(tmp_path):
     assert _digest(["table1"], tmp_path / "table1.csv") == GOLDEN_TABLE1
+
+
+# The Pareto(alpha=1.5) quantiles at (j + 0.5)/200, j = 37*i mod 200: no RNG,
+# and not in sorted order. hh_q rejects the data, and the new methods leave k empty.
+ESTIMATE_DATA = [(1.0 - ((37 * i % 200) + 0.5) / 200) ** (-1 / 1.5) for i in range(200)]
+
+GOLDEN_ESTIMATE = {
+    "par_n": "par_n,,1.50511734963,true,",
+    "par_q": "par_q,,1.4908624256,true,",
+    "fr_n": "fr_n,,1.48865164929,true,",
+    "fr_q": "fr_q,,2.13399327232,true,",
+    "hh_n": "hh_n,,3.37002970674,true,",
+    "hh_q": "hh_q,,-1.31470129672,false,family mismatch",
+    "hill": "hill,20,1.48888091145,true,",
+    "thill": "thill,20,1.44211486677,true,",
+    "pickands": "pickands,20,1.45081227437,true,",
+    "moment": "moment,20,1.73064416815,true,",
+}
+
+
+@pytest.mark.parametrize("method", list(GOLDEN_ESTIMATE))
+def test_estimate_output_lines(method, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("x\n" + "".join(f"{v!r}\n" for v in ESTIMATE_DATA))
+    argv = ["estimate", "--in", str(data), "--method", method, "--out", str(tmp_path / "estimate.csv")]
+    if GOLDEN_ESTIMATE[method].split(",")[1]:
+        argv += ["--k", "20"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    expected = f"method,k,alpha_hat,valid,reason\n{GOLDEN_ESTIMATE[method]}\n"
+    assert (tmp_path / "estimate.csv").read_text() == expected
