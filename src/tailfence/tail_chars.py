@@ -2,9 +2,12 @@
 
 p_eL / p_eR are the probabilities of falling beyond the outer Tukey fences
 (Q1 - 3*IQR and Q3 + 3*IQR by default); p_mL / p_mR cover the disjoint mild
-bands between the inner and outer fences. Families with tractable quartile
-algebra get hand-derived closed forms as fast paths, both tails from one
-routine; every family also has the generic CDF route, and the two must agree.
+bands between the inner and outer fences. All six are read from the CDF at
+the four fences. Where a family's quartile algebra gives a hand-derived
+closed form (both tails from one routine), it replaces the CDF's p_eL or
+p_eR: not to save time, but for exact values such as the exponential
+family's 1/108, with no ``1 - F`` cancellation in a thin tail. The two
+routes must agree.
 
 :func:`characteristics_table` evaluates a list of specs family by family:
 each family's parameters become per-spec columns, so the whole family takes
@@ -56,71 +59,14 @@ def fences(
     inner: float = DEFAULT_INNER,
     outer: float = DEFAULT_OUTER,
 ) -> Fences:
-    """Theoretical fences from the 0.25/0.75 quantiles; the 1-spec case of the batch route.
+    """Theoretical fences from the 0.25/0.75 quantiles: ``characteristics(spec, inner, outer).fences``.
 
     Raises ValueError when a quartile or an outer fence is not a finite
     float64, so no characteristic is ever computed from an infinite fence,
     and when the quartiles are equal in float64 (a huge shape rounds the
     quartile algebra away), so none is computed from a zero IQR.
     """
-    _, quartiles, points = _fence_table([spec], inner, outer)
-    return _fences_of(*quartiles[0].tolist(), *points[0].tolist())
-
-
-def _check_fences(spec: DistributionSpec, q1: float, q3: float, inner: float, outer: float) -> None:
-    """Raise the ValueError of :func:`fences` for ``spec`` with these quartiles, if any."""
-    if not (math.isfinite(q1) and math.isfinite(q3)):
-        raise ValueError(f"{spec}: quartiles not finite in float64 (q1={q1}, q3={q3})")
-    if q1 == q3:
-        raise ValueError(f"{spec}: quartiles equal in float64 (q1 = q3 = {q1})")
-    fen = fences_from_quartiles(q1, q3, inner, outer)  # checks the multipliers
-    if not (math.isfinite(fen.outer_low) and math.isfinite(fen.outer_high)):
-        raise ValueError(
-            f"{spec}: outer fences not finite in float64 at multiplier {outer} "
-            f"({fen.outer_low}, {fen.outer_high})"
-        )
-
-
-def _fence_table(specs: list[DistributionSpec], inner: float, outer: float):
-    """Quartiles and fences of ``specs``, one quantile call per family.
-
-    Returns each family's ``(rows, columns)``, with ``columns`` its
-    :class:`~tailfence.distributions.FamilyColumns`; the quartiles, a
-    (len(specs), 2) array; and the fences, a (len(specs), 4) array whose
-    row i is spec i's (outer_low, inner_low, inner_high, outer_high). Raises
-    the ValueError of :func:`fences` for the first spec that it rejects, as
-    a spec-by-spec loop would.
-    """
-    rows_of: dict[str, list[int]] = {}
-    for i, spec in enumerate(specs):
-        rows_of.setdefault(spec.family, []).append(i)
-    groups = [(rows, dist.FamilyColumns.of([specs[i] for i in rows])) for rows in rows_of.values()]
-    quartiles = np.empty((len(specs), 2))
-    for rows, columns in groups:
-        quartiles[rows] = dist._quantile_array(columns, (0.25, 0.75))
-    if valid_multipliers(inner, outer):
-        # Where a row's checks fail, its fences may be inf or NaN (inf - inf),
-        # as they are on Python floats; they are never used.
-        with np.errstate(over="ignore", invalid="ignore"):
-            low, high = fence_pair(quartiles[:, :1], quartiles[:, 1:], np.array([outer, inner]))
-        points = np.concatenate([low, high[:, ::-1]], axis=1)
-        # All four fences finite implies finite quartiles.
-        good = np.isfinite(points).all(axis=1) & (quartiles[:, 0] < quartiles[:, 1])
-        if good.all():
-            return groups, quartiles, points
-        first = int(np.argmin(good))
-    elif specs:
-        first = 0  # spec 0 reports bad multipliers, unless its quartiles fail first
-    else:
-        return groups, quartiles, np.empty((0, 4))
-    _check_fences(specs[first], *quartiles[first].tolist(), inner, outer)
-    raise AssertionError(f"{specs[first]}: fences rejected by the batch check alone")
-
-
-def _fences_of(q1: float, q3: float, outer_low: float, inner_low: float, inner_high: float,
-               outer_high: float) -> Fences:
-    return Fences(q1=q1, q3=q3, iqr=q3 - q1, inner_low=inner_low, inner_high=inner_high,
-                  outer_low=outer_low, outer_high=outer_high)
+    return characteristics(spec, inner, outer).fences
 
 
 def _or_inf(fn, *args) -> float:
@@ -230,11 +176,11 @@ def characteristics(
     """All six outlier probabilities for a distribution spec.
 
     The 1-spec case of :func:`characteristics_table`: one quantile call for
-    both quartiles, one closed-form dispatch for both tails, and one CDF
-    call at the four fences. A tail without a closed form is read from the
-    CDF. With ``use_closed_forms=False`` every probability is computed from
-    the CDF at the fences, which serves as the independent cross-check for
-    the closed-form fast paths.
+    both quartiles, one CDF call at the four fences, and one closed-form
+    dispatch for both tails, whose values replace the CDF's p_eL / p_eR
+    where they exist. With ``use_closed_forms=False`` every probability is
+    the CDF's, which serves as the independent cross-check for the closed
+    forms.
     """
     return characteristics_table([spec], inner, outer, use_closed_forms)[0]
 
@@ -250,19 +196,43 @@ def characteristics_table(
     All of a family's specs share one quantile call for their quartiles and
     one CDF call at their fences, with the parameters as per-spec columns;
     the closed forms run per spec. Row i equals ``characteristics(specs[i],
-    ...)`` bit for bit. A spec that :func:`fences` rejects raises its
+    ...)`` bit for bit. A rejected spec (see :func:`fences`) raises its
     ValueError, the first such spec's if there are several, as a
     spec-by-spec loop would; no warning comes before it.
     """
     specs = list(specs)
-    groups, quartiles, points = _fence_table(specs, inner, outer)
-    # Continuous catalog: P(X < t) = F(t), at (outer_low, inner_low, inner_high, outer_high).
+    rows_of: dict[str, list[int]] = {}
+    for i, spec in enumerate(specs):
+        rows_of.setdefault(spec.family, []).append(i)
+    groups = [(rows, dist.FamilyColumns.of([specs[i] for i in rows])) for rows in rows_of.values()]
+    quartiles = np.empty((len(specs), 2))
+    for rows, columns in groups:
+        quartiles[rows] = dist._quantile_array(columns, (0.25, 0.75))
+    # Row i: spec i's (outer_low, inner_low, inner_high, outer_high), inf or NaN
+    # (inf - inf) where the spec is rejected, as on Python floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, high = fence_pair(quartiles[:, :1], quartiles[:, 1:], np.array([outer, inner]))
+    points = np.concatenate([low, high[:, ::-1]], axis=1)
+    # Bad multipliers reject every row; finite fences imply finite quartiles.
+    rejected = ~(np.isfinite(points).all(axis=1) & (quartiles[:, 0] < quartiles[:, 1]))
+    rejected |= not valid_multipliers(inner, outer)
+    if rejected.any():
+        first = int(np.argmax(rejected))  # the row a spec-by-spec loop would stop at
+        spec, (q1, q3) = specs[first], quartiles[first].tolist()
+        if not (math.isfinite(q1) and math.isfinite(q3)):
+            raise ValueError(f"{spec}: quartiles not finite in float64 (q1={q1}, q3={q3})")
+        if q1 == q3:
+            raise ValueError(f"{spec}: quartiles equal in float64 (q1 = q3 = {q1})")
+        fen = fences_from_quartiles(q1, q3, inner, outer)  # checks the multipliers
+        raise ValueError(f"{spec}: outer fences not finite in float64 at multiplier {outer} "
+                         f"({fen.outer_low}, {fen.outer_high})")
+    # Continuous catalog: P(X < t) = F(t), at the four fences.
     below = np.empty((len(specs), 4))
     for rows, columns in groups:
         below[rows] = dist._cdf_array(columns, points[rows])
     out = []
-    for spec, (q1, q3), fence_row, (below_outer, below_inner, upto_inner, upto_outer) in zip(
-        specs, quartiles.tolist(), points.tolist(), below.tolist()
+    for spec, (q1, q3), (below_outer, below_inner, upto_inner, upto_outer) in zip(
+        specs, quartiles.tolist(), below.tolist()
     ):
         p_eL, p_eR = _closed_form_tails(spec, outer) if use_closed_forms else (None, None)
         if p_eL is None:
@@ -278,6 +248,6 @@ def characteristics_table(
             p_mL=p_mL,
             p_mR=p_mR,
             p_m2=p_mL + p_mR,
-            fences=_fences_of(q1, q3, *fence_row),
+            fences=fences_from_quartiles(q1, q3, inner, outer),
         ))
     return out

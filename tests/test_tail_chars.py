@@ -364,6 +364,14 @@ def _hex(chars):
                                    chars.p_m2, *dataclasses.astuple(chars.fences))]
 
 
+def _fences_or_error(spec, inner, outer):
+    """Float hex of ``fences(spec, inner, outer)``, or the text of its ValueError."""
+    try:
+        return [float.hex(v) for v in dataclasses.astuple(tf.fences(spec, inner, outer))]
+    except ValueError as exc:
+        return str(exc)
+
+
 def _spec_text(spec):
     """Spec text that parses back to ``spec`` exactly (str(spec) rounds to 12 digits)."""
     return f"{spec.family}({','.join(f'{k}={v!r}' for k, v in spec.params.items())})"
@@ -389,7 +397,10 @@ def test_batch_rows_equal_per_spec_results(specs, multipliers, closed):
                 expected.append(tf.characteristics(spec, inner, outer, closed))
             except ValueError as exc:
                 error = str(exc)
+                assert _fences_or_error(spec, inner, outer) == error
                 break
+            # fences() is characteristics(): the same bits, or the same error above
+            assert _fences_or_error(spec, inner, outer) == _hex(expected[-1])[6:]
         if error is None:
             rows = characteristics_table(specs, inner, outer, closed)
             assert [_hex(row) for row in rows] == [_hex(row) for row in expected]
@@ -417,6 +428,8 @@ def test_batch_reports_bad_multipliers_where_a_loop_would():
         characteristics_table([bad, good], outer=-1.0)
     with pytest.raises(ValueError, match="fence multipliers must be finite"):
         characteristics_table([good, bad], outer=-1.0)
+    with pytest.raises(ValueError, match="fence multipliers must be finite"):
+        tf.fences(good, outer=-1.0)
     assert characteristics_table([], outer=-1.0) == []
 
 
