@@ -21,8 +21,10 @@ from .distributions import DistributionSpec, parse_spec
 from .empirical import load_sample
 from .estimators import ALL_METHODS, CLASSICAL_METHODS, evaluate
 from .fences import DEFAULT_INNER, DEFAULT_OUTER
-from .montecarlo import DEFAULT_N_GRID, StudyConfig, _fmt, run_study, write_study_outputs
+from .montecarlo import DEFAULT_N_GRID, NUMBER_FORMAT, StudyConfig, _fmt, run_study, write_study_outputs
 from .tail_chars import (
+    _COLUMNS,
+    _characteristics_columns,
     characteristics,
     characteristics_table,
     closed_form_p_eR,
@@ -39,10 +41,10 @@ REFERENCE_T_TAIL_TABLE = (
     0.0012, 0.0008, 0.0006, 0.0004, 0.0003,
 )
 
-_CHARS_HEADER = (
-    "family", "params", "q1", "q3", "iqr", "outer_low", "outer_high",
-    "p_eL", "p_eR", "p_e2", "p_mL", "p_mR", "p_m2",
-)
+# A chars row: family, params, then the first eleven characteristics columns.
+_CHARS_NUMBERS = 11
+_CHARS_HEADER = ("family", "params", *_COLUMNS[:_CHARS_NUMBERS])
+_CHARS_ROW = ",".join([NUMBER_FORMAT] * _CHARS_NUMBERS)
 
 
 @contextmanager
@@ -71,23 +73,20 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 
 
 def cmd_chars(args) -> int:
-    # Every row is computed before the output is opened, so bad input leaves
-    # no partial CSV behind.
+    # The rows are formatted from the columns of one characteristics pass,
+    # one template per row, and the whole text goes out in one write after
+    # every row is computed, so bad input leaves no partial CSV behind.
     specs = [parse_spec(text) for text in args.dist]
-    table = characteristics_table(specs, inner=args.inner_fence, outer=args.outer_fence)
-    rows = []
-    for spec, chars in zip(specs, table):
-        fen = chars.fences
-        rows.append(
-            [spec.family, spec.param_text()]
-            + [_fmt(v) for v in (fen.q1, fen.q3, fen.iqr, fen.outer_low, fen.outer_high)]
-            + [_fmt(v) for v in (chars.p_eL, chars.p_eR, chars.p_e2,
-                                 chars.p_mL, chars.p_mR, chars.p_m2)]
-        )
+    columns = _characteristics_columns(specs, args.inner_fence, args.outer_fence, use_closed_forms=True)
+    lines = [",".join(_CHARS_HEADER)]
+    for spec, values in zip(specs, columns[:, :_CHARS_NUMBERS].tolist()):
+        params = spec.param_text()
+        # names, numbers and commas: csv's QUOTE_MINIMAL quotes it iff it holds a comma
+        if "," in params:
+            params = f'"{params}"'
+        lines.append(f"{spec.family},{params}," + _CHARS_ROW % tuple(values))
     with _open_out(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CHARS_HEADER)
-        writer.writerows(rows)
+        handle.write("\n".join(lines) + "\n")
     return 0
 
 

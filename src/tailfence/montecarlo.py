@@ -288,9 +288,14 @@ class StudyResult:
         return "\n".join(lines) + "\n"
 
 
+# The CSV number format: 12 significant digits. ``NUMBER_FORMAT % v`` is
+# ``f"{v:.12g}"`` for every float (tests/test_cli.py checks it).
+NUMBER_FORMAT = "%.12g"
+
+
 def _fmt(value: float | None) -> str:
     """CSV number format shared with the CLI; None is an empty field."""
-    return "" if value is None else f"{value:.12g}"
+    return "" if value is None else NUMBER_FORMAT % value
 
 
 def ProcessPoolExecutor(*args, **kwargs):

@@ -9,11 +9,15 @@ p_eR: not to save time, but for exact values such as the exponential
 family's 1/108, with no ``1 - F`` cancellation in a thin tail. The two
 routes must agree.
 
-:func:`characteristics_table` evaluates a list of specs family by family:
-each family's parameters become per-spec columns, so the whole family takes
-one quantile call for its quartiles and one CDF call at its fences. Only the
-closed forms run per spec. :func:`characteristics` and :func:`fences` are its
-1-spec cases, and each row equals its spec's 1-spec result bit for bit.
+One columnar core, ``_characteristics_columns``, evaluates a list of specs
+family by family: each family's parameters become per-spec columns, so the
+whole family takes one quantile call for its quartiles and one CDF call at
+its fences, and the fences and the six probabilities come out as float64
+columns, a row per spec. Only the closed forms run per spec.
+:func:`characteristics_table` builds its dataclasses from those columns and
+``tailfence chars`` formats its rows from them. :func:`characteristics` and
+:func:`fences` are the table's 1-spec cases, and each row equals its spec's
+1-spec result bit for bit.
 """
 
 from __future__ import annotations
@@ -193,14 +197,40 @@ def characteristics_table(
 ) -> list[TailCharacteristics]:
     """:func:`characteristics` of each spec, in the order given, evaluated family by family.
 
+    The rows of :func:`_characteristics_columns`, each as a
+    :class:`TailCharacteristics` with its :class:`Fences`. Row i equals
+    ``characteristics(specs[i], ...)`` bit for bit. A rejected spec (see
+    :func:`fences`) raises its ValueError, the first such spec's if there
+    are several, as a spec-by-spec loop would; no warning comes before it.
+    """
+    return [
+        TailCharacteristics(p_eL, p_eR, p_e2, p_mL, p_mR, p_m2,
+                            Fences(q1, q3, iqr, inner_low, inner_high, outer_low, outer_high))
+        for q1, q3, iqr, outer_low, outer_high, p_eL, p_eR, p_e2, p_mL, p_mR, p_m2, inner_low, inner_high
+        in _characteristics_columns(list(specs), inner, outer, use_closed_forms).tolist()
+    ]
+
+
+# The columns of _characteristics_columns, in order; `tailfence chars` prints the first eleven.
+_COLUMNS = (
+    "q1", "q3", "iqr", "outer_low", "outer_high",
+    "p_eL", "p_eR", "p_e2", "p_mL", "p_mR", "p_m2",
+    "inner_low", "inner_high",
+)
+
+
+def _characteristics_columns(
+    specs: list[DistributionSpec], inner: float, outer: float, use_closed_forms: bool
+) -> np.ndarray:
+    """The characteristics of ``specs`` as float64 columns: a row per spec, named by ``_COLUMNS``.
+
     All of a family's specs share one quantile call for their quartiles and
     one CDF call at their fences, with the parameters as per-spec columns;
-    the closed forms run per spec. Row i equals ``characteristics(specs[i],
-    ...)`` bit for bit. A rejected spec (see :func:`fences`) raises its
-    ValueError, the first such spec's if there are several, as a
-    spec-by-spec loop would; no warning comes before it.
+    the closed forms run per spec on Python floats. Every step is the IEEE
+    operation that one spec's Python floats would take, so row i is spec
+    i's 1-spec result bit for bit. Raises the first rejected spec's
+    ValueError, as :func:`characteristics_table` documents.
     """
-    specs = list(specs)
     rows_of: dict[str, list[int]] = {}
     for i, spec in enumerate(specs):
         rows_of.setdefault(spec.family, []).append(i)
@@ -226,28 +256,26 @@ def characteristics_table(
         fen = fences_from_quartiles(q1, q3, inner, outer)  # checks the multipliers
         raise ValueError(f"{spec}: outer fences not finite in float64 at multiplier {outer} "
                          f"({fen.outer_low}, {fen.outer_high})")
-    # Continuous catalog: P(X < t) = F(t), at the four fences.
-    below = np.empty((len(specs), 4))
+    # P(X beyond each fence): F at the two low fences and 1 - F at the two
+    # high ones, as the catalog is continuous.
+    beyond = np.empty((len(specs), 4))
     for rows, columns in groups:
-        below[rows] = dist._cdf_array(columns, points[rows])
-    out = []
-    for spec, (q1, q3), (below_outer, below_inner, upto_inner, upto_outer) in zip(
-        specs, quartiles.tolist(), below.tolist()
-    ):
-        p_eL, p_eR = _closed_form_tails(spec, outer) if use_closed_forms else (None, None)
-        if p_eL is None:
-            p_eL = below_outer
-        if p_eR is None:
-            p_eR = 1.0 - upto_outer
-        p_mL = max(0.0, below_inner - p_eL)
-        p_mR = max(0.0, 1.0 - upto_inner - p_eR)
-        out.append(TailCharacteristics(
-            p_eL=p_eL,
-            p_eR=p_eR,
-            p_e2=p_eL + p_eR,
-            p_mL=p_mL,
-            p_mR=p_mR,
-            p_m2=p_mL + p_mR,
-            fences=fences_from_quartiles(q1, q3, inner, outer),
-        ))
-    return out
+        beyond[rows] = dist._cdf_array(columns, points[rows])
+    beyond[:, 2:] = 1.0 - beyond[:, 2:]
+    if use_closed_forms:
+        # a closed form replaces the CDF's p_eL or p_eR only where it exists
+        for i, spec in enumerate(specs):
+            closed_low, closed_high = _closed_form_tails(spec, outer)
+            if closed_low is not None:
+                beyond[i, 0] = closed_low
+            if closed_high is not None:
+                beyond[i, 3] = closed_high
+    extreme = beyond[:, ::3]  # p_eL, p_eR
+    mild = beyond[:, 1:3] - extreme
+    # x if x > 0.0 else 0.0 is max(0.0, x) on Python floats, NaN and -0.0 included
+    mild = np.where(mild > 0.0, mild, 0.0)  # p_mL, p_mR
+    return np.concatenate([
+        quartiles, quartiles[:, 1:] - quartiles[:, :1], points[:, ::3],
+        extreme, extreme[:, :1] + extreme[:, 1:], mild, mild[:, :1] + mild[:, 1:],
+        points[:, 1:3],
+    ], axis=1)

@@ -3,17 +3,23 @@ import csv
 import io
 import json
 import math
+import os
+import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tailfence import cli
+import tailfence
+from tailfence import cli, montecarlo
 from tailfence.cli import main
+from tailfence.distributions import parse_spec
+from tailfence.tail_chars import characteristics_table
 
 
 def run_cli(argv, capsys):
@@ -164,10 +170,15 @@ def test_selftest_reports_known_discrepancy(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the tailfence this process imported, installed or not
+    env = dict(os.environ)
+    root = str(Path(tailfence.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tailfence.cli", "chars", "--dist", "exp(lambda=1)"],
         capture_output=True,
         text=True,
+        env=env,
         check=True,
     )
     assert proc.stdout.startswith("family,params,")
@@ -427,3 +438,127 @@ def test_chars_hands_argparse_one_dist_for_any_number(tmp_path, monkeypatch):
         assert main(["chars", "--dist", spec, "--out", str(out_path.with_suffix(".one"))]) == 0
         alone[spec] = out_path.with_suffix(".one").read_text().splitlines()[1]
     assert out_path.read_text().splitlines()[1:] == [alone[spec] for spec in specs]
+
+
+# --- the chars output and its number format ---------------------------------------
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FLOAT_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    999999999999.5, 9999999999995.0, 0.1, 1.0 / 3.0, 1e16, 1e-5, 1e-4, 123456789012.5,
+]
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(value=st.one_of(
+    st.sampled_from(FLOAT_EDGES),
+    st.floats(),  # ±0, ±inf, NaN and subnormals among them
+    st.integers(0, 2**64 - 1).map(_float_of_bits),  # every bit pattern, NaN payloads included
+))
+def test_fmt_number_format_is_the_format_spec(value):
+    assert montecarlo.NUMBER_FORMAT % value == f"{value:.12g}"
+    assert montecarlo._fmt(value) == f"{value:.12g}"
+    row = (value,) * 11
+    assert cli._CHARS_ROW % row == ",".join(f"{v:.12g}" for v in row)
+
+
+def test_fmt_none_is_an_empty_field():
+    assert montecarlo._fmt(None) == ""
+
+
+def reference_chars_csv(specs, inner, outer):
+    """The chars CSV as ``csv.writer`` wrote it from ``characteristics_table``, eleven fields a row."""
+    def fmt(value):
+        return f"{value:.12g}"
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["family", "params", "q1", "q3", "iqr", "outer_low", "outer_high",
+                     "p_eL", "p_eR", "p_e2", "p_mL", "p_mR", "p_m2"])
+    for spec, chars in zip(specs, characteristics_table(specs, inner, outer)):
+        fen = chars.fences
+        writer.writerow(
+            [spec.family, spec.param_text()]
+            + [fmt(v) for v in (fen.q1, fen.q3, fen.iqr, fen.outer_low, fen.outer_high)]
+            + [fmt(v) for v in (chars.p_eL, chars.p_eR, chars.p_e2, chars.p_mL, chars.p_mR, chars.p_m2)]
+        )
+    return out.getvalue()
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+CHARS_TEXTS = st.builds(
+    lambda form, log_s, log_t: form.format(s=repr(10.0**log_s), t=repr(10.0**log_t),
+                                           n=max(1, round(10.0**log_s))),
+    st.sampled_from(CHARS_FORMS), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    # families in random order, some specs given twice
+    texts=st.lists(CHARS_TEXTS, min_size=1, max_size=24).flatmap(
+        lambda texts: st.permutations(texts + texts[: len(texts) // 3])),
+    multipliers=st.sampled_from([(1.5, 3.0), (0.2, 0.25), (2.0, 6.0), (1.0, 1.0), (0.5, 40.0)]),
+)
+def test_chars_output_equals_csv_writer_reference(texts, multipliers):
+    inner, outer = multipliers
+    argv = ["chars", "--inner-fence", repr(inner), "--outer-fence", repr(outer)]
+    for text in texts:
+        argv += ["--dist", text]
+    code, out, err = run_quiet(argv)
+    specs = [parse_spec(text) for text in texts]
+    try:
+        expected = reference_chars_csv(specs, inner, outer)
+    except ValueError as exc:
+        assert (code, out, json.loads(err)) == (1, "", {"error": str(exc)}), argv
+        return
+    assert (code, err) == (0, ""), argv
+    assert out == expected, argv
+
+
+def test_chars_rejected_spec_mid_list_is_one_error_line(tmp_path, capsys):
+    argv = ["chars", "--dist", "exp(lambda=1)", "--dist", "gamma(alpha=2,beta=3)",
+            "--dist", "pareto(alpha=0.001,delta=1)", "--dist", "t(n=3)",
+            "--dist", "pareto(alpha=7e28,delta=1)"]
+    error = {"error": "pareto(alpha=0.001,delta=1): quartiles not finite in float64 "
+                      "(q1=8.6843358037739e+124, q3=inf)"}
+    for out_args in ([], ["--out", str(tmp_path / "chars.csv")]):
+        code, out, err = run_cli(argv + out_args, capsys)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == error
+    assert not (tmp_path / "chars.csv").exists()
+
+
+def test_chars_writes_its_text_once_to_a_write_only_handle(tmp_path, capsys, monkeypatch):
+    # The benchmark's tracer hands cmd_chars a handle with a write method only.
+    argv = ["chars", "--dist", "exp(lambda=1)", "--dist", "gamma(alpha=2,beta=3)", "--dist", "t(n=3)"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    writes = []
+
+    class WriteOnly:
+        __slots__ = ()
+
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    @contextlib.contextmanager
+    def open_out(path):
+        yield WriteOnly()
+
+    monkeypatch.setattr(cli, "_open_out", open_out)
+    assert run_cli(argv + ["--out", str(tmp_path / "chars.csv")], capsys) == (0, "", "")
+    assert writes == [expected]
+    assert not (tmp_path / "chars.csv").exists()

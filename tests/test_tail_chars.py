@@ -15,7 +15,8 @@ from scipy import stats
 
 import tailfence as tf
 from tailfence.cli import main
-from tailfence.tail_chars import characteristics_table
+from tailfence.fences import fences_from_quartiles
+from tailfence.tail_chars import _closed_form_tails, characteristics_table
 
 LOG3 = math.log(3.0)
 LOG4 = math.log(4.0)
@@ -446,3 +447,44 @@ def test_batch_takes_the_overflow_branch_on_its_rows_only():
         one_by_one = [tf.characteristics(s, outer=1e39, use_closed_forms=closed) for s in specs]
         assert [_hex(row) for row in rows] == [_hex(row) for row in one_by_one]
     assert rows[0].p_eR == pytest.approx(0.213677297655676, rel=1e-9)
+
+
+def _python_float_row(spec, inner, outer, closed):
+    """Hex of spec's characteristics on Python floats, as a spec-by-spec loop takes them; None if rejected.
+
+    The quartiles and the CDF come from one-spec family columns; everything
+    after them (fences, closed forms, ``1 - F``, ``max(0.0, x)``, sums) is
+    Python float arithmetic, independent of the batch's column steps.
+    """
+    columns = tf.distributions.FamilyColumns.of([spec])
+    q1, q3 = tf.distributions._quantile_array(columns, (0.25, 0.75))[0].tolist()
+    if not (math.isfinite(q1) and math.isfinite(q3)) or q1 == q3:
+        return None
+    fen = fences_from_quartiles(q1, q3, inner, outer)
+    if not (math.isfinite(fen.outer_low) and math.isfinite(fen.outer_high)):
+        return None
+    points = [[fen.outer_low, fen.inner_low, fen.inner_high, fen.outer_high]]
+    below_outer, below_inner, upto_inner, upto_outer = \
+        tf.distributions._cdf_array(columns, points)[0].tolist()
+    p_eL, p_eR = _closed_form_tails(spec, outer) if closed else (None, None)
+    p_eL = below_outer if p_eL is None else p_eL
+    p_eR = 1.0 - upto_outer if p_eR is None else p_eR
+    p_mL, p_mR = max(0.0, below_inner - p_eL), max(0.0, 1.0 - upto_inner - p_eR)
+    return [float.hex(v) for v in (p_eL, p_eR, p_eL + p_eR, p_mL, p_mR, p_mL + p_mR,
+                                   *dataclasses.astuple(fen))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    specs=spec_lists(),
+    multipliers=st.sampled_from([(1.5, 3.0), (0.2, 0.25), (2.0, 6.0), (1.0, 1.0)]),
+    closed=st.booleans(),
+)
+def test_batch_columns_take_the_python_float_steps(specs, multipliers, closed):
+    inner, outer = multipliers
+    expected = [_python_float_row(spec, inner, outer, closed) for spec in specs]
+    if None in expected:
+        with pytest.raises(ValueError):
+            characteristics_table(specs, inner, outer, closed)
+        return
+    assert [_hex(row) for row in characteristics_table(specs, inner, outer, closed)] == expected
