@@ -17,11 +17,11 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .distributions import DistributionSpec, parse_spec
+from .distributions import _PARAM_TEXT, FAMILY_PARAMS, NUMBER_FORMAT, DistributionSpec, parse_spec
 from .empirical import load_sample
 from .estimators import ALL_METHODS, CLASSICAL_METHODS, evaluate
 from .fences import DEFAULT_INNER, DEFAULT_OUTER
-from .montecarlo import DEFAULT_N_GRID, NUMBER_FORMAT, StudyConfig, _fmt, run_study, write_study_outputs
+from .montecarlo import DEFAULT_N_GRID, StudyConfig, _fmt, run_study, write_study_outputs
 from .tail_chars import (
     _COLUMNS,
     _characteristics_columns,
@@ -45,6 +45,15 @@ REFERENCE_T_TAIL_TABLE = (
 _CHARS_NUMBERS = 11
 _CHARS_HEADER = ("family", "params", *_COLUMNS[:_CHARS_NUMBERS])
 _CHARS_ROW = ",".join([NUMBER_FORMAT] * _CHARS_NUMBERS)
+# Per family, the whole row as one template, filled by the spec's parameter
+# values and then the row's numbers. The params field is names, numbers and
+# commas, so csv's QUOTE_MINIMAL quotes it iff the family has two or more
+# parameters (a %.12g number holds no comma).
+_CHARS_ROWS = {
+    family: f'{family},"{_PARAM_TEXT[family]}",{_CHARS_ROW}' if len(names) > 1
+    else f"{family},{_PARAM_TEXT[family]},{_CHARS_ROW}"
+    for family, names in FAMILY_PARAMS.items()
+}
 
 
 @contextmanager
@@ -74,17 +83,14 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 
 def cmd_chars(args) -> int:
     # The rows are formatted from the columns of one characteristics pass,
-    # one template per row, and the whole text goes out in one write after
-    # every row is computed, so bad input leaves no partial CSV behind.
+    # each in one % format of its family's template, and the whole text goes
+    # out in one write after every row is computed, so bad input leaves no
+    # partial CSV behind.
     specs = [parse_spec(text) for text in args.dist]
     columns = _characteristics_columns(specs, args.inner_fence, args.outer_fence, use_closed_forms=True)
     lines = [",".join(_CHARS_HEADER)]
     for spec, values in zip(specs, columns[:, :_CHARS_NUMBERS].tolist()):
-        params = spec.param_text()
-        # names, numbers and commas: csv's QUOTE_MINIMAL quotes it iff it holds a comma
-        if "," in params:
-            params = f'"{params}"'
-        lines.append(f"{spec.family},{params}," + _CHARS_ROW % tuple(values))
+        lines.append(_CHARS_ROWS[spec.family] % (*spec.params.values(), *values))
     with _open_out(args.out) as handle:
         handle.write("\n".join(lines) + "\n")
     return 0

@@ -35,6 +35,7 @@ import functools
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,16 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "negweibull": ("alpha", "mu", "sigma"),
     "gumbel": ("mu", "gamma"),
     "hillhorror": ("alpha",),
+}
+
+# The number format of every CSV: 12 significant digits. ``NUMBER_FORMAT % v``
+# is ``f"{v:.12g}"`` for every float (tests/test_cli.py checks it).
+NUMBER_FORMAT = "%.12g"
+
+# Per family, the ``%`` template of ``DistributionSpec.param_text``: its
+# parameters' values, in the family's order, fill it.
+_PARAM_TEXT = {
+    family: ",".join(f"{name}={NUMBER_FORMAT}" for name in names) for family, names in FAMILY_PARAMS.items()
 }
 
 _ALIASES = {
@@ -101,37 +112,47 @@ class DistributionSpec:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        name = self.family.strip().lower() if isinstance(self.family, str) else None
+        # Each of the family's names is looked up once, and a plain float
+        # (parse_spec gives nothing else) skips the type check and float().
+        family, given = self.family, self.params
+        name = family.strip().lower() if isinstance(family, str) else None
         name = _ALIASES.get(name, name)
-        if name not in FAMILY_PARAMS:
-            raise ValueError(f"unknown family {self.family!r}")
-        expected = FAMILY_PARAMS[name]
-        try:
-            given = dict(self.params)
-        except (TypeError, ValueError):
-            raise ValueError(f"{name}: params must be a mapping of names to numbers, got {self.params!r}") from None
-        for key in given:
-            if key not in expected:
-                raise ValueError(f"unknown parameter {key!r} for family {name}")
-        missing = [key for key in expected if key not in given]
-        if missing:
-            raise ValueError(f"{name}: missing parameter {missing[0]!r}")
+        expected = FAMILY_PARAMS.get(name)
+        if expected is None:
+            raise ValueError(f"unknown family {family!r}")
+        if not (isinstance(given, dict) or isinstance(given, Mapping)):  # a dict skips the slower ABC check
+            raise ValueError(f"{name}: params must be a mapping of names to numbers, got {given!r}")
         params = {}
         for key in expected:
+            # `in` first: a lookup would fill in a defaultdict's or a Counter's missing key
+            if key not in given:
+                break
+            params[key] = given[key]
+        if len(params) != len(expected) or len(given) != len(expected):
+            for key in given:
+                if key not in expected:
+                    raise ValueError(f"unknown parameter {key!r} for family {name}")
+            missing = [key for key in expected if key not in given]
+            raise ValueError(f"{name}: missing parameter {missing[0]!r}")
+        for key, value in params.items():
+            if type(value) is float:
+                continue
             try:
                 # a flag given as a number is a mistake, and float() would parse text
-                if isinstance(given[key], (bool, np.bool_, str, bytes, bytearray, memoryview)):
+                if isinstance(value, (bool, np.bool_, str, bytes, bytearray, memoryview)):
                     raise TypeError
-                params[key] = float(given[key])
+                params[key] = float(value)
             except (TypeError, ValueError):
-                raise ValueError(f"{name}: parameter {key} must be a number, got {given[key]!r}") from None
+                raise ValueError(f"{name}: parameter {key} must be a number, got {value!r}") from None
         _validate_params(name, params)
-        object.__setattr__(self, "family", name)
-        object.__setattr__(self, "params", params)
+        # a frozen instance's fields, written past its __setattr__ (4x cheaper than object.__setattr__)
+        fields = self.__dict__
+        fields["family"] = name
+        fields["params"] = params
 
     def param_text(self) -> str:
         """The parameters as ``name=value,...``, each value to 12 significant digits."""
-        return ",".join(f"{k}={v:.12g}" for k, v in self.params.items())
+        return _PARAM_TEXT[self.family] % tuple(self.params.values())
 
     def __str__(self) -> str:
         return f"{self.family}({self.param_text()})"
@@ -166,15 +187,16 @@ def parse_spec(text: str) -> DistributionSpec:
     match = _SPEC_RE.match(text)
     if not match:
         raise ValueError(f"cannot parse distribution spec {text!r}; expected family(name=value,...)")
-    family, body = match.group(1), match.group(2)
+    family, body = match.groups()
     params: dict[str, float] = {}
     if body:
         for token in body.split(","):
-            if "=" not in token:
+            key, equals, raw = token.partition("=")
+            if not equals:
                 raise ValueError(f"cannot parse parameter {token.strip()!r}; expected name=value")
-            key, _, raw = token.partition("=")
             key = key.strip().lower()
             try:
+                # not float(raw): float() refuses the separators \x1c-\x1f that strip() removes
                 value = float(raw.strip())
             except ValueError:
                 raise ValueError(f"invalid number {raw.strip()!r} for parameter {key!r}") from None

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from .distributions import DistributionSpec, RngState, checked_int
+from .distributions import NUMBER_FORMAT, DistributionSpec, RngState, checked_int
 from .empirical import Sample, row_quantiles
 # evaluate is not called here; the benchmark's tracer wraps this binding
 from .estimators import (ALL_METHODS, CLASSICAL_METHODS, NEW_METHODS, evaluate, finish_rows,  # noqa: F401
@@ -286,11 +286,6 @@ class StudyResult:
                 f"{_fmt(row.ci_high)},{_fmt(row.valid_fraction)},{self.config.m},{self.config.seed}"
             )
         return "\n".join(lines) + "\n"
-
-
-# The CSV number format: 12 significant digits. ``NUMBER_FORMAT % v`` is
-# ``f"{v:.12g}"`` for every float (tests/test_cli.py checks it).
-NUMBER_FORMAT = "%.12g"
 
 
 def _fmt(value: float | None) -> str:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import tailfence
-from tailfence import cli, montecarlo
+from tailfence import cli, distributions, montecarlo
 from tailfence.cli import main
 from tailfence.distributions import parse_spec
 from tailfence.tail_chars import characteristics_table
@@ -460,10 +460,26 @@ FLOAT_EDGES = [
     st.integers(0, 2**64 - 1).map(_float_of_bits),  # every bit pattern, NaN payloads included
 ))
 def test_fmt_number_format_is_the_format_spec(value):
-    assert montecarlo.NUMBER_FORMAT % value == f"{value:.12g}"
+    assert distributions.NUMBER_FORMAT % value == f"{value:.12g}"
     assert montecarlo._fmt(value) == f"{value:.12g}"
     row = (value,) * 11
     assert cli._CHARS_ROW % row == ",".join(f"{v:.12g}" for v in row)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(sorted(distributions.FAMILY_PARAMS)),
+    values=st.lists(st.floats(), min_size=3, max_size=3),
+    numbers=st.lists(st.floats(), min_size=11, max_size=11),
+)
+def test_fmt_param_and_chars_row_templates(family, values, numbers):
+    params = dict(zip(distributions.FAMILY_PARAMS[family], values))
+    text = ",".join(f"{k}={v:.12g}" for k, v in params.items())
+    assert distributions._PARAM_TEXT[family] % tuple(params.values()) == text
+    # csv's QUOTE_MINIMAL quotes the params field iff it holds a comma
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([family, text] + [f"{v:.12g}" for v in numbers])
+    assert cli._CHARS_ROWS[family] % (*params.values(), *numbers) == out.getvalue()
 
 
 def test_fmt_none_is_an_empty_field():
@@ -482,7 +498,7 @@ def reference_chars_csv(specs, inner, outer):
     for spec, chars in zip(specs, characteristics_table(specs, inner, outer)):
         fen = chars.fences
         writer.writerow(
-            [spec.family, spec.param_text()]
+            [spec.family, ",".join(f"{k}={fmt(v)}" for k, v in spec.params.items())]
             + [fmt(v) for v in (fen.q1, fen.q3, fen.iqr, fen.outer_low, fen.outer_high)]
             + [fmt(v) for v in (chars.p_eL, chars.p_eR, chars.p_e2, chars.p_mL, chars.p_mR, chars.p_m2)]
         )

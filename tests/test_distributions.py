@@ -68,10 +68,14 @@ ALL_SPECS = [
         ("studentt", {"n": np.bytes_(b"2")}),
         ("pareto", {"alpha": bytearray(b"0.5"), "delta": 1}),
         ("pareto", {"alpha": memoryview(b"0.5"), "delta": 1}),
+        # params that dict() would take but that are not a mapping
+        ("exp", [("lambda", 1.0)]),
+        ("uniform", ["ab", "ba"]),
     ],
 )
 def test_invalid_parameters_rejected(family, params):
-    with pytest.raises(ValueError):
+    match = None if isinstance(params, dict) else "params must be a mapping of names to numbers"
+    with pytest.raises(ValueError, match=match):
         tf.DistributionSpec(family, params)
 
 

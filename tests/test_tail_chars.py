@@ -16,7 +16,7 @@ from scipy import stats
 import tailfence as tf
 from tailfence.cli import main
 from tailfence.fences import fences_from_quartiles
-from tailfence.tail_chars import _closed_form_tails, characteristics_table
+from tailfence.tail_chars import _COLUMNS, _characteristics_columns, _closed_form_tails, characteristics_table
 
 LOG3 = math.log(3.0)
 LOG4 = math.log(4.0)
@@ -488,3 +488,26 @@ def test_batch_columns_take_the_python_float_steps(specs, multipliers, closed):
             characteristics_table(specs, inner, outer, closed)
         return
     assert [_hex(row) for row in characteristics_table(specs, inner, outer, closed)] == expected
+
+
+def test_mild_bands_are_python_max_at_signed_zero_and_nan(monkeypatch):
+    # p_mL and p_mR are max(0.0, x) on Python floats: -0.0 and NaN give +0.0
+    # (np.maximum keeps NaN). No law of the catalog reaches either, so the
+    # CDF at the fences (outer_low, inner_low, inner_high, outer_high) is crafted.
+    crafted = [
+        [0.0, -0.0, 1.0, 1.0],  # p_mL = -0.0 - 0.0 = -0.0
+        [0.0, math.nan, 1.0, 1.0],  # p_mL NaN
+        [0.0, 0.5, math.nan, 1.0],  # p_mR NaN
+        [0.25, 0.125, 1.0, 0.5],  # both bands negative
+        [0.0, 0.25, 0.75, 1.0],  # both bands positive
+    ]
+    monkeypatch.setattr(tf.distributions, "_cdf_array", lambda columns, points: np.array(crafted))
+    # normal specs: one family, one CDF call, no closed form
+    specs = [tf.DistributionSpec("normal", {"mu": float(i), "sigma2": 1.0}) for i in range(len(crafted))]
+    columns = _characteristics_columns(specs, 1.5, 3.0, True)
+    mild = [_COLUMNS.index(name) for name in ("p_mL", "p_mR", "p_m2")]
+    for row, (below_outer, below_inner, upto_inner, upto_outer) in zip(columns[:, mild].tolist(), crafted):
+        p_mL = max(0.0, below_inner - below_outer)
+        p_mR = max(0.0, (1.0 - upto_inner) - (1.0 - upto_outer))
+        assert [float.hex(v) for v in row] == [float.hex(v) for v in (p_mL, p_mR, p_mL + p_mR)]
+    assert math.copysign(1.0, columns[0, mild[0]]) == 1.0  # +0.0, not the -0.0 difference
