@@ -31,10 +31,12 @@ first split, not with this module.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -104,12 +106,33 @@ def checked_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+class _Params(dict):
+    """A spec's validated parameters: a dict that refuses every change.
+
+    A dict, so ``json`` writes it and ``==`` compares it as before; unlike
+    ``types.MappingProxyType`` it hashes (by its items) and pickles.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("DistributionSpec params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _Params, (dict(self),)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Tagged family identifier plus validated parameter record."""
+    """Tagged family identifier plus validated, read-only parameter record."""
 
     family: str
-    params: dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         # Each of the family's names is looked up once, and a plain float
@@ -148,7 +171,7 @@ class DistributionSpec:
         # a frozen instance's fields, written past its __setattr__ (4x cheaper than object.__setattr__)
         fields = self.__dict__
         fields["family"] = name
-        fields["params"] = params
+        fields["params"] = _Params(params)
 
     def param_text(self) -> str:
         """The parameters as ``name=value,...``, each value to 12 significant digits."""
@@ -430,11 +453,18 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 # to uint64 under both the legacy and the NEP 50 rules; a numpy uint32 or
 # uint64 scalar never meets a Python int. test_distributions
 # pins the words to numpy's SeedSequence. A grid point slices its streams'
-# words out of the blocks once (_stream_words), and every PCG64, a grid
-# point's rows and a single sample's alike, is built from one stream's four
-# words by _generator.
+# words out of the blocks once (_stream_words).
+#
+# Seeding a PCG64 from four words takes its (state, inc) to a 128-bit value
+# that the words fix (_seeded_states), computed here for a whole block too
+# (_state_block). A draw call builds one PCG64 by _generator and, where
+# _state_layout found where that PCG64 keeps its (state, inc), writes each
+# row's seeded state there before drawing the row's words: a 32-byte copy
+# in place of a PCG64 build per row. Elsewhere each row's PCG64 is built
+# from its stream's four words by _generator, the reference path.
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -492,8 +522,8 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
     return seeds
 
 
-def _stream_words(seed: int, streams: range) -> np.ndarray:
-    """PCG64 seed words of consecutive streams: a (len(streams), 4) array.
+def _block_rows(per_block, seed: int, streams: range) -> np.ndarray:
+    """The rows of consecutive streams in the per-block arrays of ``per_block(seed, block)``.
 
     Sliced out of each hash block the range meets, so a range that crosses a
     block edge costs one slice per block, and a range inside one block is a
@@ -506,11 +536,63 @@ def _stream_words(seed: int, streams: range) -> np.ndarray:
     while first < stop:
         block, row = divmod(first, _BLOCK)
         take = min(stop - first, _BLOCK - row)
-        parts.append(_seed_block(seed, block)[row : row + take])
+        parts.append(per_block(seed, block)[row : row + take])
         first += take
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts) if parts else np.empty((0, 4), np.uint64)
+
+
+def _stream_words(seed: int, streams: range) -> np.ndarray:
+    """PCG64 seed words of consecutive streams: a (len(streams), 4) array."""
+    return _block_rows(_seed_block, seed, streams)
+
+
+# numpy's PCG64 (XSL-RR 128/64) multiplier, as its low and high 64-bit halves
+_PCG_MULT_LO, _PCG_MULT_HI = 0x4385DF649FCCF645, 0x2360ED051FC65DA4
+
+
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
+    middle = (low >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
+
+
+def _seeded_states(words: np.ndarray) -> np.ndarray:
+    """The (state, inc) of the PCG64 that each row of seed words seeds: an (n, 4) array.
+
+    Each row is (state lo, state hi, inc lo, inc hi) in 64-bit halves. numpy
+    seeds PCG64 with initstate = w0 * 2^64 + w1 and inc = 2 * (w2 * 2^64 + w3)
+    + 1, and steps twice around adding initstate, so the seeded state is
+    (inc + initstate) * MULT + inc mod 2^128. Every operand is a uint64
+    array or a Python int below 2^64, as in the stream hash; the uint64
+    sums wrap silently, and each carry is a comparison.
+    """
+    w0, w1, w2, w3 = words.T
+    inc_lo, inc_hi = w3 << 1 | 1, w2 << 1 | w3 >> 63
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < inc_lo)
+    product_lo = lo * _PCG_MULT_LO
+    product_hi = _mul_high(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    state_lo = product_lo + inc_lo
+    state_hi = product_hi + inc_hi + (state_lo < product_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _state_block(seed: int, block: int) -> np.ndarray:
+    """Seeded (state, inc) of streams block*1024 ... block*1024 + 1023 in PCG64 memory order: a read-only (1024, 4) array."""
+    states = np.ascontiguousarray(_seeded_states(_seed_block(seed, block))[:, list(_state_layout()[1])])
+    states.flags.writeable = False
+    return states
+
+
+def _stream_states(seed: int, streams: range) -> np.ndarray:
+    """Seeded (state, inc) of consecutive streams in PCG64 memory order: a (len(streams), 4) array."""
+    return _block_rows(_state_block, seed, streams)
 
 
 class _StreamSeed(np.random.bit_generator.ISeedSequence):
@@ -531,6 +613,61 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
 def _generator(words: np.ndarray) -> np.random.PCG64:
     """The PCG64 of one stream, from its four seed words (a row of ``_stream_words``)."""
     return np.random.PCG64(_StreamSeed(words))
+
+
+# the orders in which a PCG64 may keep the 64-bit halves of (state, inc):
+# (lo, hi) for a native 128-bit integer on a little-endian host, (hi, lo)
+# for numpy's emulated 128-bit struct
+_WORD_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
+
+
+def _read_words(address: int, count: int) -> list[int]:
+    """``count`` native 64-bit words at ``address``."""
+    return list((ctypes.c_uint64 * count).from_address(address))
+
+
+def _state_memory(address: int) -> memoryview:
+    """The 32 bytes at ``address`` as a writable byte view."""
+    return memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
+
+
+@functools.cache
+def _state_layout() -> tuple[int, tuple[int, ...]] | None:
+    """Where a PCG64 keeps its (state, inc): (offset from ``id``, word order), or None.
+
+    numpy documents ``PCG64.ctypes.state_address``, the address of the
+    generator's state struct, whose first field points to its (state, inc).
+    Each address is read only where it lies inside the generator object.
+    The four words found there must be the generator's documented
+    ``state`` in one of ``_WORD_ORDERS``, and once a second stream's
+    ``_seeded_states`` are written there, the generator must draw what
+    that stream's own PCG64 draws. Anything else, or an interpreter whose
+    ``id`` is not an address, gives None: each row then builds its own
+    PCG64. Run once per process; the cache is the function's own.
+    """
+    if sys.implementation.name != "cpython":
+        return None
+    words = _stream_words(0, range(2))
+    bitgen = _generator(words[0])
+    start = id(bitgen)
+    end = start + sys.getsizeof(bitgen)
+    address = bitgen.ctypes.state_address
+    if not start <= address <= end - 8:
+        return None
+    pointer = _read_words(address, 1)[0]
+    if not start <= pointer <= end - 32:
+        return None
+    seeded = bitgen.state["state"]
+    halves = [value >> shift & _MASK64 for value in (seeded["state"], seeded["inc"]) for shift in (0, 64)]
+    found = _read_words(pointer, 4)
+    order = next((order for order in _WORD_ORDERS if found == [halves[i] for i in order]), None)
+    if order is None:
+        return None
+    expected = _generator(words[1]).random_raw(8)
+    _state_memory(pointer)[:] = _seeded_states(words[1:])[0, list(order)].tobytes()
+    if not np.array_equal(bitgen.random_raw(8), expected):
+        return None
+    return pointer - start, order
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -604,11 +741,14 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
     """Per ``(streams, count)`` block, ``count`` draws per stream in draw order, as a (len(streams), count) matrix.
 
     ``sample`` is its one-block case. Each row's raw PCG64 words come from its
-    own stream, and the words of all the blocks' rows form one flat run: it is
-    mapped to uniforms once and inverse-transformed once (``_transform``), and
-    each block's matrix is its slice of the result.
+    own stream: one PCG64 per call, into which each row writes its stream's
+    seeded state (or, where ``_state_layout`` is None, a PCG64 per row). The
+    words of all the blocks' rows form one flat run: it is mapped to uniforms
+    once and inverse-transformed once (``_transform``), and each block's
+    matrix is its slice of the result. The PCG64 is the call's own, so
+    concurrent calls share no state.
     """
-    raw, shapes = [], []
+    layout, generator, raw, shapes = _state_layout(), None, [], []
     for streams, count in blocks:
         count = checked_int(count, "count")
         if count < 1:
@@ -616,9 +756,19 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
         if not isinstance(streams, range):
             raise ValueError(f"streams must be a range of consecutive streams, got {streams!r}")
         RngState(seed, streams.start)  # validates the seed and the first stream
-        # one array per row, joined once below: cheaper than copying each into a preallocated run
-        raw += [_generator(words).random_raw(count) for words in _stream_words(seed, streams)]
         shapes.append((len(streams), count))
+        if layout is None:
+            # one array per row, joined once below: cheaper than copying each into a preallocated run
+            raw += [_generator(words).random_raw(count) for words in _stream_words(seed, streams)]
+            continue
+        states = _stream_states(seed, streams).tobytes()
+        if states and generator is None:
+            # any PCG64 serves, since every row (the first too) writes its state into it
+            generator = _generator(_stream_words(seed, streams)[0])
+            memory, draw = _state_memory(id(generator) + layout[0]), generator.random_raw
+        for row in range(0, len(states), 32):
+            memory[:] = states[row : row + 32]
+            raw.append(draw(count))
     draws = _transform(spec, _uniform_open(np.concatenate(raw) if raw else np.empty(0, np.uint64)))
     matrices, start = [], 0
     for rows, count in shapes:

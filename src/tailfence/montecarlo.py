@@ -16,7 +16,8 @@ one ``distributions.sample_blocks`` call each. It gives each point its m
 replicates as an (m, n) matrix of sorted rows, row r equal to
 ``sample(spec, RngState(seed, g*m + r), n).sorted``: the streams' PCG64
 seed words are sliced out of their hash blocks once, each row's raw words
-come from its own stream's PCG64, and the batch's words are mapped to
+come from its own stream (one PCG64 per call, into which each row writes its
+stream's seeded state), and the batch's words are mapped to
 uniforms and inverse-transformed in one pass (split over threads for gamma
 and Student-t).
 

@@ -1,5 +1,11 @@
+import copy as copy_module
+import dataclasses
+import json
 import math
+import pickle
+import sys
 import threading
+import types
 from unittest import mock
 
 import numpy as np
@@ -92,6 +98,34 @@ def test_aliases_canonicalized():
     assert tf.DistributionSpec("exp", {"lambda": 1.0}).family == "exponential"
     assert tf.DistributionSpec("t", {"n": 3}).family == "studentt"
     assert tf.DistributionSpec("hh", {"alpha": 1.0}).family == "hillhorror"
+
+
+def test_spec_params_are_read_only_hashable_and_picklable():
+    spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
+    changes = [
+        lambda p: p.__setitem__("alpha", -1.0), lambda p: p.__delitem__("alpha"), lambda p: p.pop("alpha"),
+        lambda p: p.popitem(), lambda p: p.clear(), lambda p: p.setdefault("x", 1.0),
+        lambda p: p.update(alpha=-1.0), lambda p: p.__ior__({"alpha": -1.0}),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="read-only"):
+            change(spec.params)
+    with pytest.raises(TypeError, match="read-only"):
+        spec.params["alpha"] = -1.0
+    assert spec.params == {"alpha": 0.5, "delta": 1.0} and str(spec) == "pareto(alpha=0.5,delta=1)"
+    assert repr(spec) == "DistributionSpec(family='pareto', params={'alpha': 0.5, 'delta': 1.0})"
+    same = tf.DistributionSpec("pareto", {"delta": 1, "alpha": 0.5})
+    assert same == spec and hash(same) == hash(spec) and len({spec, same, tf.parse_spec("t(n=4)")}) == 2
+    for copy in (pickle.loads(pickle.dumps(spec)), copy_module.deepcopy(spec), copy_module.copy(spec)):
+        assert copy == spec and type(copy.params) is type(spec.params) and str(copy) == str(spec)
+        with pytest.raises(TypeError, match="read-only"):
+            copy.params["alpha"] = 2.0
+    assert json.dumps(spec.params, sort_keys=True) == '{"alpha": 0.5, "delta": 1.0}'
+    assert dataclasses.asdict(spec) == {"family": "pareto", "params": {"alpha": 0.5, "delta": 1.0}}
+    # a changed spec is a new, validated spec
+    assert str(dataclasses.replace(spec, params={**spec.params, "alpha": 2})) == "pareto(alpha=2,delta=1)"
+    with pytest.raises(ValueError, match="alpha > 0"):
+        dataclasses.replace(spec, params={**spec.params, "alpha": -1.0})
 
 
 def test_parse_spec_round_trip():
@@ -537,13 +571,40 @@ def _top_draw_generator():
     return _pcg64_emitting(2**64 - 1)
 
 
-def test_top_integer_draw_stays_below_one(monkeypatch):
+DRAW_PATHS = ["state_write", "fallback"]
+
+
+def _inject_top_draws(monkeypatch, path):
+    """Make every row's first raw word 2^64 - 1, at the state source of the draw path.
+
+    The state-write path writes each row's seeded state from ``_stream_states``
+    into its one PCG64; the fallback, forced by a None ``_state_layout``,
+    builds each row's PCG64 by ``_generator``.
+    """
+    if path == "fallback":
+        monkeypatch.setattr(distributions, "_state_layout", lambda: None)
+        monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
+        return
+    layout = distributions._state_layout()
+    if layout is None:
+        pytest.skip("this interpreter's PCG64 takes the fallback")
+    halves = _state_of(_top_draw_generator())
+    row = np.array([halves[i] for i in layout[1]], dtype=np.uint64)
+    monkeypatch.setattr(distributions, "_stream_states", lambda seed, streams: np.tile(row, (len(streams), 1)))
+
+
+@pytest.mark.parametrize("path", DRAW_PATHS)
+def test_top_integer_draw_stays_below_one(path, monkeypatch):
     assert _top_draw_generator().random_raw(1)[0] == 2**64 - 1
     assert _uniform_open(_top_draw_generator().random_raw(1))[0] == 1.0 - 2.0**-53
-    monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
+    _inject_top_draws(monkeypatch, path)
     for text in ("pareto(alpha=1,delta=1)", "exp(lambda=1)", "hillhorror(alpha=0.5)",
                  "frechet(alpha=2,mu=0,sigma=1)"):
-        assert np.isfinite(tf.sample(tf.parse_spec(text), tf.RngState(1, 0), 1).values).all()
+        spec = tf.parse_spec(text)
+        values = tf.sample(spec, tf.RngState(1, 0), 1).values
+        # the injected word was drawn: the sample is the quantile of the top uniform
+        top = distributions._quantile_array(spec, np.array([1.0 - 2.0**-53]))
+        assert values.tobytes() == top.tobytes() and np.isfinite(values).all()
 
 
 def _uniform_from_raw_words(words):
@@ -591,8 +652,136 @@ def test_stream_seed_matches_numpy_seed_sequence(seed):
         block[0, 0] = 0
 
 
-def test_sample_rejects_non_finite_draws(monkeypatch):
-    monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
+def _state_of(bitgen):
+    """A PCG64's (state, inc) as (state lo, state hi, inc lo, inc hi), from numpy's documented ``state``."""
+    state = bitgen.state["state"]
+    return [value >> shift & (2**64 - 1) for value in (state["state"], state["inc"]) for shift in (0, 64)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1])
+def test_seeded_states_match_numpy_pcg64(seed):
+    # Block edges, streams of one to four 32-bit words, and streams >= 2^64.
+    streams = [0, 1, 1023, 1024, 2047, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1023, 10**30]
+    for stream in streams:
+        numpy_state = _state_of(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+        words = distributions._stream_words(seed, range(stream, stream + 1))
+        assert distributions._seeded_states(words).tolist() == [numpy_state], stream
+    layout = distributions._state_layout()
+    if layout is not None:  # the cached blocks hold the same states in the generator's word order
+        block = distributions._state_block(seed, 1)
+        assert block.shape == (1024, 4) and block.dtype == np.uint64 and block.flags.c_contiguous
+        assert block.tolist() == distributions._seeded_states(distributions._seed_block(seed, 1))[:, list(layout[1])].tolist()
+        assert distributions._stream_states(seed, range(1000, 1030)).tolist() == np.concatenate(
+            [distributions._state_block(seed, 0)[1000:], block[:6]]).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0
+
+
+# 64-bit words that make the 128-bit sums and the 32-bit limb products carry
+EDGE_WORDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2**32, 2**64 - 2, 2**64 - 1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(EDGE_WORDS, st.integers(0, 2**64 - 1)), min_size=4, max_size=4))
+def test_seeded_states_match_numpy_on_any_words_property(words):
+    words = np.array([words], dtype=np.uint64)
+    with np.errstate(all="raise"):
+        states = distributions._seeded_states(words)
+    assert states.dtype == np.uint64
+    assert states.tolist() == [_state_of(distributions._generator(words[0]))]
+
+
+class _FakeBitGenerator:
+    """Stands in for a PCG64 whose state struct lies elsewhere."""
+
+    def __init__(self, address):
+        self.ctypes = mock.Mock(state_address=address)
+
+
+def test_state_layout_refuses_out_of_object_addresses_without_reading_them(monkeypatch):
+    reads = []
+    monkeypatch.setattr(distributions, "_read_words", lambda address, count: reads.append(address) or [0] * count)
+    probe = distributions._state_layout.__wrapped__
+    # the state struct's address outside the generator object: nothing is read
+    for address in (0, id(monkeypatch)):
+        monkeypatch.setattr(distributions, "_generator", lambda words, address=address: _FakeBitGenerator(address))
+        assert probe() is None and reads == []
+    monkeypatch.undo()
+    # the struct inside it, but its pointer to (state, inc) outside: only the pointer is read
+    bitgen = distributions._generator(distributions._stream_words(0, range(1))[0])
+    end = id(bitgen) + sys.getsizeof(bitgen)
+    inside = bitgen.ctypes.state_address
+    for pointer in (0, id(bitgen) - 8, end - 31, end, 2**64 - 1):
+        reads.clear()
+        monkeypatch.setattr(distributions, "_read_words",
+                            lambda address, count, pointer=pointer: reads.append(address) or [pointer])
+        monkeypatch.setattr(distributions, "_generator", lambda words: bitgen)
+        assert probe() is None and reads == [inside], pointer
+
+
+def test_state_layout_refuses_a_mismatched_layout_without_writing(monkeypatch):
+    probe = distributions._state_layout.__wrapped__
+    real_read, writes = distributions._read_words, []
+    monkeypatch.setattr(distributions, "_state_memory", lambda address: writes.append(address))
+    for change in (lambda words: words[::-1], lambda words: [words[0] ^ 1, *words[1:]],
+                   lambda words: [words[2], words[3], words[0], words[1]]):
+        monkeypatch.setattr(distributions, "_read_words",
+                            lambda address, count, change=change: (real_read(address, count) if count == 1
+                                                                   else change(real_read(address, count))))
+        assert probe() is None and writes == []
+    # a layout that matches but draws other words after the write is refused too
+    monkeypatch.undo()
+    monkeypatch.setattr(distributions, "_seeded_states", lambda words: np.zeros((len(words), 4), np.uint64))
+    assert probe() is None
+    monkeypatch.undo()
+    assert probe() == distributions._state_layout()
+
+
+def test_state_layout_is_refused_where_id_is_no_address(monkeypatch):
+    monkeypatch.setattr(sys, "implementation", types.SimpleNamespace(name="pypy"))
+    assert distributions._state_layout.__wrapped__() is None
+
+
+def test_draw_paths_give_the_same_rows(monkeypatch):
+    spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
+    blocks = [(range(1000, 1100), 7), (range(5, 5), 3), (range(2**64 - 2, 2**64 + 3), 4), (range(3, 4), 1)]
+    fast = distributions.sample_blocks(spec, 11, blocks)
+    monkeypatch.setattr(distributions, "_state_layout", lambda: None)
+    slow = distributions.sample_blocks(spec, 11, blocks)
+    assert [rows.tobytes() for rows in fast] == [rows.tobytes() for rows in slow]
+
+
+def test_concurrent_draws_give_the_serial_rows():
+    # Each draw call writes its rows' states into its own PCG64: threads
+    # drawing at once, more of them than CPUs and switching often, must each
+    # get what they get alone.
+    spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
+    jobs = [(3, [(range(0, 400), 50)]), (4, [(range(2000, 2400), 50)]), (3, [(range(100, 300), 7)]), (5, [(range(9, 10), 3)])]
+    serial = [distributions.sample_blocks(spec, seed, blocks)[0].tobytes() for seed, blocks in jobs]
+    results = {}
+    start = threading.Barrier(len(jobs))
+
+    def draw(index, seed, blocks):
+        start.wait(timeout=60)
+        results[index] = {distributions.sample_blocks(spec, seed, blocks)[0].tobytes() for _ in range(20)}
+
+    threads = [threading.Thread(target=draw, args=(i, *job)) for i, job in enumerate(jobs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[i] for i in range(len(jobs))] == [{rows} for rows in serial]
+
+
+@pytest.mark.parametrize("path", DRAW_PATHS)
+def test_sample_rejects_non_finite_draws(path, monkeypatch):
+    _inject_top_draws(monkeypatch, path)
     spec = tf.parse_spec("hillhorror(alpha=0.01)")  # Q(1 - 2^-53) overflows
     with pytest.raises(ValueError, match="NaN or infinite"):
         tf.sample(spec, tf.RngState(1, 0), 3)
@@ -645,7 +834,8 @@ def test_stream_words_slice_each_block_once():
         distributions._stream_words(1, range(0, 10, 2))
 
 
-def test_sample_blocks_reject_bad_counts_and_non_finite_draws(monkeypatch):
+@pytest.mark.parametrize("path", DRAW_PATHS)
+def test_sample_blocks_reject_bad_counts_and_non_finite_draws(path, monkeypatch):
     spec = tf.parse_spec("hillhorror(alpha=0.01)")
     with pytest.raises(ValueError, match="count must be >= 1"):
         distributions.sample_blocks(spec, 1, [(range(3), 0)])
@@ -657,7 +847,7 @@ def test_sample_blocks_reject_bad_counts_and_non_finite_draws(monkeypatch):
         distributions.sample_blocks(spec, 1, [(range(-1, 3), 2)])
     with pytest.raises(ValueError, match="streams must be a range"):
         distributions.sample_blocks(spec, 1, [(range(3), 2), ([0, 1], 4)])
-    monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
+    _inject_top_draws(monkeypatch, path)
     with pytest.raises(ValueError, match="NaN or infinite"):  # Q(1 - 2^-53) overflows
         distributions.sample_blocks(spec, 1, [(range(3), 2)])
 

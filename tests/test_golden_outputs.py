@@ -19,6 +19,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from tailfence import distributions
 from tailfence.cli import main
 
 GOLDEN = {
@@ -50,8 +51,13 @@ GOLDEN = {
 }
 
 
+@pytest.mark.parametrize("path", ["state_write", "fallback"])
 @pytest.mark.parametrize("spec", list(GOLDEN))
-def test_simulate_output_bytes(spec, tmp_path):
+def test_simulate_output_bytes(spec, path, tmp_path, monkeypatch):
+    # each draw call writes its rows' seeded states into one PCG64; the
+    # fallback, where no state layout is found, builds a PCG64 per row
+    if path == "fallback":
+        monkeypatch.setattr(distributions, "_state_layout", lambda: None)
     with redirect_stdout(io.StringIO()):
         assert main(["simulate", "--dist", spec, "--seed", "42", "--m", "30", "--out", str(tmp_path)]) == 0
     digests = {

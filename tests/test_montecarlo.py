@@ -182,6 +182,7 @@ def test_output_bytes_do_not_depend_on_cache_state_or_point_order(tmp_path):
 
     def cold(config, name):
         distributions._seed_block.cache_clear()
+        distributions._state_block.cache_clear()
         return output_bytes(tf.run_study(config), tmp_path / name)
 
     first, other_first = cold(cfg, "cold"), cold(other, "other_cold")

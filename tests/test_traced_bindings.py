@@ -52,9 +52,11 @@ def test_run_study_takes_workers_one():
 
 
 def test_every_draw_builds_its_generator_through_the_traced_binding(monkeypatch):
-    # The tracer's distributions.rng_s wraps _generator and _uniform_open: a grid
-    # point's rows and a single sample must each build their PCG64 there, one
-    # call per stream, and map their raw words there, once per draw as one flat run.
+    # The tracer's distributions.rng_s wraps _generator and _uniform_open: a
+    # draw call, a grid point's rows and a single sample alike, builds its one
+    # PCG64 there from its first stream's words, and maps its raw words there,
+    # once per draw as one flat run. Where _state_layout is None, each row
+    # builds its own PCG64 there, one call per stream.
     calls, mapped = [], []
     original, original_map = distributions._generator, distributions._uniform_open
 
@@ -66,23 +68,36 @@ def test_every_draw_builds_its_generator_through_the_traced_binding(monkeypatch)
         mapped.append(raw.shape)
         return original_map(raw)
 
+    def draws():
+        calls.clear()
+        mapped.clear()
+        rows = distributions.sample_blocks(spec, 11, [(range(1020, 1030), 6)])[0]
+        yield list(calls), list(mapped)
+        calls.clear()
+        mapped.clear()
+        smp = tf.sample(spec, tf.RngState(11, 1025), 6)
+        assert smp.sorted.tobytes() == rows[5].tobytes()
+        yield list(calls), list(mapped)
+        # three blocks of different counts are still mapped in one call
+        calls.clear()
+        mapped.clear()
+        distributions.sample_blocks(spec, 11, blocks)
+        yield list(calls), list(mapped)
+
     monkeypatch.setattr(distributions, "_generator", counting)
     monkeypatch.setattr(distributions, "_uniform_open", counting_map)
     spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
-    rows = distributions.sample_blocks(spec, 11, [(range(1020, 1030), 6)])[0]
-    assert len(calls) == 10
-    assert calls == distributions._stream_words(11, range(1020, 1030)).tolist()
-    assert mapped == [(60,)]
-    calls.clear()
-    mapped.clear()
-    smp = tf.sample(spec, tf.RngState(11, 1025), 6)
-    assert calls == [distributions._stream_words(11, range(1025, 1026))[0].tolist()]
-    assert mapped == [(6,)]
-    assert smp.sorted.tobytes() == rows[5].tobytes()
-    # three blocks of different counts are still mapped in one call
-    calls.clear()
-    mapped.clear()
     blocks = [(range(0, 4), 5), (range(4, 7), 9), (range(2000, 2002), 2)]
-    distributions.sample_blocks(spec, 11, blocks)
-    assert calls == [words.tolist() for streams, _ in blocks for words in distributions._stream_words(11, streams)]
-    assert mapped == [(4 * 5 + 3 * 9 + 2 * 2,)]
+    words = distributions._stream_words
+    assert distributions._state_layout() is not None
+    assert list(draws()) == [
+        ([words(11, range(1020, 1021))[0].tolist()], [(60,)]),
+        ([words(11, range(1025, 1026))[0].tolist()], [(6,)]),
+        ([words(11, range(0, 1))[0].tolist()], [(4 * 5 + 3 * 9 + 2 * 2,)]),
+    ]
+    monkeypatch.setattr(distributions, "_state_layout", lambda: None)
+    assert list(draws()) == [
+        (words(11, range(1020, 1030)).tolist(), [(60,)]),
+        ([words(11, range(1025, 1026))[0].tolist()], [(6,)]),
+        ([row for streams, _ in blocks for row in words(11, streams).tolist()], [(4 * 5 + 3 * 9 + 2 * 2,)]),
+    ]
