@@ -457,11 +457,12 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 #
 # Seeding a PCG64 from four words takes its (state, inc) to a 128-bit value
 # that the words fix (_seeded_states), computed here for a whole block too
-# (_state_block). A draw call builds one PCG64 by _generator and, where
-# _state_layout found where that PCG64 keeps its (state, inc), writes each
-# row's seeded state there before drawing the row's words: a 32-byte copy
-# in place of a PCG64 build per row. Elsewhere each row's PCG64 is built
-# from its stream's four words by _generator, the reference path.
+# (_state_block). A draw call builds one PCG64 by _generator from its first
+# row's words, which draws that row, and, where _state_layout found where
+# that PCG64 keeps its (state, inc), writes each later row's seeded state
+# there before drawing the row's words: a 32-byte copy in place of a PCG64
+# build per row. Elsewhere each row's PCG64 is built from its stream's four
+# words by _generator, the reference path.
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 2**64 - 1
@@ -682,7 +683,7 @@ def _uniform_open(raw: np.ndarray) -> np.ndarray:
     exactly as (k + 0.5) / 2^53 does. For the top k that is 1.0 (1 - 2^-54
     is not representable), so clamp: every quantile stays finite.
     """
-    u = (raw >> 11) * 2.0**-53
+    u = (raw >> 11).view(np.int64) * 2.0**-53  # below 2^53: exact, and cheaper than a uint64 cast
     u += 2.0**-54
     np.minimum(u, _BELOW_ONE, out=u)
     return u
@@ -741,14 +742,15 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
     """Per ``(streams, count)`` block, ``count`` draws per stream in draw order, as a (len(streams), count) matrix.
 
     ``sample`` is its one-block case. Each row's raw PCG64 words come from its
-    own stream: one PCG64 per call, into which each row writes its stream's
-    seeded state (or, where ``_state_layout`` is None, a PCG64 per row). The
-    words of all the blocks' rows form one flat run: it is mapped to uniforms
-    once and inverse-transformed once (``_transform``), and each block's
-    matrix is its slice of the result. The PCG64 is the call's own, so
-    concurrent calls share no state.
+    own stream: one PCG64 per call, built from the first row's seed words,
+    which draws that row as built and each later row after that row's stream's
+    seeded state is written into it (or, where ``_state_layout`` is None, a
+    PCG64 per row). The words of all the blocks' rows form one flat run: it
+    is mapped to uniforms once and inverse-transformed once (``_transform``),
+    and each block's matrix is its slice of the result. The PCG64 is the
+    call's own, so concurrent calls share no state.
     """
-    layout, generator, raw, shapes = _state_layout(), None, [], []
+    layout, generator, memory, raw, shapes = _state_layout(), None, None, [], []
     for streams, count in blocks:
         count = checked_int(count, "count")
         if count < 1:
@@ -761,11 +763,15 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
             # one array per row, joined once below: cheaper than copying each into a preallocated run
             raw += [_generator(words).random_raw(count) for words in _stream_words(seed, streams)]
             continue
-        states = _stream_states(seed, streams).tobytes()
-        if states and generator is None:
-            # any PCG64 serves, since every row (the first too) writes its state into it
+        if streams and generator is None:
+            # the call's first row is drawn as built, so a one-row call writes no state
             generator = _generator(_stream_words(seed, streams)[0])
-            memory, draw = _state_memory(id(generator) + layout[0]), generator.random_raw
+            draw = generator.random_raw
+            raw.append(draw(count))
+            streams = streams[1:]
+        if streams and memory is None:
+            memory = _state_memory(id(generator) + layout[0])
+        states = _stream_states(seed, streams).tobytes() if streams else b""
         for row in range(0, len(states), 32):
             memory[:] = states[row : row + 32]
             raw.append(draw(count))

@@ -224,23 +224,36 @@ def _tail_rows(rows: np.ndarray, k: int):
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     block = rows[:, n - k - 1 :]
     positive = block[:, 0] > 0.0
-    if not positive.all():
-        block = np.where(positive[:, None], block, 1.0)
+    if np.count_nonzero(positive) == len(block):  # the usual case: one zero code array, nothing replaced
+        return block[:, 1:], block[:, 0], np.zeros(len(block), dtype=np.int_)
+    block = np.where(positive[:, None], block, 1.0)
     return block[:, 1:], block[:, 0], np.where(positive, _VALID, _NOT_POSITIVE)
 
 
-def _log_excess_rows(tail: np.ndarray, base: np.ndarray, code: np.ndarray):
-    """log(tail / base) per row, and the code of the rows that have none.
+def _excess_means(tail: np.ndarray, base: np.ndarray, code: np.ndarray, k: int):
+    """Per row, the code of the rows without log-excesses and the means M1, T and M2.
 
-    A row that already has a code, or whose largest excess ratio overflows,
-    gets its code and ratios of 1, so its logs are 0. ``code`` is not written.
+    M1 and M2 are the means of the log-excesses log(tail / base) and of their
+    squares, T the mean of base / tail. A row that already has a code, or
+    whose largest excess ratio overflows, gets its code and ratios of 1, so
+    its logs are 0; in the usual case, where no row has either, nothing is
+    marked. The three means are summed in one reduction over their stacked
+    terms, row by row as three reductions would sum them. ``code`` is not
+    written.
     """
     with np.errstate(over="ignore"):  # as with Python floats: inf, marked below
         ratios = tail / base[:, None]
-    code = code.copy()
-    _mark(code, ratios[:, -1] == math.inf, _NON_FINITE)  # tail is ascending: its last ratio is the largest
-    ratios[code != _VALID] = 1.0
-    return np.log(ratios), code
+    overflow = ratios[:, -1] == math.inf  # tail is ascending: its last ratio is the largest
+    if np.count_nonzero(code) or np.count_nonzero(overflow):
+        code = code.copy()
+        _mark(code, overflow, _NON_FINITE)
+        ratios[code != _VALID] = 1.0
+    terms = np.empty((3, *ratios.shape))
+    np.log(ratios, out=terms[0])
+    np.divide(base[:, None], tail, out=terms[1])
+    np.multiply(terms[0], terms[0], out=terms[2])
+    m1, t, m2 = np.add.reduce(terms, axis=2) / k
+    return code, m1, t, m2
 
 
 def _pickands_spacings(rows: np.ndarray, k: int):
@@ -287,9 +300,7 @@ def row_statistics(methods, rows: np.ndarray, k: int | None = None) -> dict[str,
         columns = {_fence_rows: (above / rows.shape[1], outer_high), _quartile_rows: (q1.copy(), q3.copy())}
     if wanted & {"hill", "thill", "moment"}:
         tail, base, code = _tail_rows(rows, k)
-    if wanted & {"hill", "moment"}:
-        logs, log_code = _log_excess_rows(tail, base, code)
-        m1 = np.add.reduce(logs, axis=1) / k
+        log_code, m1, t, m2 = _excess_means(tail, base, code, k)
     statistics = {}
     for method in methods:
         if method in _INVERSIONS:
@@ -297,9 +308,9 @@ def row_statistics(methods, rows: np.ndarray, k: int | None = None) -> dict[str,
         elif method == "hill":
             statistics[method] = (log_code, m1)
         elif method == "thill":
-            statistics[method] = (code, np.add.reduce(base[:, None] / tail, axis=1) / k)
+            statistics[method] = (code, t)
         elif method == "moment":
-            statistics[method] = (log_code, m1, np.add.reduce(logs * logs, axis=1) / k)
+            statistics[method] = (log_code, m1, m2)
         else:
             statistics[method] = _pickands_spacings(rows, k)
     return statistics

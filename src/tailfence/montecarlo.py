@@ -12,16 +12,19 @@ grid. Chunks and batches are cut by one rule with two bounds (``_runs``):
 consecutive points of one axis whose sizes sum to at most the bound, or a
 larger point alone. A chunk holds at most ``_CHUNK_REPLICATES`` replicates,
 and its points are drawn in batches of at most ``_BATCH_DRAWS`` draws, by
-one ``distributions.sample_blocks`` call each. It gives each point its m
-replicates as an (m, n) matrix of sorted rows, row r equal to
-``sample(spec, RngState(seed, g*m + r), n).sorted``: the streams' PCG64
-seed words are sliced out of their hash blocks once, each row's raw words
-come from its own stream (one PCG64 per call, into which each row writes its
-stream's seeded state), and the batch's words are mapped to
-uniforms and inverse-transformed in one pass (split over threads for gamma
-and Student-t).
+one ``distributions.sample_blocks`` call each. A batch's points are
+consecutive in the grid, so a run of them with the same n has consecutive
+streams and is drawn as one block: a k-axis batch is one block, an n-axis
+batch one block per point. Point i of a run gets the run's rows i*m up to
+(i + 1)*m, its m replicates as an (m, n) matrix of sorted rows, row r equal
+to ``sample(spec, RngState(seed, g*m + r), n).sorted``: the streams' PCG64
+seed words are sliced out of their hash blocks once per block, each row's
+raw words come from its own stream (one PCG64 per call, into which each
+later row writes its stream's seeded state), and the batch's words are
+mapped to uniforms and inverse-transformed in one pass (split over threads
+for gamma and Student-t).
 
-Scoring runs in two stages. Each grid point's matrix is reduced to its
+Scoring runs in two stages. Each grid point's rows are reduced to its
 methods' per-row statistics, taken at the point's k or n, by one
 ``estimators.row_statistics`` call, and each batch's draws are freed before
 the next batch is drawn. Each method finishes the rows of the chunk's points
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -117,8 +121,7 @@ class StudyConfig:
         return self.n_grid[-1]
 
 
-@dataclass(frozen=True)
-class StudyRow:
+class StudyRow(NamedTuple):
     """One (axis value, method) aggregate; statistics empty when nothing was valid."""
 
     axis: str  # "n" or "k"
@@ -218,13 +221,21 @@ def _chunks(config: StudyConfig) -> list[tuple[_GridPoint, ...]]:
 def _batch_statistics(config: StudyConfig, batch: tuple[_GridPoint, ...]) -> list[dict[str, tuple]]:
     """Per point of a batch, its methods' rows' statistics.
 
-    Point g is one block of the draw, of streams g*m up to (g + 1)*m. The
-    batch's draws are freed on return.
+    A batch's points are consecutive in the grid, so the streams of a run of
+    same-n points, g*m up to (g' + 1)*m, are consecutive too: each such run
+    is one block of the draw (a k-axis batch is one block; an n-axis batch,
+    whose points' n differ, one block per point), and point i of the run is
+    scored on its rows i*m up to (i + 1)*m. The batch's draws are freed on
+    return.
     """
     m = config.m
-    blocks = [(range(point.g * m, (point.g + 1) * m), point.n) for point in batch]
-    samples = dist.sample_blocks(config.spec, config.seed, blocks)
-    return [row_statistics(point.methods, rows, point.k) for rows, point in zip(samples, batch)]
+    runs = [tuple(run) for _, run in groupby(batch, key=lambda point: point.n)]
+    blocks = [(range(run[0].g * m, (run[-1].g + 1) * m), run[0].n) for run in runs]
+    statistics = []
+    for rows, run in zip(dist.sample_blocks(config.spec, config.seed, blocks), runs):
+        statistics += [row_statistics(point.methods, rows[i * m : (i + 1) * m], point.k)
+                       for i, point in enumerate(run)]
+    return statistics
 
 
 def _evaluate_chunk(config: StudyConfig, points: tuple[_GridPoint, ...]) -> list[StudyRow]:
@@ -253,8 +264,7 @@ def _evaluate_chunk(config: StudyConfig, points: tuple[_GridPoint, ...]) -> list
     for i, point in enumerate(points):
         for method in point.methods:
             mean, low, high, count = summaries[i, method]
-            rows.append(StudyRow(axis=point.axis, value=point.value, method=method, mean_alpha=mean,
-                                 ci_low=low, ci_high=high, valid_fraction=count / m))
+            rows.append(StudyRow(point.axis, point.value, method, mean, low, high, count / m))
     return rows
 
 
@@ -280,12 +290,14 @@ class StudyResult:
         raise KeyError(f"no row for axis={axis!r} value={value} method={method!r}")
 
     def csv_for_axis(self, axis: str) -> str:
+        # one template for rows with statistics, filled from the row's fields after its axis,
+        # and one for rows without, whose three statistics fields are empty
+        number, tail = NUMBER_FORMAT, f"{self.config.m},{self.config.seed}"
+        full = f"%d,%s,{number},{number},{number},{number},{tail}"
+        empty = f"%d,%s,,,,{number},{tail}"
         lines = ["axis,method,mean,ci_low,ci_high,valid_fraction,m,seed"]
-        for row in self.rows_for_axis(axis):
-            lines.append(
-                f"{row.value},{row.method},{_fmt(row.mean_alpha)},{_fmt(row.ci_low)},"
-                f"{_fmt(row.ci_high)},{_fmt(row.valid_fraction)},{self.config.m},{self.config.seed}"
-            )
+        lines += [full % row[1:] if row.mean_alpha is not None
+                  else empty % (row.value, row.method, row.valid_fraction) for row in self.rows_for_axis(axis)]
         return "\n".join(lines) + "\n"
 
 

@@ -577,15 +577,16 @@ DRAW_PATHS = ["state_write", "fallback"]
 def _inject_top_draws(monkeypatch, path):
     """Make every row's first raw word 2^64 - 1, at the state source of the draw path.
 
-    The state-write path writes each row's seeded state from ``_stream_states``
-    into its one PCG64; the fallback, forced by a None ``_state_layout``,
-    builds each row's PCG64 by ``_generator``.
+    Both paths build a call's first PCG64 by ``_generator``, which draws the
+    call's first row. The state-write path writes each later row's seeded
+    state from ``_stream_states`` into that PCG64; the fallback, forced by a
+    None ``_state_layout``, builds each row's PCG64 by ``_generator``.
     """
+    layout = distributions._state_layout()  # probed, and cached, before _generator is replaced
+    monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
     if path == "fallback":
         monkeypatch.setattr(distributions, "_state_layout", lambda: None)
-        monkeypatch.setattr(distributions, "_generator", lambda words: _top_draw_generator())
         return
-    layout = distributions._state_layout()
     if layout is None:
         pytest.skip("this interpreter's PCG64 takes the fallback")
     halves = _state_of(_top_draw_generator())
@@ -605,6 +606,9 @@ def test_top_integer_draw_stays_below_one(path, monkeypatch):
         # the injected word was drawn: the sample is the quantile of the top uniform
         top = distributions._quantile_array(spec, np.array([1.0 - 2.0**-53]))
         assert values.tobytes() == top.tobytes() and np.isfinite(values).all()
+        # the first row drawn as built, and the later rows after their states are written
+        rows = distributions.sample_blocks(spec, 1, [(range(0, 1), 1), (range(1, 4), 1)])
+        assert [block.tobytes() for block in rows] == [top.tobytes(), np.tile(top, 3).tobytes()]
 
 
 def _uniform_from_raw_words(words):
@@ -625,6 +629,9 @@ def test_uniform_open_matches_raw_word_formula_bit_for_bit():
         count = 1 + stream % 130
         expected = _uniform_from_raw_words(stream_generator(99, stream).random_raw(count))
         assert np.array_equal(_uniform_open(stream_generator(99, stream).random_raw(count)), expected)
+    # (w >> 11) < 2^53 converts exactly through its int64 view, as through its uint64 value
+    words = np.random.default_rng(35).integers(0, 2**64, 10**6, dtype=np.uint64)
+    assert np.array_equal(_uniform_open(words), _uniform_from_raw_words(words))
 
 
 def test_uniform_draw_matches_generator_integers():

@@ -961,6 +961,43 @@ def test_every_scorer_takes_a_matrix_of_no_rows():
 
 
 
+def test_classical_fast_path_equals_the_marked_path(monkeypatch):
+    # Rows whose bases are all positive and whose excess ratios do not overflow take
+    # the fast path, which marks nothing. Beside a row of negative values, the same
+    # rows take the marked path: each must keep its (alpha, code) bit for bit.
+    marks, mark = [], estimators._mark
+    monkeypatch.setattr(estimators, "_mark",
+                        lambda code, failed, reason: marks.append(reason) or mark(code, failed, reason))
+    methods = ("hill", "thill", "moment")
+
+    def scored(rows, k):
+        marks.clear()
+        statistics = estimators.row_statistics(methods, rows, k)
+        marked = bool(marks)
+        return marked, {method: estimators.finish_rows(method, statistics[method]) for method in methods}
+
+    ordinary = distributions.sample_blocks(tf.parse_spec("pareto(alpha=0.5,delta=1)"), 4, [(range(20), 40)])[0]
+    crafted = [values_k for method, *values_k, _ in CRAFTED if method in tf.CLASSICAL_METHODS]
+    cases = [(np.sort(np.array(values, dtype=float))[None, :], k) for values, k in crafted]
+    cases += [(ordinary, 9), (ordinary, 39)]
+    marked_alone = []
+    for rows, k in cases:
+        alone_marked, alone = scored(rows, k)
+        beside_marked, beside = scored(np.concatenate([rows, np.full((1, rows.shape[1]), -1.0)]), k)
+        assert beside_marked and beside["hill"][1][-1] == 1  # "requires positive order statistics"
+        marked_alone.append(alone_marked)
+        for method in methods:
+            assert alone[method][0].tobytes() == beside[method][0][:-1].tobytes(), (method, rows, k)
+            assert alone[method][1].tobytes() == beside[method][1][:-1].tobytes(), (method, rows, k)
+    # alone, only the non-positive base and the four overflowing ratios (PICKANDS_OVERFLOW's
+    # 1e300 / 1e-300 at k = 1 among them) are marked
+    assert marked_alone.count(True) == 5 and marked_alone[-2:] == [False, False]
+    # a matrix of no rows takes the fast path too
+    empty_marked, empty = scored(np.empty((0, 12)), 3)
+    assert not empty_marked
+    assert [(alpha.shape, code.dtype) for alpha, code in empty.values()] == [((0,), np.int_)] * 3
+
+
 def assert_stacked_finishing_equals_each_block(blocks):
     """Blocks of sorted rows, each at its own k (None: its n), finish stacked as each block scores alone.
 

@@ -354,6 +354,49 @@ def test_batched_summary_equals_summarize_ci_row_by_row():
     assert checked == {0, 1, 2}
 
 
+def test_a_batch_draws_each_run_of_same_n_points_as_one_block(monkeypatch):
+    # the n-points' n differ: one block each; the k-points share n = 20: one block
+    cfg = make_config(n_grid=(10, 15, 20), k_grid=(2, 3, 4, 5, 6, 7), methods=("par_n", "hill", "moment"))
+    calls, original = [], distributions.sample_blocks
+
+    def counting(spec, seed, blocks):
+        calls.append(list(blocks))
+        return original(spec, seed, blocks)
+
+    monkeypatch.setattr(distributions, "sample_blocks", counting)
+    tf.run_study(cfg)
+    assert calls == [[(range(0, 40), 10), (range(40, 80), 15), (range(80, 120), 20)], [(range(120, 360), 20)]]
+
+
+def per_point_batch_statistics(config, batch):
+    """``_batch_statistics`` with one block per point, each scored on its whole matrix."""
+    m = config.m
+    blocks = [(range(point.g * m, (point.g + 1) * m), point.n) for point in batch]
+    samples = distributions.sample_blocks(config.spec, config.seed, blocks)
+    return [montecarlo.row_statistics(point.methods, rows, point.k) for rows, point in zip(samples, batch)]
+
+
+def test_a_block_across_a_hash_block_edge_gives_each_point_its_own_rows(monkeypatch, tmp_path):
+    # m = 40 at n = 100: four k-points per batch, one block of 160 streams; the
+    # batch of points 24..27 holds streams 960..1119, and point 25 streams 1000..1039
+    cfg = make_config(m=40, n_grid=(100,), k_grid=tuple(range(2, 40)),
+                      methods=("hill", "thill", "pickands", "moment"))
+    seen, original = {}, montecarlo.row_statistics
+
+    def recording(methods, rows, k=None):
+        seen[k] = rows.copy()
+        return original(methods, rows, k)
+
+    monkeypatch.setattr(montecarlo, "row_statistics", recording)
+    blocked = output_bytes(tf.run_study(cfg), tmp_path / "blocked")
+    assert sorted(seen) == list(cfg.k_grid)
+    for point in montecarlo._grid_points(cfg):
+        own = distributions.sample_blocks(cfg.spec, cfg.seed, [(range(point.g * 40, point.g * 40 + 40), 100)])[0]
+        assert seen[point.k].tobytes() == own.tobytes(), point
+    monkeypatch.setattr(montecarlo, "_batch_statistics", per_point_batch_statistics)
+    assert output_bytes(tf.run_study(cfg), tmp_path / "per-point") == blocked
+
+
 def test_replicate_streams_match_documented_mapping():
     # replicate r at grid point g draws with stream g*m + r
     cfg = make_config(methods=("par_q", "hill"), n_grid=(10, 15), k_grid=(2, 3), m=5)
@@ -436,6 +479,55 @@ def test_csv_shape_and_formatting():
         assert len(fields) == 8
         assert fields[1] == "hill"
         assert fields[6] == "40" and fields[7] == "9"
+
+
+def csv_reference(result, axis):
+    """``csv_for_axis`` as an f-string per row, with ``_fmt`` for every number field."""
+
+    def fmt(value):
+        return "" if value is None else "%.12g" % value
+
+    lines = ["axis,method,mean,ci_low,ci_high,valid_fraction,m,seed"]
+    for row in result.rows_for_axis(axis):
+        lines.append(f"{row.value},{row.method},{fmt(row.mean_alpha)},{fmt(row.ci_low)},"
+                     f"{fmt(row.ci_high)},{fmt(row.valid_fraction)},{result.config.m},{result.config.seed}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**63, 2**64 - 2, 2**64 - 1])
+def test_csv_templates_equal_the_reference_builder(seed):
+    # uniform data: par_n rows with no valid estimate, valid fractions of 0, 1 and between
+    cfg = make_config(spec=tf.parse_spec("uniform(a=0,b=1)"), seed=seed, m=7, n_grid=(10, 40),
+                      k_grid=(2, 5, 9), methods=("par_n", "hh_q", "hill", "moment"))
+    result = tf.run_study(cfg)
+    fractions = {row.valid_fraction for row in result.rows}
+    assert 0.0 in fractions and 1.0 in fractions
+    for axis in result.axes():
+        assert result.csv_for_axis(axis) == csv_reference(result, axis)
+    # crafted rows: extreme and negative statistics, exact and inexact fractions, every axis value kind
+    rows = (
+        montecarlo.StudyRow("n", 10, "par_n", None, None, None, 0.0),
+        montecarlo.StudyRow("n", 2**40, "par_q", 5e-324, -0.0, 1.7976931348623157e308, 1.0),
+        montecarlo.StudyRow("k", 3, "hill", -2.5, 1 / 3, 2 / 3, 3 / 7),
+        montecarlo.StudyRow("k", 4, "thill", 1e-300, 1e-300, 1e-300, 1 / 7),
+        montecarlo.StudyRow("k", 5, "moment", None, None, None, 0),
+    )
+    crafted = montecarlo.StudyResult(cfg, rows)
+    for axis in ("n", "k"):
+        assert crafted.csv_for_axis(axis) == csv_reference(crafted, axis)
+    assert crafted.csv_for_axis("n").splitlines()[1] == f"10,par_n,,,,0,7,{seed}"
+
+
+def test_study_row_is_a_read_only_named_tuple():
+    result = tf.run_study(make_config(), workers=1)
+    row = result.rows[0]
+    assert montecarlo.StudyRow._fields == ("axis", "value", "method", "mean_alpha", "ci_low", "ci_high",
+                                           "valid_fraction")
+    assert tf.StudyRow is montecarlo.StudyRow and isinstance(row, tuple)
+    for field in montecarlo.StudyRow._fields:
+        with pytest.raises(AttributeError):
+            setattr(row, field, None)
+    assert result.row(row.axis, row.value, row.method) is row
 
 
 def test_write_study_outputs(tmp_path):
