@@ -460,9 +460,11 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 # (_state_block). A draw call builds one PCG64 by _generator from its first
 # row's words, which draws that row, and, where _state_layout found where
 # that PCG64 keeps its (state, inc), writes each later row's seeded state
-# there before drawing the row's words: a 32-byte copy in place of a PCG64
-# build per row. Elsewhere each row's PCG64 is built from its stream's four
-# words by _generator, the reference path.
+# there before drawing the row: a 32-byte copy in place of a PCG64 build per
+# row. Elsewhere each row's PCG64 is built from its stream's four words by
+# _generator, the reference path. Either way a numpy Generator over the
+# row's PCG64 fills the row's slot of the call's one float64 run in place
+# (Generator.random(out=row), (w >> 11) * 2^-53 for each raw word w).
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 2**64 - 1
@@ -644,12 +646,14 @@ def _state_layout() -> tuple[int, tuple[int, ...]] | None:
     ``_seeded_states`` are written there, the generator must draw what
     that stream's own PCG64 draws. Anything else, or an interpreter whose
     ``id`` is not an address, gives None: each row then builds its own
-    PCG64. Run once per process; the cache is the function's own.
+    PCG64. Run once per process; the cache is the function's own. The
+    probe builds its PCG64s itself, not by ``_generator``, so a replaced
+    ``_generator`` cannot decide what every later draw does.
     """
     if sys.implementation.name != "cpython":
         return None
     words = _stream_words(0, range(2))
-    bitgen = _generator(words[0])
+    bitgen = np.random.PCG64(_StreamSeed(words[0]))
     start = id(bitgen)
     end = start + sys.getsizeof(bitgen)
     address = bitgen.ctypes.state_address
@@ -664,7 +668,7 @@ def _state_layout() -> tuple[int, tuple[int, ...]] | None:
     order = next((order for order in _WORD_ORDERS if found == [halves[i] for i in order]), None)
     if order is None:
         return None
-    expected = _generator(words[1]).random_raw(8)
+    expected = np.random.PCG64(_StreamSeed(words[1])).random_raw(8)
     _state_memory(pointer)[:] = _seeded_states(words[1:])[0, list(order)].tobytes()
     if not np.array_equal(bitgen.random_raw(8), expected):
         return None
@@ -674,16 +678,15 @@ def _state_layout() -> tuple[int, tuple[int, ...]] | None:
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _uniform_open(raw: np.ndarray) -> np.ndarray:
-    """Raw 64-bit PCG64 words mapped to uniforms in [2^-54, 1 - 2^-53].
+def _uniform_open(u: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` draws moved, in place, into [2^-54, 1 - 2^-53]; returns ``u``.
 
-    (w >> 11) * 2^-53 is k / 2^53 with k the top 53 bits of the word: what
-    Generator.random() gives, and Generator.integers(0, 2**53) draws k.
-    Adding 2^-54 keeps u off 0: it rounds (2k + 1) / 2^54 to a double,
+    Generator.random() gives (w >> 11) * 2^-53 from each raw PCG64 word w:
+    k / 2^53 with k the word's top 53 bits, which Generator.integers(0, 2**53)
+    draws. Adding 2^-54 keeps u off 0: it rounds (2k + 1) / 2^54 to a double,
     exactly as (k + 0.5) / 2^53 does. For the top k that is 1.0 (1 - 2^-54
     is not representable), so clamp: every quantile stays finite.
     """
-    u = (raw >> 11).view(np.int64) * 2.0**-53  # below 2^53: exact, and cheaper than a uint64 cast
     u += 2.0**-54
     np.minimum(u, _BELOW_ONE, out=u)
     return u
@@ -738,19 +741,29 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _block_matrices(run: np.ndarray, shapes) -> list[np.ndarray]:
+    """Each ``(streams, count)`` block's slice of a flat run, as a (len(streams), count) view."""
+    matrices, start = [], 0
+    for streams, count in shapes:
+        matrices.append(run[start : start + len(streams) * count].reshape(len(streams), count))
+        start += len(streams) * count
+    return matrices
+
+
 def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
     """Per ``(streams, count)`` block, ``count`` draws per stream in draw order, as a (len(streams), count) matrix.
 
-    ``sample`` is its one-block case. Each row's raw PCG64 words come from its
-    own stream: one PCG64 per call, built from the first row's seed words,
-    which draws that row as built and each later row after that row's stream's
-    seeded state is written into it (or, where ``_state_layout`` is None, a
-    PCG64 per row). The words of all the blocks' rows form one flat run: it
-    is mapped to uniforms once and inverse-transformed once (``_transform``),
-    and each block's matrix is its slice of the result. The PCG64 is the
-    call's own, so concurrent calls share no state.
+    ``sample`` is its one-block case. The uniforms of all the blocks' rows
+    fill one flat float64 run, each row in place by ``Generator.random(out=row)``
+    from its own stream: one PCG64 per call, built from the first row's seed
+    words, which draws that row as built and each later row after that row's
+    stream's seeded state is written into it (or, where ``_state_layout`` is
+    None, a PCG64 per row). The run is mapped onto the open interval once,
+    in place (``_uniform_open``), and inverse-transformed once
+    (``_transform``); each block's matrix is its slice of the result. The
+    PCG64 is the call's own, so concurrent calls share no state.
     """
-    layout, generator, memory, raw, shapes = _state_layout(), None, None, [], []
+    layout, shapes = _state_layout(), []
     for streams, count in blocks:
         count = checked_int(count, "count")
         if count < 1:
@@ -758,29 +771,31 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
         if not isinstance(streams, range):
             raise ValueError(f"streams must be a range of consecutive streams, got {streams!r}")
         RngState(seed, streams.start)  # validates the seed and the first stream
-        shapes.append((len(streams), count))
+        shapes.append((streams, count))
+    uniforms = np.empty(sum(len(streams) * count for streams, count in shapes))
+    random = memory = None
+    for (streams, _), rows in zip(shapes, _block_matrices(uniforms, shapes)):
         if layout is None:
-            # one array per row, joined once below: cheaper than copying each into a preallocated run
-            raw += [_generator(words).random_raw(count) for words in _stream_words(seed, streams)]
-            continue
-        if streams and generator is None:
-            # the call's first row is drawn as built, so a one-row call writes no state
-            generator = _generator(_stream_words(seed, streams)[0])
-            draw = generator.random_raw
-            raw.append(draw(count))
-            streams = streams[1:]
-        if streams and memory is None:
-            memory = _state_memory(id(generator) + layout[0])
-        states = _stream_states(seed, streams).tobytes() if streams else b""
-        for row in range(0, len(states), 32):
-            memory[:] = states[row : row + 32]
-            raw.append(draw(count))
-    draws = _transform(spec, _uniform_open(np.concatenate(raw) if raw else np.empty(0, np.uint64)))
-    matrices, start = [], 0
-    for rows, count in shapes:
-        matrices.append(draws[start : start + rows * count].reshape(rows, count))
-        start += rows * count
-    return matrices
+            sources = _stream_words(seed, streams)  # each row's own PCG64 is built from these
+        else:
+            sources = []
+            if streams and random is None:
+                # the call's first row is drawn as built, so a one-row call writes no state
+                generator = _generator(_stream_words(seed, streams)[0])
+                random = np.random.Generator(generator).random
+                sources, streams = [None], streams[1:]
+            if streams:
+                if memory is None:
+                    memory = _state_memory(id(generator) + layout[0])
+                states = _stream_states(seed, streams).tobytes()
+                sources += [states[row : row + 32] for row in range(0, len(states), 32)]
+        for row, source in zip(rows, sources):
+            if layout is None:
+                random = np.random.Generator(_generator(source)).random
+            elif source is not None:
+                memory[:] = source
+            random(out=row)
+    return _block_matrices(_transform(spec, _uniform_open(uniforms)), shapes)
 
 
 def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
@@ -790,7 +805,8 @@ def sample(spec: DistributionSpec, rng: RngState, count: int) -> Sample:
     PCG64, so identical (seed, stream) pairs produce identical samples
     regardless of execution order, and replicate streams can be drawn in any
     order or process. The uniforms are the raw PCG64 words w mapped to
-    [2^-54, 1 - 2^-53] as (w >> 11) * 2^-53 + 2^-54.
+    [2^-54, 1 - 2^-53] as (w >> 11) * 2^-53 + 2^-54: Generator.random()
+    on the stream's PCG64, then ``_uniform_open``.
     """
     return Sample(_draw_rows(spec, rng.seed, [(range(rng.stream, rng.stream + 1), count)])[0][0])
 

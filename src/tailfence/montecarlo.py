@@ -19,10 +19,10 @@ batch one block per point. Point i of a run gets the run's rows i*m up to
 (i + 1)*m, its m replicates as an (m, n) matrix of sorted rows, row r equal
 to ``sample(spec, RngState(seed, g*m + r), n).sorted``: the streams' PCG64
 seed words are sliced out of their hash blocks once per block, each row's
-raw words come from its own stream (one PCG64 per call, into which each
-later row writes its stream's seeded state), and the batch's words are
-mapped to uniforms and inverse-transformed in one pass (split over threads
-for gamma and Student-t).
+uniforms are drawn from its own stream straight into the batch's one float
+run (one PCG64 per call, into which each later row writes its stream's
+seeded state), and the run is mapped onto the open interval in place and
+inverse-transformed in one pass (split over threads for gamma and Student-t).
 
 Scoring runs in two stages. Each grid point's rows are reduced to its
 methods' per-row statistics, taken at the point's k or n, by one

@@ -1,11 +1,16 @@
 import copy as copy_module
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 import threading
+import tracemalloc
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -313,7 +318,8 @@ def test_t_quantile_matches_both_form_reference_bit_for_bit(df):
         assert tf.quantile(spec, u) == float(reference_t_ppf(df, u)), u
     assert math.copysign(1.0, tf.quantile(spec, 0.5)) == 1.0  # +0.0, as the reference
     for stream in range(1000):
-        u = _uniform_open(stream_generator(2024, stream).random_raw(40))
+        u = _uniform_open(np.random.Generator(stream_generator(2024, stream)).random(40))
+        assert u.tobytes() == _uniform_from_raw_words(stream_generator(2024, stream).random_raw(40)).tobytes()
         expected = reference_t_ppf(df, u)
         assert tf.sample(spec, tf.RngState(2024, stream), 40).values.tobytes() == expected.tobytes(), stream
 
@@ -597,7 +603,7 @@ def _inject_top_draws(monkeypatch, path):
 @pytest.mark.parametrize("path", DRAW_PATHS)
 def test_top_integer_draw_stays_below_one(path, monkeypatch):
     assert _top_draw_generator().random_raw(1)[0] == 2**64 - 1
-    assert _uniform_open(_top_draw_generator().random_raw(1))[0] == 1.0 - 2.0**-53
+    assert _uniform_open(np.random.Generator(_top_draw_generator()).random(1))[0] == 1.0 - 2.0**-53
     _inject_top_draws(monkeypatch, path)
     for text in ("pareto(alpha=1,delta=1)", "exp(lambda=1)", "hillhorror(alpha=0.5)",
                  "frechet(alpha=2,mu=0,sigma=1)"):
@@ -619,29 +625,35 @@ def _uniform_from_raw_words(words):
 
 
 def test_uniform_open_matches_raw_word_formula_bit_for_bit():
+    # Generator.random() draws of a PCG64, mapped in place, against the raw
+    # words that the same PCG64 emits, mapped by the documented formula.
     edge_words = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**12, 2**64 - 2**11 - 1,
                   2**64 - 2**11, 2**64 - 2]
     for word in [*edge_words, 2**64 - 1]:
         assert _pcg64_emitting(word).random_raw(1)[0] == word
         expected = _uniform_from_raw_words(np.array([word], dtype=np.uint64))
-        assert np.array_equal(_uniform_open(_pcg64_emitting(word).random_raw(1)), expected)
+        u = np.random.Generator(_pcg64_emitting(word)).random(1)
+        assert _uniform_open(u) is u and u.tobytes() == expected.tobytes(), word
     for stream in range(1200):
         count = 1 + stream % 130
         expected = _uniform_from_raw_words(stream_generator(99, stream).random_raw(count))
-        assert np.array_equal(_uniform_open(stream_generator(99, stream).random_raw(count)), expected)
-    # (w >> 11) < 2^53 converts exactly through its int64 view, as through its uint64 value
-    words = np.random.default_rng(35).integers(0, 2**64, 10**6, dtype=np.uint64)
-    assert np.array_equal(_uniform_open(words), _uniform_from_raw_words(words))
+        u = _uniform_open(np.random.Generator(stream_generator(99, stream)).random(count))
+        assert u.tobytes() == expected.tobytes(), stream
+    expected = _uniform_from_raw_words(np.random.PCG64(35).random_raw(10**6))
+    u = _uniform_open(np.random.Generator(np.random.PCG64(35)).random(10**6))
+    assert u.tobytes() == expected.tobytes()
 
 
 def test_uniform_draw_matches_generator_integers():
-    # The raw-word draw must give the u that Generator.integers(0, 2**53)
-    # gives on the same SeedSequence(seed, spawn_key=(stream,)) stream.
+    # Generator.random() on the sampler's PCG64, mapped by _uniform_open, must
+    # give the u that Generator.integers(0, 2**53) gives on the same
+    # SeedSequence(seed, spawn_key=(stream,)) stream.
     for stream in range(1000):
         seq = np.random.SeedSequence(entropy=2024, spawn_key=(stream,))
         k = np.random.Generator(np.random.PCG64(seq)).integers(0, 2**53, size=64, dtype=np.int64)
         expected = np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
-        assert np.array_equal(_uniform_open(stream_generator(2024, stream).random_raw(64)), expected)
+        u = _uniform_open(np.random.Generator(stream_generator(2024, stream)).random(64))
+        assert u.tobytes() == expected.tobytes(), stream
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
@@ -711,7 +723,7 @@ def test_state_layout_refuses_out_of_object_addresses_without_reading_them(monke
     probe = distributions._state_layout.__wrapped__
     # the state struct's address outside the generator object: nothing is read
     for address in (0, id(monkeypatch)):
-        monkeypatch.setattr(distributions, "_generator", lambda words, address=address: _FakeBitGenerator(address))
+        monkeypatch.setattr(np.random, "PCG64", lambda seed, address=address: _FakeBitGenerator(address))
         assert probe() is None and reads == []
     monkeypatch.undo()
     # the struct inside it, but its pointer to (state, inc) outside: only the pointer is read
@@ -722,7 +734,7 @@ def test_state_layout_refuses_out_of_object_addresses_without_reading_them(monke
         reads.clear()
         monkeypatch.setattr(distributions, "_read_words",
                             lambda address, count, pointer=pointer: reads.append(address) or [pointer])
-        monkeypatch.setattr(distributions, "_generator", lambda words: bitgen)
+        monkeypatch.setattr(np.random, "PCG64", lambda seed: bitgen)
         assert probe() is None and reads == [inside], pointer
 
 
@@ -756,6 +768,107 @@ def test_draw_paths_give_the_same_rows(monkeypatch):
     monkeypatch.setattr(distributions, "_state_layout", lambda: None)
     slow = distributions.sample_blocks(spec, 11, blocks)
     assert [rows.tobytes() for rows in fast] == [rows.tobytes() for rows in slow]
+
+
+def _stream_raw_words(seed, stream, count):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))).random_raw(count)
+
+
+def _reference_rows(spec, seed, streams, count, raw_words=_stream_raw_words):
+    """The bytes of a block's sorted rows from an independent route: each
+    stream's raw PCG64 words, the documented map, the quantile, a sort."""
+    return b"".join(np.sort(distributions._quantile_array(spec, _uniform_from_raw_words(raw_words(seed, s, count))))
+                    .tobytes() for s in streams)
+
+
+# one call of several blocks: across the 1024-stream hash-block edge, one
+# stream, none, and across the 2048 edge
+EDGE_BLOCKS = [(range(990, 1030), 17), (range(1030, 1031), 4), (range(7, 7), 3), (range(2040, 2060), 9)]
+
+
+@pytest.mark.parametrize("path", DRAW_PATHS)
+@pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)"])
+def test_sample_blocks_equal_the_raw_word_reference(text, path, monkeypatch):
+    spec = tf.parse_spec(text)
+    if path == "fallback":
+        monkeypatch.setattr(distributions, "_state_layout", lambda: None)
+    elif distributions._state_layout() is None:
+        pytest.skip("this interpreter's PCG64 takes the fallback")
+    matrices = distributions.sample_blocks(spec, 11, EDGE_BLOCKS)
+    assert [matrix.tobytes() for matrix in matrices] == [
+        _reference_rows(spec, 11, streams, count) for streams, count in EDGE_BLOCKS]
+    # every row's first raw word 2^64 - 1, whose uniform is clamped to 1 - 2^-53
+    _inject_top_draws(monkeypatch, path)
+    assert _uniform_from_raw_words(_top_draw_generator().random_raw(1))[0] == 1.0 - 2.0**-53
+    matrices = distributions.sample_blocks(spec, 11, EDGE_BLOCKS)
+
+    def top(seed, stream, count):
+        return _top_draw_generator().random_raw(count)
+
+    assert [matrix.tobytes() for matrix in matrices] == [
+        _reference_rows(spec, 11, streams, count, top) for streams, count in EDGE_BLOCKS]
+
+
+# In a fresh interpreter, replace _generator before anything probes the
+# PCG64 layout, with a generator of another stream (as the top-draw tests do),
+# then draw ten rows. Prints the probed layout, the _generator calls and the
+# sha256 of rows 1-9.
+PATCHED_GENERATOR_RUNNER = """
+import hashlib, json
+import numpy as np
+from tailfence import distributions
+calls = []
+distributions._generator = lambda words: calls.append(words.tolist()) or np.random.PCG64(0)
+layout = distributions._state_layout()
+spec = distributions.parse_spec("pareto(alpha=0.5,delta=1)")
+rows = distributions.sample_blocks(spec, 11, [(range(1020, 1030), 6)])[0]
+print(json.dumps({"layout": layout, "calls": len(calls), "rows": hashlib.sha256(rows[1:].tobytes()).hexdigest()}))
+"""
+
+
+def test_state_layout_probe_ignores_a_replaced_generator():
+    layout = distributions._state_layout()
+    if layout is None:
+        pytest.skip("this interpreter's PCG64 takes the fallback")
+    src = str(Path(tf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PATCHED_GENERATOR_RUNNER], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    report = json.loads(proc.stdout)
+    assert report["layout"] == [layout[0], list(layout[1])]
+    # the state-write path: one PCG64 built for the call, and rows 1-9 from their own written states
+    spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
+    rows = distributions.sample_blocks(spec, 11, [(range(1021, 1030), 6)])[0]
+    assert report["calls"] == 1 and report["rows"] == hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("path", DRAW_PATHS)
+def test_a_full_batch_holds_one_float_matrix_and_the_transforms_temporaries(path, monkeypatch):
+    # A batch's uniforms are filled in place and mapped in place, so a 2^14-draw
+    # Pareto batch peaks at its uniform matrix and two live temporaries of
+    # the transform (each step of delta * exp(log1p(-u) / -alpha) makes one
+    # from the one before), three matrices. Drawing raw words, joining them
+    # and mapping the join peaked above 4.5 matrices.
+    if path == "fallback":
+        monkeypatch.setattr(distributions, "_state_layout", lambda: None)
+    spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
+    blocks = [(range(960, 1088), 128)]
+    matrix = 2**14 * np.dtype(np.float64).itemsize
+    distributions.sample_blocks(spec, 5, blocks)  # fills the hash-block caches
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rows = distributions.sample_blocks(spec, 5, blocks)[0]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert rows.shape == (128, 128)
+    assert peak < 3.5 * matrix, peak
 
 
 def test_concurrent_draws_give_the_serial_rows():
@@ -928,8 +1041,10 @@ def test_split_transform_changes_no_byte(text, threads, monkeypatch):
     monkeypatch.setattr(distributions, "_quantile_array", recording)
     monkeypatch.setattr(distributions, "_usable_cpus", lambda: threads)
     words = np.random.PCG64(threads).random_raw(max(SPLIT_DRAWS))
+    uniforms = np.random.Generator(np.random.PCG64(threads)).random(max(SPLIT_DRAWS))
     for size in SPLIT_DRAWS:
-        u = _uniform_open(words[:size])
+        u = _uniform_open(uniforms[:size].copy())
+        assert u.tobytes() == _uniform_from_raw_words(words[:size]).tobytes(), size
         u[-1] = 2.0**-54 if size % 2 else 1.0 - 2.0**-53  # the sampler's extremes, in the last block
         blocks.clear()
         split = distributions._transform(spec, u)
