@@ -25,8 +25,10 @@ Sampling runs the inverse transform once over a batch of draws. For gamma
 and Student-t, whose inversions are iterative and release the GIL, a batch
 of at least 2048 draws is split into contiguous blocks, one per CPU the
 process may use, transformed on threads; every step is elementwise, so the
-bytes do not depend on the split. ``concurrent.futures`` is imported on the
-first split, not with this module.
+bytes do not depend on the split. The threads belong to one long-lived pool
+per process, built on the first split (``concurrent.futures`` is imported
+then, not with this module); its idle threads wait on a queue and use no
+CPU, and a forked child drops it and builds its own.
 """
 
 from __future__ import annotations
@@ -409,7 +411,17 @@ def _quantile_array(spec: DistributionSpec | FamilyColumns, prob) -> np.ndarray:
         return _t_ppf(p["n"], prob)
     if family == "pareto":
         # log1p(-p) / -alpha is -(log1p(-p) / alpha) bit for bit, one ufunc fewer
-        return p["delta"] * np.exp(np.log1p(-prob) / -p["alpha"])
+        if not prob.ndim or isinstance(spec, FamilyColumns):
+            # a scalar call has no temporary worth saving (the in-place steps
+            # made a scalar quantile take 5.7 us against 2.0 us), and columns
+            # broadcast against prob
+            return p["delta"] * np.exp(np.log1p(-prob) / -p["alpha"])
+        # a spec's batch: every step writes into one fresh array, so no temporary is live
+        x = np.negative(prob)
+        np.log1p(x, x)
+        np.divide(x, -p["alpha"], x)
+        np.exp(x, x)
+        return np.multiply(p["delta"], x, x)
     if family == "frechet":
         return p["mu"] + p["sigma"] * _power(-np.log(prob), -1.0 / p["alpha"])
     if family == "negweibull":
@@ -443,17 +455,18 @@ def quantile(spec: DistributionSpec, p: float) -> float:
 # numpy gives only the seed's pool (SeedSequence(seed).pool); the spawn-key
 # stage of the hash and generate_state (numpy's bit_generator.pyx) run here,
 # for an aligned block of 1024 streams at a time.
-# Within a block only the stream's low 32-bit word varies (1024 divides
-# 2^32), so the stream's word count, and with it every hash constant, is the
-# same for the whole block: the low word is a uint64 array of 1024 values,
-# the higher words are Python ints, and one pass of 32-bit arithmetic on
-# uint64 arrays gives the four 64-bit words that seed PCG64 for all 1024
-# streams. Every operand is a uint64 array or a non-negative Python int
-# below 2^64 (the pool's words are converted to Python ints), which promotes
-# to uint64 under both the legacy and the NEP 50 rules; a numpy uint32 or
-# uint64 scalar never meets a Python int. test_distributions
-# pins the words to numpy's SeedSequence. A grid point slices its streams'
-# words out of the blocks once (_stream_words).
+# Each hashmix step XORs its value with the current hash constant,
+# multiplies the constant by a fixed factor and the value by the new
+# constant, so the constants form a chain that no value changes, computed
+# up front (_hash_chain). Within a block only the stream's low 32-bit word
+# varies (1024 divides 2^32), so the stream's word count, and with it every
+# constant, is the same for the whole block: one pass of uint32 arithmetic
+# over a (pool word, stream) array, which wraps modulo 2^32 as the hash
+# does, gives the four 64-bit words that seed PCG64 for all 1024 streams.
+# Every constant is a np.uint32 and every operation has an array operand,
+# so numpy 1.24 and numpy 2 promote alike and no scalar overflow warns.
+# test_distributions pins the words to numpy's SeedSequence. A grid point
+# slices its streams' words out of the blocks once (_stream_words).
 #
 # Seeding a PCG64 from four words takes its (state, inc) to a 128-bit value
 # that the words fix (_seeded_states), computed here for a whole block too
@@ -470,10 +483,9 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 2**64 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
 _BLOCK = 1024
-# the hash constant after the pool's 16 mixing steps, whatever the seed
-_SEEDED_A = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
 
 
 def _words32(value: int) -> list[int]:
@@ -486,41 +498,56 @@ def _words32(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    # value is a 32-bit Python int or a uint64 array of 32-bit values; the
-    # product of two 32-bit values fits in 64 bits, so nothing wraps early.
-    value = value ^ hash_const  # not ^=, which would write into a caller's array
-    hash_const = (hash_const * mult) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
+def _hash_chain(init: int, mult: int, start: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of hashmix steps ``start`` ... ``start + steps - 1``: (XOR, multiplier) (steps, 1) uint32 columns.
+
+    Step s XORs with init * mult^s and multiplies by init * mult^(s+1), mod 2^32.
+    """
+    chain = np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(start, start + steps + 1)], np.uint32)
+    return chain[:-1, None], chain[1:, None]
 
 
-def _mix(x, y):
-    # the subtraction may wrap modulo 2^64 on arrays; the mask keeps its low 32 bits
-    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return mixed ^ (mixed >> 16)
+# generate_state(4, uint64): eight steps, the output's 32-bit word i from pool word i % 4
+_OUT_XOR, _OUT_MULT = _hash_chain(_INIT_B, _MULT_B, 0, 8)
+
+
+@functools.cache
+def _spawn_chain(words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (XOR, multiplier) constants of a spawn key of ``words`` 32-bit words: (words, 4, 1) each.
+
+    They follow the pool's 16 mixing steps, whatever the seed, one step per
+    (key word, pool word).
+    """
+    xor, mult = _hash_chain(_INIT_A, _MULT_A, 16, 4 * words)
+    return xor.reshape(words, 4, 1), mult.reshape(words, 4, 1)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return mixed ^ (mixed >> _SHIFT)
 
 
 @functools.lru_cache(maxsize=4)
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """PCG64 seed words of streams block*1024 ... block*1024 + 1023: a read-only (1024, 4) array."""
-    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
-    hash_const = _SEEDED_A
-    first = block * _BLOCK
-    low = first & _MASK32
-    words = [np.arange(low, low + _BLOCK, dtype=np.uint64), *_words32(first)[1:]]
-    for word in words:
-        for dst in range(4):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    # generate_state(4, uint64): eight 32-bit words, read as four
-    # little-endian 64-bit words
-    out = []
-    hash_const = _INIT_B
-    for i in range(8):
-        value, hash_const = _hashmix(pool[i & 3], hash_const, _MULT_B)
-        out.append(value)
-    seeds = np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    low, *high = _words32(block * _BLOCK)
+    xor, mult = _spawn_chain(1 + len(high))
+    # one row per pool word, one column per stream
+    streams = np.arange(low, low + _BLOCK, dtype=np.uint32)
+    pool = _mix(np.random.SeedSequence(seed).pool[:, None], _hashmix(streams, xor[0], mult[0]))
+    for hashed in _hashmix(np.array(high, np.uint32)[:, None, None], xor[1:], mult[1:]):
+        pool = _mix(pool, hashed)
+    out = _hashmix(np.concatenate([pool, pool]), _OUT_XOR, _OUT_MULT)
+    # each stream's eight 32-bit words, read as four little-endian 64-bit
+    # words, then in native order (a copy on a big-endian host only)
+    seeds = np.empty((_BLOCK, 4), "<u8")
+    seeds.view("<u4")[...] = out.T
+    seeds = seeds.astype(np.uint64, copy=False)
     seeds.flags.writeable = False
     return seeds
 
@@ -564,17 +591,20 @@ def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
 
 
-def _seeded_states(words: np.ndarray) -> np.ndarray:
+def _seeded_states(words: np.ndarray, order=(0, 1, 2, 3)) -> np.ndarray:
     """The (state, inc) of the PCG64 that each row of seed words seeds: an (n, 4) array.
 
-    Each row is (state lo, state hi, inc lo, inc hi) in 64-bit halves. numpy
+    Each row holds the 64-bit halves (state lo, state hi, inc lo, inc hi),
+    taken in ``order`` (one of ``_WORD_ORDERS``). numpy
     seeds PCG64 with initstate = w0 * 2^64 + w1 and inc = 2 * (w2 * 2^64 + w3)
     + 1, and steps twice around adding initstate, so the seeded state is
     (inc + initstate) * MULT + inc mod 2^128. Every operand is a uint64
-    array or a Python int below 2^64, as in the stream hash; the uint64
-    sums wrap silently, and each carry is a comparison.
+    array or a Python int below 2^64, which promotes to uint64 under both the
+    legacy and the NEP 50 rules; the uint64 sums wrap silently, and each
+    carry is a comparison. The words are read as contiguous columns, and
+    each half is written straight into its column of the result.
     """
-    w0, w1, w2, w3 = words.T
+    w0, w1, w2, w3 = np.ascontiguousarray(words.T)
     inc_lo, inc_hi = w3 << 1 | 1, w2 << 1 | w3 >> 63
     lo = inc_lo + w1
     hi = inc_hi + w0 + (lo < inc_lo)
@@ -582,13 +612,17 @@ def _seeded_states(words: np.ndarray) -> np.ndarray:
     product_hi = _mul_high(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
     state_lo = product_lo + inc_lo
     state_hi = product_hi + inc_hi + (state_lo < product_lo)
-    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+    halves = state_lo, state_hi, inc_lo, inc_hi
+    states = np.empty((len(words), 4), np.uint64)
+    for column, half in enumerate(order):
+        states[:, column] = halves[half]
+    return states
 
 
 @functools.lru_cache(maxsize=4)
 def _state_block(seed: int, block: int) -> np.ndarray:
     """Seeded (state, inc) of streams block*1024 ... block*1024 + 1023 in PCG64 memory order: a read-only (1024, 4) array."""
-    states = np.ascontiguousarray(_seeded_states(_seed_block(seed, block))[:, list(_state_layout()[1])])
+    states = _seeded_states(_seed_block(seed, block), _state_layout()[1])
     states.flags.writeable = False
     return states
 
@@ -696,7 +730,7 @@ def _uniform_open(u: np.ndarray) -> np.ndarray:
 # (gammaincinv, betaincinv: ~0.4-0.8 us a draw, with the GIL released). A
 # closed form costs a few ns a draw, less than handing its block to a thread.
 _THREADED_FAMILIES = frozenset({"gamma", "studentt"})
-# fewest draws per thread: below it, starting a thread costs more than it saves
+# fewest draws per thread: below it, handing a block to a thread costs more than it saves
 _MIN_THREAD_DRAWS = 1024
 
 
@@ -708,36 +742,67 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The split transforms' thread pool: one per process, as a list of at most
+# one (executor, threads) pair. It is built on the first split, with one
+# thread fewer than the usable CPUs, and rebuilt only for a call that needs
+# more threads. A forked child (a process pool's worker) has only the thread
+# that forked, so it drops the parent's pool and builds its own.
+_pool: list = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _transform_pool(workers: int):
+    """The process's thread pool for split transforms, with at least ``workers`` threads."""
+    built = _pool[0] if _pool else None
+    if built is None or built[1] < workers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = max(workers, _usable_cpus() - 1)
+        # No lock, which a fork could leave held: two calls that race here
+        # each build a pool, and the one not kept serves only its own call. A
+        # replaced pool is not shut down, as a concurrent call may still
+        # submit to it; its threads exit once no call holds it.
+        built = ThreadPoolExecutor(workers, thread_name_prefix="tailfence-transform"), workers
+        _pool[:] = [built]
+    return built[0]
+
+
 def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     """``_quantile_array`` of a flat array of uniforms; split over threads for gamma and Student-t.
 
     The split takes one contiguous block per usable CPU, with at least
     ``_MIN_THREAD_DRAWS`` draws in each. The calling thread transforms the
-    first block, and a thread pool the others under the caller's numpy error
-    state. Every step of a quantile is elementwise, so no byte depends on the split.
+    first block, and the process's long-lived pool (``_transform_pool``) the
+    others under the caller's numpy error state. The caller waits for every
+    block before it returns or re-raises; a worker's exception reaches it as
+    raised. Every step of a quantile is elementwise, so no byte depends on the split.
     """
     threads = 1
     if spec.family in _THREADED_FAMILIES:
         threads = min(_usable_cpus(), u.size // _MIN_THREAD_DRAWS)
     if threads < 2:
         return _quantile_array(spec, u)
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import wait
 
     bounds = [u.size * i // threads for i in range(threads + 1)]
     blocks = [u[start:stop] for start, stop in zip(bounds, bounds[1:])]
     # numpy keeps its error state per thread (numpy 2: in a context variable),
-    # and a new thread starts from the defaults
+    # and a pool thread has the defaults
     errors, call = np.geterr(), np.geterrcall()
 
     def worker(block):
         with np.errstate(call=call, **errors):
             return _quantile_array(spec, block)
 
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        futures = [pool.submit(worker, block) for block in blocks[1:]]
+    pool = _transform_pool(threads - 1)
+    futures = [pool.submit(worker, block) for block in blocks[1:]]
+    try:
         # the caller's block first: waiting on a future before it leaves the caller idle
         parts = [_quantile_array(spec, blocks[0])]
-        parts += [future.result() for future in futures]
+    finally:
+        wait(futures)
+    parts += [future.result() for future in futures]
     return np.concatenate(parts)
 
 
@@ -758,12 +823,14 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
     from its own stream: one PCG64 per call, built from the first row's seed
     words, which draws that row as built and each later row after that row's
     stream's seeded state is written into it (or, where ``_state_layout`` is
-    None, a PCG64 per row). The run is mapped onto the open interval once,
+    None, a PCG64 per row). Blocks whose streams adjoin form one run, whose
+    states (or words) are fetched at once: an n-axis batch's points are one
+    run. The run is mapped onto the open interval once,
     in place (``_uniform_open``), and inverse-transformed once
     (``_transform``); each block's matrix is its slice of the result. The
     PCG64 is the call's own, so concurrent calls share no state.
     """
-    layout, shapes = _state_layout(), []
+    layout, shapes, runs = _state_layout(), [], []
     for streams, count in blocks:
         count = checked_int(count, "count")
         if count < 1:
@@ -772,28 +839,26 @@ def _draw_rows(spec: DistributionSpec, seed: int, blocks) -> list[np.ndarray]:
             raise ValueError(f"streams must be a range of consecutive streams, got {streams!r}")
         RngState(seed, streams.start)  # validates the seed and the first stream
         shapes.append((streams, count))
+        if runs and runs[-1].stop == streams.start:
+            runs[-1] = range(runs[-1].start, streams.stop)
+        elif streams:
+            runs.append(streams)
     uniforms = np.empty(sum(len(streams) * count for streams, count in shapes))
-    random = memory = None
-    for (streams, _), rows in zip(shapes, _block_matrices(uniforms, shapes)):
-        if layout is None:
-            sources = _stream_words(seed, streams)  # each row's own PCG64 is built from these
-        else:
-            sources = []
-            if streams and random is None:
-                # the call's first row is drawn as built, so a one-row call writes no state
-                generator = _generator(_stream_words(seed, streams)[0])
-                random = np.random.Generator(generator).random
-                sources, streams = [None], streams[1:]
-            if streams:
-                if memory is None:
-                    memory = _state_memory(id(generator) + layout[0])
-                states = _stream_states(seed, streams).tobytes()
-                sources += [states[row : row + 32] for row in range(0, len(states), 32)]
-        for row, source in zip(rows, sources):
-            if layout is None:
-                random = np.random.Generator(_generator(source)).random
-            elif source is not None:
-                memory[:] = source
+    rows = [row for matrix in _block_matrices(uniforms, shapes) for row in matrix]
+    if layout is None:
+        words = (row_words for run in runs for row_words in _stream_words(seed, run))
+        for row, row_words in zip(rows, words):
+            np.random.Generator(_generator(row_words)).random(out=row)
+    elif rows:
+        # the call's first row is drawn as built, so a one-row call writes no state
+        generator = _generator(_stream_words(seed, runs[0][:1])[0])
+        random = np.random.Generator(generator).random
+        random(out=rows[0])
+        runs[0] = runs[0][1:]
+        states = b"".join([_stream_states(seed, run).tobytes() for run in runs])
+        memory = _state_memory(id(generator) + layout[0])
+        for row, start in zip(rows[1:], range(0, len(states), 32)):
+            memory[:] = states[start : start + 32]
             random(out=row)
     return _block_matrices(_transform(spec, _uniform_open(uniforms)), shapes)
 

@@ -5,9 +5,11 @@ import json
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -696,6 +698,23 @@ def test_seeded_states_match_numpy_pcg64(seed):
             block[0, 0] = 0
 
 
+@pytest.mark.parametrize("block", [0, 1, 2**22, 2**54 + 1], ids=["first", "second", "stream 2^32", "past 2^64"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_every_row_of_a_hash_block_matches_numpy(seed, block):
+    # Every stream of a block against numpy's own SeedSequence and PCG64: blocks
+    # of one-word streams, the block whose first stream is 2^32 (two words),
+    # and one past 2^64, whose streams have three words.
+    streams = range(block * 1024, (block + 1) * 1024)
+    words = distributions._seed_block(seed, block)
+    expected = [np.random.SeedSequence(seed, spawn_key=(s,)).generate_state(4, np.uint64).tolist() for s in streams]
+    assert words.tolist() == expected
+    layout = distributions._state_layout()
+    if layout is not None:  # each row's (state, inc) halves in the generator's word order
+        states = distributions._state_block(seed, block)
+        seeded = [_state_of(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(s,)))) for s in streams]
+        assert states.tolist() == [[halves[i] for i in layout[1]] for halves in seeded]
+
+
 # 64-bit words that make the 128-bit sums and the 32-bit limb products carry
 EDGE_WORDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2**32, 2**64 - 2, 2**64 - 1])
 
@@ -845,11 +864,11 @@ def test_state_layout_probe_ignores_a_replaced_generator():
 
 @pytest.mark.parametrize("path", DRAW_PATHS)
 def test_a_full_batch_holds_one_float_matrix_and_the_transforms_temporaries(path, monkeypatch):
-    # A batch's uniforms are filled in place and mapped in place, so a 2^14-draw
-    # Pareto batch peaks at its uniform matrix and two live temporaries of
-    # the transform (each step of delta * exp(log1p(-u) / -alpha) makes one
-    # from the one before), three matrices. Drawing raw words, joining them
-    # and mapping the join peaked above 4.5 matrices.
+    # A batch's uniforms are filled in place and mapped in place, and every
+    # step of the Pareto transform delta * exp(log1p(-u) / -alpha) writes
+    # into one fresh array, so a 2^14-draw batch peaks at two matrices: its
+    # uniforms and the transform's result. A fresh array per step peaked at
+    # three, and drawing raw words, joining them and mapping the join above 4.5.
     if path == "fallback":
         monkeypatch.setattr(distributions, "_state_layout", lambda: None)
     spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
@@ -868,14 +887,17 @@ def test_a_full_batch_holds_one_float_matrix_and_the_transforms_temporaries(path
         if not tracing:
             tracemalloc.stop()
     assert rows.shape == (128, 128)
-    assert peak < 3.5 * matrix, peak
+    assert peak < 2.5 * matrix, peak
 
 
-def test_concurrent_draws_give_the_serial_rows():
-    # Each draw call writes its rows' states into its own PCG64: threads
-    # drawing at once, more of them than CPUs and switching often, must each
-    # get what they get alone.
-    spec = tf.parse_spec("pareto(alpha=0.5,delta=1)")
+@pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)"])
+def test_concurrent_draws_give_the_serial_rows(text, monkeypatch):
+    # Each draw call writes its rows' states into its own PCG64, and the t(4)
+    # calls of 2048 draws and more split their transforms over the one shared
+    # pool (three CPUs pretended): threads drawing at once, more of them than
+    # CPUs and switching often, must each get what they get alone.
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    spec = tf.parse_spec(text)
     jobs = [(3, [(range(0, 400), 50)]), (4, [(range(2000, 2400), 50)]), (3, [(range(100, 300), 7)]), (5, [(range(9, 10), 3)])]
     serial = [distributions.sample_blocks(spec, seed, blocks)[0].tobytes() for seed, blocks in jobs]
     results = {}
@@ -1080,23 +1102,121 @@ def test_worker_blocks_run_under_the_callers_error_state(monkeypatch):
     assert split.tobytes() == original(spec, u).tobytes()
 
 
-def test_worker_exception_reaches_the_caller_and_no_thread_outlives_it(monkeypatch):
+def test_worker_exception_reaches_the_caller_and_the_pool_threads_stay_bounded(monkeypatch):
+    # The pool outlives each call, so the thread count does not return to its
+    # baseline. Instead, over 50 split calls, every other one failing in a
+    # worker block, at most usable CPUs - 1 threads are ever added, the same
+    # threads serve every call, and each worker exception reaches the caller as raised.
     caller = threading.get_ident()
     error = ArithmeticError("raised in a worker block")
     original = distributions._quantile_array
+    failing, workers = [False], set()
 
-    def failing(spec, u):
+    def transform(spec, u):
         if threading.get_ident() != caller:
-            raise error
+            workers.add(threading.current_thread())
+            if failing[0]:
+                raise error
         return original(spec, u)
 
-    monkeypatch.setattr(distributions, "_quantile_array", failing)
+    monkeypatch.setattr(distributions, "_quantile_array", transform)
     monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
-    baseline = threading.active_count()
-    with pytest.raises(ArithmeticError) as raised:
+    spec, u = tf.parse_spec("t(n=4)"), np.full(4096, 0.3)
+    expected = original(spec, u).tobytes()
+    # the process's pool shut down, its threads joined, so that the first call builds a new one
+    for executor, _ in distributions._pool:
+        executor.shutdown(wait=True)
+    distributions._pool.clear()
+    baseline = set(threading.enumerate())
+    added = set()
+    for call in range(50):
+        failing[0] = call % 2 == 0
+        if failing[0]:
+            with pytest.raises(ArithmeticError) as raised:
+                distributions._transform(spec, u)
+            assert raised.value is error
+        else:
+            assert distributions._transform(spec, u).tobytes() == expected
+        added |= set(threading.enumerate()) - baseline
+    assert 1 <= len(added) <= 3 - 1 and workers <= added
+    assert all(thread.is_alive() for thread in added)
+
+
+def test_the_caller_waits_for_every_worker_block_before_it_re_raises(monkeypatch):
+    caller = threading.get_ident()
+    original = distributions._quantile_array
+    finished = []
+
+    def transform(spec, u):
+        if threading.get_ident() == caller:
+            raise ArithmeticError("raised in the caller's block")
+        time.sleep(0.05)
+        finished.append(u.size)
+        return original(spec, u)
+
+    monkeypatch.setattr(distributions, "_quantile_array", transform)
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    with pytest.raises(ArithmeticError, match="caller's block"):
         distributions._transform(tf.parse_spec("t(n=4)"), np.full(4096, 0.3))
-    assert raised.value is error
-    assert threading.active_count() == baseline
+    assert sorted(finished) == [1365, 1366]  # both worker blocks, done before the caller re-raised
+
+
+# In a fresh interpreter on two pretended CPUs: split a t(4) transform, so the
+# transform pool's thread is alive, then run a t(4) study serially and over a
+# process pool of two forked workers, whose transforms split too. Every block
+# transform appends its process id and thread name to the log file named by
+# the first argument. Prints the process id, the live threads before the
+# pooled run and whether each axis's CSV of the two runs is the same.
+FORK_AFTER_SPLIT_RUNNER = """
+import json, os, sys, threading
+import numpy as np
+import tailfence as tf
+from tailfence import distributions
+
+transform = distributions._quantile_array
+
+def logging_transform(spec, u):
+    with open(sys.argv[1], "a") as log:
+        log.write(f"{os.getpid()} {threading.current_thread().name}\\n")
+    return transform(spec, u)
+
+distributions._usable_cpus = lambda: 2
+distributions._quantile_array = logging_transform
+spec = tf.parse_spec("t(n=4)")
+distributions._transform(spec, np.full(4096, 0.3))
+config = tf.StudyConfig(spec=spec, seed=5, m=400, n_grid=(10, 20, 30, 40, 50), k_grid=(2, 3),
+                        methods=("par_n", "hh_q", "hill"))
+serial = tf.run_study(config)
+alive = threading.active_count()
+pooled = tf.run_study(config, workers=2)
+print(json.dumps({"pid": os.getpid(), "alive": alive,
+                  "same": [serial.csv_for_axis(axis) == pooled.csv_for_axis(axis) for axis in ("n", "k")]}))
+"""
+
+
+def test_a_forked_worker_builds_its_own_transform_pool(tmp_path):
+    # A forked child that submitted to its parent's pool would wait forever on
+    # threads it does not have: the timeout turns that into a failure.
+    log = tmp_path / "blocks.txt"
+    src = str(Path(tf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a session of its own, so a hung run's forked workers are killed with it
+    with subprocess.Popen([sys.executable, "-c", FORK_AFTER_SPLIT_RUNNER, str(log)], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the study over forked workers hung")
+    assert proc.returncode == 0, stderr
+    report = json.loads(stdout)
+    assert report["same"] == [True, True]
+    assert report["alive"] >= 2  # the parent's pool thread was alive when the workers forked
+    blocks = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    children = {pid for pid, thread in blocks if pid != str(report["pid"]) and thread.startswith("tailfence-transform")}
+    assert children  # a forked worker split its transforms over a pool of its own
 
 
 def test_sampling_deterministic_in_seed_and_stream():
