@@ -23,12 +23,12 @@ memory. In a fresh interpreter (2-core x86 VM) ``import tailfence`` takes
 
 Sampling runs the inverse transform once over a batch of draws. For gamma
 and Student-t, whose inversions are iterative and release the GIL, a batch
-of at least 2048 draws is split into contiguous blocks, one per CPU the
-process may use, transformed on threads; every step is elementwise, so the
-bytes do not depend on the split. The threads belong to one long-lived pool
-per process, built on the first split (``concurrent.futures`` is imported
-then, not with this module); its idle threads wait on a queue and use no
-CPU, and a forked child drops it and builds its own.
+of at least 2048 draws is split into contiguous blocks, one per CPU of the
+process's share (a worker of ``run_study(config, workers=k)`` gets 1/k of
+them), transformed on threads; every step is elementwise, so no byte depends
+on the split. The threads are one pool, built once per process on its first
+split (``concurrent.futures`` is imported then); its idle threads use no
+CPU, and a forked child clears it and builds its own.
 """
 
 from __future__ import annotations
@@ -742,45 +742,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The split transforms' thread pool: one per process, as a list of at most
-# one (executor, threads) pair. It is built on the first split, with one
-# thread fewer than the usable CPUs, and rebuilt only for a call that needs
-# more threads. A forked child (a process pool's worker) has only the thread
-# that forked, so it drops the parent's pool and builds its own.
-_pool: list = []
+_sharers = 1  # processes that share the usable CPUs: k in a worker of run_study(config, workers=k)
+
+
+def _share_cpus(processes: int) -> None:
+    """A process pool's initializer: make this process one of ``processes`` that share the CPUs."""
+    global _sharers
+    _sharers = processes
+
+
+# The split transforms' thread pool: built once per process, on its first
+# split, with one thread fewer than the process's share of the CPUs. A forked
+# child (a process pool's worker) has only the thread that forked, so it
+# clears the cache and builds a pool of its own share.
+@functools.cache
+def _transform_pool():
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(1, _usable_cpus() // _sharers - 1), thread_name_prefix="tailfence-transform")
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.clear)
-
-
-def _transform_pool(workers: int):
-    """The process's thread pool for split transforms, with at least ``workers`` threads."""
-    built = _pool[0] if _pool else None
-    if built is None or built[1] < workers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = max(workers, _usable_cpus() - 1)
-        # No lock, which a fork could leave held: two calls that race here
-        # each build a pool, and the one not kept serves only its own call. A
-        # replaced pool is not shut down, as a concurrent call may still
-        # submit to it; its threads exit once no call holds it.
-        built = ThreadPoolExecutor(workers, thread_name_prefix="tailfence-transform"), workers
-        _pool[:] = [built]
-    return built[0]
+    os.register_at_fork(after_in_child=_transform_pool.cache_clear)
 
 
 def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     """``_quantile_array`` of a flat array of uniforms; split over threads for gamma and Student-t.
 
-    The split takes one contiguous block per usable CPU, with at least
-    ``_MIN_THREAD_DRAWS`` draws in each. The calling thread transforms the
-    first block, and the process's long-lived pool (``_transform_pool``) the
-    others under the caller's numpy error state. The caller waits for every
-    block before it returns or re-raises; a worker's exception reaches it as
-    raised. Every step of a quantile is elementwise, so no byte depends on the split.
+    The split takes one contiguous block per CPU of the process's share
+    (``_usable_cpus() // _sharers``), with at least ``_MIN_THREAD_DRAWS``
+    draws in each. The calling thread transforms the first block, and the
+    process's pool (``_transform_pool``) the others under the caller's numpy
+    error state. The caller waits for every block before it returns or
+    re-raises; a worker's exception reaches it as raised. Every step of a
+    quantile is elementwise, so no byte depends on the split.
     """
     threads = 1
     if spec.family in _THREADED_FAMILIES:
-        threads = min(_usable_cpus(), u.size // _MIN_THREAD_DRAWS)
+        threads = min(_usable_cpus() // _sharers, u.size // _MIN_THREAD_DRAWS)
     if threads < 2:
         return _quantile_array(spec, u)
     from concurrent.futures import wait
@@ -795,7 +794,7 @@ def _transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
         with np.errstate(call=call, **errors):
             return _quantile_array(spec, block)
 
-    pool = _transform_pool(threads - 1)
+    pool = _transform_pool()
     futures = [pool.submit(worker, block) for block in blocks[1:]]
     try:
         # the caller's block first: waiting on a future before it leaves the caller idle

@@ -322,13 +322,13 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     Chunks of grid points (``_chunks``) run in this process by default
     (workers=None or 1), where a gamma or Student-t inverse transform is
     still split over threads. An explicit workers > 1 spreads the chunks over
-    a process pool, which pays only on large studies, such as the default
-    grids (117 points at m=1000) of a family with a costly inverse
-    transform. ``tailfence simulate`` always runs in one process; only
-    ``run_study(config, workers=k)`` reaches the pool. A study of one chunk
-    always runs in one process. A point's grid index g fixes its streams,
-    and results are gathered in chunk order, so the bytes do not depend on
-    ``workers``.
+    a process pool, whose workers each split over 1/workers of the CPUs; it
+    pays only on large studies, such as the default grids (117 points at
+    m=1000) of a family with a costly inverse transform. ``tailfence
+    simulate`` always runs in one process; only ``run_study(config,
+    workers=k)`` reaches the pool. A study of one chunk always runs in one
+    process. A point's grid index g fixes its streams, and results are
+    gathered in chunk order, so the bytes do not depend on ``workers``.
     ValueError unless ``workers`` is None or an integer >= 1.
     """
     if workers is not None:
@@ -337,7 +337,7 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
             raise ValueError(f"workers must be >= 1, got {workers}")
     chunks = _chunks(config)
     if workers is not None and workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=dist._share_cpus, initargs=(workers,)) as pool:
             results = list(pool.map(_evaluate_chunk, [config] * len(chunks), chunks))
     else:
         results = [_evaluate_chunk(config, points) for points in chunks]

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -729,6 +729,17 @@ def test_seeded_states_match_numpy_on_any_words_property(words):
     assert states.tolist() == [_state_of(distributions._generator(words[0]))]
 
 
+def test_stream_seed_gives_only_the_four_words_that_seed_pcg64():
+    words = distributions._stream_words(7, range(1))[0]
+    seed = distributions._StreamSeed(words)
+    assert seed.generate_state(4, np.uint64) is words
+    assert seed.generate_state(4, "uint64") is words  # a dtype that is not np.uint64 itself
+    # (4,) takes numpy's default dtype, uint32
+    for args in [(4,), (4, np.uint32), (4, np.int64), (8, np.uint64), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="only the four 64-bit words"):
+            seed.generate_state(*args)
+
+
 class _FakeBitGenerator:
     """Stands in for a PCG64 whose state struct lies elsewhere."""
 
@@ -891,12 +902,12 @@ def test_a_full_batch_holds_one_float_matrix_and_the_transforms_temporaries(path
 
 
 @pytest.mark.parametrize("text", ["pareto(alpha=0.5,delta=1)", "t(n=4)"])
-def test_concurrent_draws_give_the_serial_rows(text, monkeypatch):
+def test_concurrent_draws_give_the_serial_rows(text, pretend_cpus):
     # Each draw call writes its rows' states into its own PCG64, and the t(4)
     # calls of 2048 draws and more split their transforms over the one shared
     # pool (three CPUs pretended): threads drawing at once, more of them than
     # CPUs and switching often, must each get what they get alone.
-    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    pretend_cpus(3)
     spec = tf.parse_spec(text)
     jobs = [(3, [(range(0, 400), 50)]), (4, [(range(2000, 2400), 50)]), (3, [(range(100, 300), 7)]), (5, [(range(9, 10), 3)])]
     serial = [distributions.sample_blocks(spec, seed, blocks)[0].tobytes() for seed, blocks in jobs]
@@ -1016,14 +1027,16 @@ def stream_blocks(draw, rows, counts):
 
 # Each t(4) block holds at least 30 * 70 = 2100 draws, so with two usable CPUs
 # (pretended, as on one CPU nothing is split) the batch's transform and each
-# block's alone are split over threads, and each sample's is not.
-@settings(derandomize=True, max_examples=25, deadline=None)
+# block's alone are split over threads, and each sample's is not. The count is
+# the same for every example, so the fixture's one setup serves them all.
+@settings(derandomize=True, max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 @pytest.mark.parametrize("text, rows, counts", [
     ("pareto(alpha=0.5,delta=1)", st.integers(1, 40), st.integers(1, 60)),
     ("t(n=4)", st.integers(30, 50), st.integers(70, 90)),
 ], ids=["pareto", "t4"])
-def test_sample_blocks_equal_each_block_and_each_sample(text, rows, counts, data):
+def test_sample_blocks_equal_each_block_and_each_sample(text, rows, counts, data, pretend_cpus):
+    pretend_cpus(2)
     spec = tf.parse_spec(text)
     blocks = data.draw(stream_blocks(rows, counts))
     seed = data.draw(st.sampled_from([3, 2**40 + 1]))
@@ -1033,8 +1046,7 @@ def test_sample_blocks_equal_each_block_and_each_sample(text, rows, counts, data
         calls.append(u.size)
         return transform(spec, u)
 
-    with mock.patch.object(distributions, "_usable_cpus", lambda: 2), \
-            mock.patch.object(distributions, "_transform", counting):
+    with mock.patch.object(distributions, "_transform", counting):
         matrices = distributions.sample_blocks(spec, seed, blocks)
         assert calls == [sum(len(streams) * count for streams, count in blocks)]
         assert len(matrices) == len(blocks)
@@ -1051,7 +1063,7 @@ SPLIT_DRAWS = [1, 1023, 1024, 2047, 2048, 8360, 33333]
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 @pytest.mark.parametrize("text", ALL_SPECS)
-def test_split_transform_changes_no_byte(text, threads, monkeypatch):
+def test_split_transform_changes_no_byte(text, threads, monkeypatch, pretend_cpus):
     spec = tf.parse_spec(text)
     original = distributions._quantile_array
     blocks = []
@@ -1061,7 +1073,7 @@ def test_split_transform_changes_no_byte(text, threads, monkeypatch):
         return original(spec, u)
 
     monkeypatch.setattr(distributions, "_quantile_array", recording)
-    monkeypatch.setattr(distributions, "_usable_cpus", lambda: threads)
+    pretend_cpus(threads)
     words = np.random.PCG64(threads).random_raw(max(SPLIT_DRAWS))
     uniforms = np.random.Generator(np.random.PCG64(threads)).random(max(SPLIT_DRAWS))
     for size in SPLIT_DRAWS:
@@ -1076,7 +1088,7 @@ def test_split_transform_changes_no_byte(text, threads, monkeypatch):
         assert split.tobytes() == original(spec, u).tobytes(), size
 
 
-def test_worker_blocks_run_under_the_callers_error_state(monkeypatch):
+def test_worker_blocks_run_under_the_callers_error_state(monkeypatch, pretend_cpus):
     original = distributions._quantile_array
     seen = []
 
@@ -1088,7 +1100,7 @@ def test_worker_blocks_run_under_the_callers_error_state(monkeypatch):
         raise AssertionError(f"floating-point {kind} in the transform")
 
     monkeypatch.setattr(distributions, "_quantile_array", recording)
-    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    pretend_cpus(3)
     spec = tf.parse_spec("gamma(alpha=0.5,beta=1)")
     u = np.linspace(0.001, 0.999, 4096)
     with np.errstate(call=handler, divide="raise", invalid="call", under="ignore", over="print"):
@@ -1102,7 +1114,7 @@ def test_worker_blocks_run_under_the_callers_error_state(monkeypatch):
     assert split.tobytes() == original(spec, u).tobytes()
 
 
-def test_worker_exception_reaches_the_caller_and_the_pool_threads_stay_bounded(monkeypatch):
+def test_worker_exception_reaches_the_caller_and_the_pool_threads_stay_bounded(monkeypatch, pretend_cpus):
     # The pool outlives each call, so the thread count does not return to its
     # baseline. Instead, over 50 split calls, every other one failing in a
     # worker block, at most usable CPUs - 1 threads are ever added, the same
@@ -1120,13 +1132,10 @@ def test_worker_exception_reaches_the_caller_and_the_pool_threads_stay_bounded(m
         return original(spec, u)
 
     monkeypatch.setattr(distributions, "_quantile_array", transform)
-    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    pretend_cpus(3)
     spec, u = tf.parse_spec("t(n=4)"), np.full(4096, 0.3)
     expected = original(spec, u).tobytes()
-    # the process's pool shut down, its threads joined, so that the first call builds a new one
-    for executor, _ in distributions._pool:
-        executor.shutdown(wait=True)
-    distributions._pool.clear()
+    # the fixture shut the process's pool down, so the first call builds a new one
     baseline = set(threading.enumerate())
     added = set()
     for call in range(50):
@@ -1142,7 +1151,7 @@ def test_worker_exception_reaches_the_caller_and_the_pool_threads_stay_bounded(m
     assert all(thread.is_alive() for thread in added)
 
 
-def test_the_caller_waits_for_every_worker_block_before_it_re_raises(monkeypatch):
+def test_the_caller_waits_for_every_worker_block_before_it_re_raises(monkeypatch, pretend_cpus):
     caller = threading.get_ident()
     original = distributions._quantile_array
     finished = []
@@ -1155,17 +1164,63 @@ def test_the_caller_waits_for_every_worker_block_before_it_re_raises(monkeypatch
         return original(spec, u)
 
     monkeypatch.setattr(distributions, "_quantile_array", transform)
-    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    pretend_cpus(3)
     with pytest.raises(ArithmeticError, match="caller's block"):
         distributions._transform(tf.parse_spec("t(n=4)"), np.full(4096, 0.3))
     assert sorted(finished) == [1365, 1366]  # both worker blocks, done before the caller re-raised
 
 
-# In a fresh interpreter on two pretended CPUs: split a t(4) transform, so the
-# transform pool's thread is alive, then run a t(4) study serially and over a
-# process pool of two forked workers, whose transforms split too. Every block
-# transform appends its process id and thread name to the log file named by
-# the first argument. Prints the process id, the live threads before the
+def test_many_splits_build_one_executor_and_keep_it_when_the_cpus_grow(monkeypatch, pretend_cpus):
+    # Built at 2 CPUs, the pool has one thread. At 8 CPUs a split cuts 8
+    # blocks, and the 7 handed to the pool wait in its queue for that thread.
+    import concurrent.futures
+
+    built, blocks = [], []
+    original = distributions._quantile_array
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    def recording(spec, u):
+        blocks.append((threading.current_thread(), u.size))
+        return original(spec, u)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(distributions, "_quantile_array", recording)
+    spec, u = tf.parse_spec("t(n=4)"), np.linspace(0.001, 0.999, 8192)
+    expected = original(spec, u).tobytes()
+    baseline = set(threading.enumerate())
+    pretend_cpus(2)
+    for _ in range(20):
+        assert distributions._transform(spec, u).tobytes() == expected
+    pretend_cpus(8)
+    blocks.clear()
+    assert distributions._transform(spec, u).tobytes() == expected
+    assert [size for _, size in blocks] == [1024] * 8
+    assert len(built) == 1 and distributions._transform_pool() is built[0] and built[0]._max_workers == 1
+    added = set(threading.enumerate()) - baseline
+    assert len(added) == 1 and {thread for thread, _ in blocks} == added | {threading.current_thread()}
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert distributions._usable_cpus() == len(os.sched_getaffinity(0))
+    # as on macOS and Windows, which have no affinity call
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert distributions._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert distributions._usable_cpus() == 1
+
+
+# In a fresh interpreter on the number of CPUs given as the second argument
+# (pretended): split a t(4) transform, so the transform pool's threads are
+# alive, then run a t(4) study serially and over a process pool of two forked
+# workers, each of which may split its transforms over half the CPUs. Every
+# block transform appends its process id and thread name to the log file named
+# by the first argument. Prints the process id, the live threads before the
 # pooled run and whether each axis's CSV of the two runs is the same.
 FORK_AFTER_SPLIT_RUNNER = """
 import json, os, sys, threading
@@ -1180,7 +1235,7 @@ def logging_transform(spec, u):
         log.write(f"{os.getpid()} {threading.current_thread().name}\\n")
     return transform(spec, u)
 
-distributions._usable_cpus = lambda: 2
+distributions._usable_cpus = lambda: int(sys.argv[2])
 distributions._quantile_array = logging_transform
 spec = tf.parse_spec("t(n=4)")
 distributions._transform(spec, np.full(4096, 0.3))
@@ -1194,7 +1249,8 @@ print(json.dumps({"pid": os.getpid(), "alive": alive,
 """
 
 
-def test_a_forked_worker_builds_its_own_transform_pool(tmp_path):
+@pytest.mark.parametrize("cpus", [4, 2])
+def test_a_forked_worker_splits_over_a_pool_of_its_own_share(cpus, tmp_path):
     # A forked child that submitted to its parent's pool would wait forever on
     # threads it does not have: the timeout turns that into a failure.
     log = tmp_path / "blocks.txt"
@@ -1202,8 +1258,9 @@ def test_a_forked_worker_builds_its_own_transform_pool(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     # a session of its own, so a hung run's forked workers are killed with it
-    with subprocess.Popen([sys.executable, "-c", FORK_AFTER_SPLIT_RUNNER, str(log)], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, env=env, start_new_session=True) as proc:
+    with subprocess.Popen([sys.executable, "-c", FORK_AFTER_SPLIT_RUNNER, str(log), str(cpus)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as proc:
         try:
             stdout, stderr = proc.communicate(timeout=120)
         except subprocess.TimeoutExpired:
@@ -1213,10 +1270,17 @@ def test_a_forked_worker_builds_its_own_transform_pool(tmp_path):
     assert proc.returncode == 0, stderr
     report = json.loads(stdout)
     assert report["same"] == [True, True]
-    assert report["alive"] >= 2  # the parent's pool thread was alive when the workers forked
-    blocks = [line.split(" ", 1) for line in log.read_text().splitlines()]
-    children = {pid for pid, thread in blocks if pid != str(report["pid"]) and thread.startswith("tailfence-transform")}
-    assert children  # a forked worker split its transforms over a pool of its own
+    assert report["alive"] >= 2  # the parent's pool threads were alive when the workers forked
+    children = {}
+    for pid, thread in (line.split(" ", 1) for line in log.read_text().splitlines()):
+        if pid != str(report["pid"]):
+            children.setdefault(pid, set()).add(thread)
+    assert children
+    # each worker's share is cpus // 2: its own thread and at most one pool thread
+    assert all(len(threads) <= 2 for threads in children.values()), children
+    pooled = {pid for pid, threads in children.items() if any(t.startswith("tailfence-transform") for t in threads)}
+    # at 4 CPUs a worker splits over a pool of its own; at 2 its share is one CPU, and nothing splits
+    assert bool(pooled) is (cpus == 4), children
 
 
 def test_sampling_deterministic_in_seed_and_stream():

@@ -254,7 +254,7 @@ def test_chunks_and_batches_keep_their_bounds_property(m, n_grid, ks, methods):
 
 
 @pytest.mark.parametrize("text", ["pareto(alpha=1,delta=1)", "t(n=4)", "gamma(alpha=0.5,beta=1)"])
-def test_output_bytes_do_not_depend_on_chunking(text, tmp_path, monkeypatch):
+def test_output_bytes_do_not_depend_on_chunking(text, tmp_path, monkeypatch, pretend_cpus):
     # 5 n-points and 6 k-points of m = 100: streams 0..1099 cross the first 1024-stream hash block
     cfg = make_config(spec=tf.parse_spec(text), m=100, n_grid=(10, 15, 20, 25, 30), k_grid=(2, 3, 5, 7, 9, 11),
                       methods=("par_n", "hh_q", "hill", "pickands", "moment"))
@@ -284,7 +284,7 @@ def test_output_bytes_do_not_depend_on_chunking(text, tmp_path, monkeypatch):
     for chunk, cap, threads in settings:
         monkeypatch.setattr(montecarlo, "_CHUNK_REPLICATES", chunk)
         monkeypatch.setattr(montecarlo, "_BATCH_DRAWS", cap)
-        monkeypatch.setattr(distributions, "_usable_cpus", lambda: threads)
+        pretend_cpus(threads)
         assert len(montecarlo._chunks(cfg)) == (2 if chunk > 1 else 11)
         worker_blocks.clear()
         batches.clear()
